@@ -3,148 +3,95 @@
 Artifacts are self-describing (schema + kind + axis metadata) and
 deterministic: keys are sorted and floats round-trip exactly through
 JSON's shortest-repr formatting, so identical training runs produce
-byte-identical files.
+byte-identical files.  Loading checks every field ``models.KINDS`` declares.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import BpnnModel, GrnnModel, MoeModel
 from .errors import ArtifactError
-from .features import PolyTermIndex, ScalarStandardizer, Standardizer
-from .lasso import LassoMprModel
-from .types import EpochHour, GeoPoint, factor_set
-from .wlr_agrnn import WlrAgrnnModel, WlrParams
+from .models import KINDS, Array, EpochTable, Items, Record, Scalar
+from .models import ConstantModel, LookupModel  # noqa: F401  (re-exported)
+from .types import EpochHour, factor_set
 
 SCHEMA = "elorantd.model/1"
 
 
-@dataclass(frozen=True)
-class ConstantModel:
-    """Predicts one stored value everywhere (mean-TD reference)."""
-
-    value: float
-    factors: tuple = ()
-    location_mode: str = "receiver_only"
-    meta: dict = field(default_factory=dict)
-
-    def predict(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1 and self.location_mode != "path":
-            return float(self.value)
-        return np.full(x.shape[0], float(self.value))
-
-
-@dataclass(frozen=True)
-class LookupModel:
-    """Predicts by epoch lookup; backs perfect-predictor checks."""
-
-    table: dict
-    factors: tuple = ()
-    location_mode: str = "receiver_only"
-    meta: dict = field(default_factory=dict)
-
-    def predict_epoch(self, epoch: EpochHour) -> float:
-        try:
-            return float(self.table[epoch])
-        except KeyError:
-            raise ArtifactError(f"epoch {epoch.isoformat()} not in lookup table") from None
+def _encode(spec, value):
+    """Model value -> JSON value, as the declared field lays it out."""
+    if value is None:
+        return None
+    if isinstance(spec, Record):
+        parts = value if isinstance(value, tuple) else [getattr(value, k) for k in spec.fields]
+        out = [_encode(s, v) for s, v in zip(spec.fields.values(), parts)]
+        return out if spec.as_list else dict(zip(spec.fields, out))
+    if isinstance(spec, Items):
+        return [_encode(spec.item, v) for v in value]
+    if isinstance(spec, Array):
+        return np.asarray(value).tolist()
+    if isinstance(spec, EpochTable):
+        return {e.isoformat(): float(v) for e, v in value.items()}
+    return value
 
 
-def _std_to_json(s: Standardizer) -> dict:
-    return {"mean": s.mean.tolist(), "sd": s.sd.tolist()}
+def _bind(dims: dict, axis: str, size: int, where: str) -> None:
+    if dims.setdefault(axis, size) != size:
+        raise ValueError(f"{where}: axis {axis} is {size} here, {dims[axis]} elsewhere")
 
 
-def _std_from_json(d: dict) -> Standardizer:
-    return Standardizer(mean=np.asarray(d["mean"], float), sd=np.asarray(d["sd"], float))
-
-
-def _scalar_std_to_json(s: ScalarStandardizer) -> dict:
-    return {"mean": s.mean, "sd": s.sd}
-
-
-def _scalar_std_from_json(d: dict) -> ScalarStandardizer:
-    return ScalarStandardizer(mean=float(d["mean"]), sd=float(d["sd"]))
-
-
-def _payload(model) -> tuple[str, dict]:
-    if isinstance(model, LassoMprModel):
-        return "lasso_mpr", {
-            "n_inputs": model.n_inputs,
-            "degree": model.degree,
-            "alpha": model.alpha,
-            "standardizer": _std_to_json(model.standardizer),
-            "beta": model.beta.tolist(),
+def _decode(spec, raw, dims: dict, where: str):
+    """JSON value -> model value; checks type, finiteness and axes (dims: sizes seen)."""
+    if isinstance(spec, Record):
+        if spec.as_list and isinstance(raw, list) and len(raw) == len(spec.fields):
+            raw = dict(zip(spec.fields, raw))
+        return spec.make(
+            **{k: _decode(s, raw[k], dims, f"{where}.{k}") for k, s in spec.fields.items()}
+        )
+    if isinstance(spec, Items):
+        if raw is None and spec.optional:
+            return None
+        if not isinstance(raw, list):
+            raise ValueError(f"{where}: expected a list")
+        _bind(dims, spec.axis, len(raw), where)
+        return tuple(
+            _decode(spec.item, v, {}, f"{where}[{i}]") for i, v in enumerate(raw)
+        )
+    if isinstance(spec, Array):
+        value = np.asarray(raw, dtype=float)
+        if value.ndim != len(spec.axes):
+            raise ValueError(f"{where}: shape {value.shape} does not have axes {spec.axes}")
+        for axis, size in zip(spec.axes, value.shape):
+            _bind(dims, axis, size, where)
+        if not np.isfinite(value).all() or (spec.positive and not (value > 0).all()):
+            raise ValueError(f"{where}: non-finite{' or non-positive' * spec.positive} value")
+        return value
+    if isinstance(spec, EpochTable):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where}: expected an object")
+        return {
+            EpochHour.parse(k): _decode(Scalar(float), v, dims, f"{where}.{k}")
+            for k, v in raw.items()
         }
-    if isinstance(model, WlrAgrnnModel):
-        return "wlr_agrnn", {
-            "params": {
-                "w1": model.params.w1.tolist(),
-                "b1": model.params.b1.tolist(),
-                "w2": model.params.w2.tolist(),
-                "b2": model.params.b2,
-            },
-            "h_tilde": model.h_tilde.tolist(),
-            "elevation_mode": model.elevation_mode,
-            "sigmas": model.sigmas.tolist(),
-            "bank": model.bank.tolist(),
-            "y": model.y.tolist(),
-            "w": model.w.tolist(),
-            "standardizer": _std_to_json(model.standardizer),
-            "points": None
-            if model.points is None
-            else [[p.lat, p.lon] for p in model.points],
-        }
-    if isinstance(model, BpnnModel):
-        return "bpnn", {
-            "w1": model.w1.tolist(),
-            "b1": model.b1.tolist(),
-            "w2": model.w2.tolist(),
-            "b2": model.b2,
-            "standardizer": _std_to_json(model.standardizer),
-            "target_scale": _scalar_std_to_json(model.target_scale),
-        }
-    if isinstance(model, GrnnModel):
-        return "grnn", {
-            "bank": model.bank.tolist(),
-            "y": model.y.tolist(),
-            "sigma": model.sigma,
-            "standardizer": _std_to_json(model.standardizer),
-        }
-    if isinstance(model, MoeModel):
-        return "moe", {
-            "experts": [
-                {"w1": w1.tolist(), "b1": b1.tolist(), "w2": w2.tolist(), "b2": b2}
-                for w1, b1, w2, b2 in model.experts
-            ],
-            "gate_w": model.gate_w.tolist(),
-            "gate_b": model.gate_b.tolist(),
-            "group_slices": [list(s) for s in model.group_slices],
-            "standardizer": _std_to_json(model.standardizer),
-            "target_scale": _scalar_std_to_json(model.target_scale),
-        }
-    if isinstance(model, ConstantModel):
-        return "constant", {"value": model.value}
-    if isinstance(model, LookupModel):
-        return "lookup", {
-            "table": {e.isoformat(): float(v) for e, v in model.table.items()}
-        }
-    raise ArtifactError(f"cannot serialize model type {type(model).__name__}")
+    if spec.type is float and not (math.isfinite(raw) and (raw > 0 or not spec.positive)):
+        raise ValueError(f"{where}: {raw!r} is not a finite{' positive' * spec.positive} number")
+    return spec.type(raw)
 
 
 def model_document(model) -> dict:
-    kind, payload = _payload(model)
+    kind = next((k for k in KINDS.values() if isinstance(model, k.model)), None)
+    if kind is None:
+        raise ArtifactError(f"cannot serialize model type {type(model).__name__}")
     return {
         "schema": SCHEMA,
-        "kind": kind,
+        "kind": kind.name,
         "factors": [f.column for f in model.factors],
         "location_mode": model.location_mode,
         "meta": dict(model.meta),
-        "payload": payload,
+        "payload": _encode(Record(dict, kind.payload), model),
     }
 
 
@@ -155,117 +102,27 @@ def save_model(model, path) -> None:
     )
 
 
-def _build(kind: str, factors, location_mode: str, meta: dict, p: dict):
-    if kind == "lasso_mpr":
-        n_inputs = int(p["n_inputs"])
-        degree = int(p["degree"])
-        return LassoMprModel(
-            factors=factors,
-            location_mode=location_mode,
-            n_inputs=n_inputs,
-            degree=degree,
-            alpha=float(p["alpha"]),
-            standardizer=_std_from_json(p["standardizer"]),
-            index=PolyTermIndex.build(n_inputs, degree),
-            beta=np.asarray(p["beta"], float),
-            meta=meta,
-        )
-    if kind == "wlr_agrnn":
-        return WlrAgrnnModel(
-            params=WlrParams(
-                w1=np.asarray(p["params"]["w1"], float),
-                b1=np.asarray(p["params"]["b1"], float),
-                w2=np.asarray(p["params"]["w2"], float),
-                b2=float(p["params"]["b2"]),
-            ),
-            h_tilde=np.asarray(p["h_tilde"], float),
-            elevation_mode=p["elevation_mode"],
-            sigmas=np.asarray(p["sigmas"], float),
-            bank=np.asarray(p["bank"], float),
-            y=np.asarray(p["y"], float),
-            w=np.asarray(p["w"], float),
-            standardizer=_std_from_json(p["standardizer"]),
-            factors=factors,
-            location_mode=location_mode,
-            points=None
-            if p["points"] is None
-            else tuple(GeoPoint(lat, lon) for lat, lon in p["points"]),
-            meta=meta,
-        )
-    if kind == "bpnn":
-        return BpnnModel(
-            w1=np.asarray(p["w1"], float),
-            b1=np.asarray(p["b1"], float),
-            w2=np.asarray(p["w2"], float),
-            b2=float(p["b2"]),
-            standardizer=_std_from_json(p["standardizer"]),
-            target_scale=_scalar_std_from_json(p["target_scale"]),
-            factors=factors,
-            location_mode=location_mode,
-            meta=meta,
-        )
-    if kind == "grnn":
-        return GrnnModel(
-            bank=np.asarray(p["bank"], float),
-            y=np.asarray(p["y"], float),
-            sigma=float(p["sigma"]),
-            standardizer=_std_from_json(p["standardizer"]),
-            factors=factors,
-            location_mode=location_mode,
-            meta=meta,
-        )
-    if kind == "moe":
-        return MoeModel(
-            experts=tuple(
-                (
-                    np.asarray(e["w1"], float),
-                    np.asarray(e["b1"], float),
-                    np.asarray(e["w2"], float),
-                    float(e["b2"]),
-                )
-                for e in p["experts"]
-            ),
-            gate_w=np.asarray(p["gate_w"], float),
-            gate_b=np.asarray(p["gate_b"], float),
-            group_slices=tuple(tuple(int(v) for v in s) for s in p["group_slices"]),
-            standardizer=_std_from_json(p["standardizer"]),
-            target_scale=_scalar_std_from_json(p["target_scale"]),
-            factors=factors,
-            location_mode=location_mode,
-            meta=meta,
-        )
-    if kind == "constant":
-        return ConstantModel(
-            value=float(p["value"]),
-            factors=factors,
-            location_mode=location_mode,
-            meta=meta,
-        )
-    if kind == "lookup":
-        return LookupModel(
-            table={EpochHour.parse(k): float(v) for k, v in p["table"].items()},
-            factors=factors,
-            location_mode=location_mode,
-            meta=meta,
-        )
-    raise ArtifactError(f"unknown artifact kind {kind!r}")
-
-
 def load_model(path):
     raw = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ArtifactError(f"{path}: unknown artifact schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ArtifactError(f"{path}: unknown artifact schema {schema!r}")
     for key in ("kind", "factors", "location_mode", "meta", "payload"):
         if key not in doc:
             raise ArtifactError(f"{path}: artifact missing field {key!r}")
-    factors = factor_set(doc["factors"]) if doc["factors"] else ()
+    kind = KINDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
+    if kind is None:
+        raise ArtifactError(f"{path}: unknown artifact kind {doc['kind']!r}")
     try:
-        return _build(
-            doc["kind"], factors, doc["location_mode"], dict(doc["meta"]), doc["payload"]
+        return kind.model(
+            **_decode(Record(dict, kind.payload), doc["payload"], {}, "payload"),
+            factors=factor_set(doc["factors"]) if doc["factors"] else (),
+            location_mode=doc["location_mode"],
+            meta=dict(doc["meta"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed {doc['kind']} payload ({exc})") from None

@@ -24,16 +24,8 @@ from .errors import (
     NonFiniteLossError,
 )
 from .features import ScalarStandardizer, Standardizer
-from .optim import Adam, TrainingTrace
+from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet
-
-DEFAULT_BPNN_HIDDEN = 16
-DEFAULT_EXPERT_HIDDEN = 8
-DEFAULT_EXPERTS = 4
-DEFAULT_MAX_ITERATIONS = 2000
-DEFAULT_LEARNING_RATE = 0.001
-DEFAULT_TOL = 1e-8
-DEFAULT_PATIENCE = 5
 
 GRNN_SIGMA_GRID_RANGE = (0.05, 5.0)
 GRNN_SIGMA_GRID_POINTS = 30
@@ -41,14 +33,32 @@ GRNN_SIGMA_GRID_POINTS = 30
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    hidden: int = DEFAULT_BPNN_HIDDEN
-    experts: int = DEFAULT_EXPERTS
-    expert_hidden: int = DEFAULT_EXPERT_HIDDEN
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    tol: float = DEFAULT_TOL
-    patience: int = DEFAULT_PATIENCE
+    hidden: int = 16
+    experts: int = 4
+    expert_hidden: int = 8
+    learning_rate: float = 0.001
+    max_iterations: int = 2000
+    tol: float = 1e-8
+    patience: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
+        require_at_least(self, 1, "hidden", "expert_hidden", "patience")
+        require_at_least(self, 2, "experts")
+
+
+@dataclass(frozen=True)
+class GrnnConfig:
+    """sigma None: chosen by leave-one-out; seed is only recorded."""
+
+    sigma: float | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(self, 0, "seed")
+        if self.sigma is not None:
+            require_at_least(self, 0, "sigma", strict=True)
 
 
 def _check_xy(x, y):
@@ -57,14 +67,6 @@ def _check_xy(x, y):
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
         raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
     return x, y
-
-
-def _converged(losses: list[float], tol: float, patience: int) -> bool:
-    if len(losses) <= patience:
-        return False
-    recent = losses[-(patience + 1):]
-    scale = max(1.0, abs(recent[0]))
-    return all(abs(recent[i + 1] - recent[i]) / scale < tol for i in range(patience))
 
 
 # -- BPNN ---------------------------------------------------------------------
@@ -116,7 +118,6 @@ def train_bpnn(
     adam = Adam(lr=cfg.learning_rate)
     t_count = z.shape[0]
     losses: list[float] = []
-    converged = False
     for _ in range(cfg.max_iterations):
         hidden = np.tanh(z @ w1.T + b1)
         pred = hidden @ w2 + b2[0]
@@ -132,8 +133,7 @@ def train_bpnn(
         g_w1 = back.T @ z
         g_b1 = back.sum(axis=0)
         adam.step([w1, b1, w2, b2], [g_w1, g_b1, g_w2, g_b2])
-        if _converged(losses, cfg.tol, cfg.patience):
-            converged = True
+        if loss_converged(losses, cfg.tol, cfg.patience):
             break
     if not losses:
         hidden = np.tanh(z @ w1.T + b1)
@@ -144,7 +144,7 @@ def train_bpnn(
         standardizer=standardizer, target_scale=target_scale,
         factors=factors, location_mode=location_mode, meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), converged)
+    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
 
 
 # -- GRNN ---------------------------------------------------------------------
@@ -266,6 +266,12 @@ class MoeModel:
     location_mode: str
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        n = self.standardizer.mean.size
+        for (w1, *_), (lo, hi) in zip(self.experts, self.group_slices):
+            if not 0 <= lo < hi <= n or w1.shape[1] != hi - lo:
+                raise ValueError(f"slice ({lo}, {hi}) of {n} inputs does not fit w1 {w1.shape}")
+
     def gate_weights(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -321,8 +327,6 @@ def train_moe(
     meta: dict | None = None,
 ) -> tuple[MoeModel, TrainingTrace]:
     x, y = _check_xy(x, y)
-    if cfg.experts < 2:
-        raise ValueError("mixture needs at least 2 experts")
     standardizer = Standardizer.fit(x)
     target_scale = ScalarStandardizer.fit(y)
     z = standardizer.transform(x)
@@ -352,7 +356,6 @@ def train_moe(
     adam = Adam(lr=cfg.learning_rate)
     t_count = z.shape[0]
     losses: list[float] = []
-    converged = False
     for _ in range(cfg.max_iterations):
         hiddens = []
         outputs = np.empty((t_count, cfg.experts))
@@ -382,8 +385,7 @@ def train_moe(
         d_logits = p * (delta[:, None] * (outputs - pred[:, None]))
         grads += [d_logits.T @ z, d_logits.sum(axis=0)]
         adam.step(params, grads)
-        if _converged(losses, cfg.tol, cfg.patience):
-            converged = True
+        if loss_converged(losses, cfg.tol, cfg.patience):
             break
     if not losses:
         outputs = _expert_outputs(
@@ -405,4 +407,4 @@ def train_moe(
         target_scale=target_scale, factors=factors,
         location_mode=location_mode, meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), converged)
+    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))

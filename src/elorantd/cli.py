@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import lasso, synth
+from . import lasso, models, synth
 from .artifacts import artifact_kind, load_model, save_model
 from .errors import (
     AxisMismatchError,
@@ -28,14 +28,15 @@ from .errors import (
 )
 from .gridmap import GridSpec, assign_observations, export_gridmap_csv, idw_fill
 from .ingest import DEFAULT_MIN_SAMPLES_PER_HOUR, aggregate_hourly, align_epochs
+from .optim import require_at_least
 from .pipeline import (
     Corpus,
-    MODEL_NAMES,
     build_features,
     evaluate_models,
     holdout_split,
     load_corpus,
     mask_for_ranges,
+    model_config,
     parse_range_list,
     predict_model,
     split_bundle,
@@ -58,18 +59,12 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
 
-_INT_OPTIONS = {
-    "degree", "max_sweeps", "hidden", "max_iterations", "patience",
-    "experts", "expert_hidden", "seed",
-}
-_FLOAT_OPTIONS = {"alpha", "tol", "learning_rate", "sigma_tol", "sigma"}
-_STR_OPTIONS = {"elevation_mode", "weight_scheme"}
-
 _CONFIG_SCHEMA = {
     "corpus": {"dir", "min_samples_per_hour", "tx_lat", "tx_lon", "rx_lat", "rx_lon"},
     "features": {"factors", "location_mode", "l", "grid_cellsize", "grid_padding"},
     "split": {"train", "test"},
-    "model": {"name"} | _INT_OPTIONS | _FLOAT_OPTIONS | _STR_OPTIONS,
+    "model": {"name"}.union(*(models.option_types(models.KINDS[m].config)
+                              for m in models.MODEL_NAMES)),
     "synth": {"scenario", "seed", "noise_sd_ns"},
     "correlate": {"r_min", "p_max"},
     "sweep": {"kind", "holdout_fraction"},
@@ -114,17 +109,6 @@ def _parse_factors(text: str) -> FactorSet:
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"features.factors: {exc}") from None
-
-
-def _coerce_option(key: str, value: str):
-    try:
-        if key in _INT_OPTIONS:
-            return int(value)
-        if key in _FLOAT_OPTIONS:
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"model.{key}: cannot parse {value!r}") from None
-    return value
 
 
 def load_settings(config_path: str | None) -> RunSettings:
@@ -174,12 +158,9 @@ def load_settings(config_path: str | None) -> RunSettings:
             s.train_ranges = parse_range_list(get("split", "train"))
         if has("split", "test"):
             s.test_ranges = parse_range_list(get("split", "test"))
-        if parser.has_section("model"):
-            for key in parser["model"]:
-                if key == "name":
-                    s.model_name = get("model", "name").strip()
-                else:
-                    s.model_options[key] = _coerce_option(key, get("model", key))
+        if parser.has_section("model"):  # options are typed by pipeline.model_config
+            s.model_options = dict(parser["model"])
+            s.model_name = s.model_options.pop("name", s.model_name).strip()
         if has("synth", "scenario"):
             s.scenario = get("synth", "scenario").strip()
         if has("synth", "seed"):
@@ -194,7 +175,10 @@ def load_settings(config_path: str | None) -> RunSettings:
             s.sweep_kind = get("sweep", "kind").strip()
         if has("sweep", "holdout_fraction"):
             s.holdout_fraction = float(get("sweep", "holdout_fraction"))
-    except ValueError as exc:
+        require_at_least(s, 2, "l")  # path points
+        require_at_least(s, 0, "grid_padding")
+        require_at_least(s, 0, "grid_cellsize", strict=True)
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return s
 
@@ -408,8 +392,10 @@ def cmd_correlate(args) -> int:
 def cmd_train(args) -> int:
     s = load_settings(args.config)
     name = args.model or s.model_name
-    if name not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    options = dict(s.model_options)
+    if args.seed is not None:
+        options["seed"] = args.seed
+    model_config(name, options)  # reject bad options before loading the corpus
     corpus, bundle = _bundle(args, s)
     if s.train_ranges is None:
         raise ConfigError("split.train is required for training")
@@ -420,9 +406,6 @@ def cmd_train(args) -> int:
     if not train_mask.any():
         raise EmptyIntersectionError("no aligned epoch falls in the train ranges")
     train = bundle.subset(train_mask)
-    options = dict(s.model_options)
-    if args.seed is not None:
-        options["seed"] = args.seed
     model, trace = train_model(name, train, options)
     save_model(model, args.out)
     trace_path = args.trace or (str(args.out) + ".trace.csv")
@@ -517,6 +500,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep kind must be alpha or degree, got {kind!r}")
     if s.model_name != "lasso_mpr":
         raise ConfigError("sweeps require model.name = lasso_mpr")
+    cfg = model_config(s.model_name, s.model_options)
     corpus, bundle = _bundle(args, s)
     if s.train_ranges is not None:
         mask = mask_for_ranges(bundle.epochs, s.train_ranges)
@@ -524,12 +508,10 @@ def cmd_sweep(args) -> int:
             raise EmptyIntersectionError("no aligned epoch falls in the train ranges")
         bundle = bundle.subset(mask)
     fit, val = holdout_split(bundle, s.holdout_fraction)
-    degree = int(s.model_options.get("degree", lasso.DEFAULT_DEGREE))
-    alpha = float(s.model_options.get("alpha", lasso.DEFAULT_ALPHA))
     if kind == "alpha":
         table = lasso.sweep_alpha(
             fit.flat, fit.td, val.flat, val.td, bundle.factors,
-            degree=degree, location_mode=bundle.location_mode,
+            degree=cfg.degree, location_mode=bundle.location_mode,
         )
         header = ["alpha", "rmse_ns"]
         log_x = True
@@ -537,7 +519,7 @@ def cmd_sweep(args) -> int:
     else:
         table = lasso.sweep_degree(
             fit.flat, fit.td, val.flat, val.td, bundle.factors,
-            alpha=alpha, location_mode=bundle.location_mode,
+            alpha=cfg.alpha, location_mode=bundle.location_mode,
         )
         header = ["degree", "rmse_ns"]
         log_x = False
@@ -604,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on the train split")
     common(p)
-    p.add_argument("--model", help=f"one of {', '.join(MODEL_NAMES)}")
+    p.add_argument("--model", help=f"one of {', '.join(models.MODEL_NAMES)}")
     p.add_argument("--out", required=True, help="output artifact JSON")
     p.add_argument("--trace", help="training-trace CSV (default <out>.trace.csv)")
     p.set_defaults(func=cmd_train)

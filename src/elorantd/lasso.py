@@ -13,18 +13,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DimensionMismatchError
+from .errors import ConfigError, DegenerateDesignError, DimensionMismatchError
 from .features import PolyTermIndex, Standardizer, poly_expand, term_count
-from .optim import TrainingTrace
+from .optim import TrainingTrace, require_at_least
 from .stats import rmse
 from .types import FactorSet
 
-DEFAULT_DEGREE = 3
-DEFAULT_ALPHA = 0.5
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_SWEEPS = 10000
-
 DEGREE_GRID = (1, 2, 3, 4, 5)
+MAX_DESIGN_CELLS = 2 ** 28  # float64 cells (2 GiB) in one expanded design
+
+
+@dataclass(frozen=True)
+class LassoConfig:
+    """Options of train(); seed is only recorded, the fit is deterministic."""
+
+    degree: int = 3
+    alpha: float = 0.5
+    tol: float = 1e-8
+    max_sweeps: int = 10000
+    seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(self, 0, "alpha", "tol", "seed")
+        require_at_least(self, 1, "degree", "max_sweeps")
 
 
 def default_alpha_grid() -> tuple[float, ...]:
@@ -47,8 +58,8 @@ def coordinate_descent(
     y: np.ndarray,
     alpha: float,
     penalize: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    tol: float = LassoConfig.tol,
+    max_sweeps: int = LassoConfig.max_sweeps,
 ) -> tuple[np.ndarray, TrainingTrace]:
     """Cyclic coordinate descent on ||y - Xb||^2 + alpha * sum |b_penalized|.
 
@@ -123,9 +134,17 @@ class LassoMprModel:
     degree: int
     alpha: float
     standardizer: Standardizer
-    index: PolyTermIndex
     beta: np.ndarray
+    index: PolyTermIndex | None = None  # None: built from n_inputs and degree
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        columns = term_count(self.n_inputs, self.degree) + 1
+        if self.beta.shape != (columns,) or self.standardizer.mean.shape != (self.n_inputs,):
+            raise ValueError(f"beta {self.beta.shape} or standardizer does not fit "
+                             f"{self.n_inputs} inputs at degree {self.degree}")
+        if self.index is None:
+            object.__setattr__(self, "index", PolyTermIndex.build(self.n_inputs, self.degree))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predict TD for one input row or a matrix of rows."""
@@ -146,10 +165,10 @@ def train(
     x: np.ndarray,
     y: np.ndarray,
     factors: FactorSet,
-    degree: int = DEFAULT_DEGREE,
-    alpha: float = DEFAULT_ALPHA,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    degree: int = LassoConfig.degree,
+    alpha: float = LassoConfig.alpha,
+    tol: float = LassoConfig.tol,
+    max_sweeps: int = LassoConfig.max_sweeps,
     location_mode: str = "receiver_only",
     meta: dict | None = None,
 ) -> tuple[LassoMprModel, TrainingTrace]:
@@ -159,6 +178,12 @@ def train(
         raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
     n_inputs = x.shape[1]
     p_terms = term_count(n_inputs, degree)
+    if x.shape[0] * (p_terms + 1) > MAX_DESIGN_CELLS:  # refuse before allocating
+        raise ConfigError(
+            f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {p_terms + 1} design "
+            f"columns x {x.shape[0]} epochs, over {MAX_DESIGN_CELLS} cells; lower the "
+            "degree or use fewer inputs (e.g. location_mode = receiver_only)"
+        )
     if x.shape[0] < p_terms + 1:
         warnings.warn(
             f"only {x.shape[0]} training epochs for {p_terms + 1} coefficients; "
@@ -189,7 +214,7 @@ def sweep_alpha(
     x_val: np.ndarray,
     y_val: np.ndarray,
     factors: FactorSet,
-    degree: int = DEFAULT_DEGREE,
+    degree: int = LassoConfig.degree,
     alphas=None,
     location_mode: str = "receiver_only",
 ) -> list[tuple[float, float]]:
@@ -214,7 +239,7 @@ def sweep_degree(
     x_val: np.ndarray,
     y_val: np.ndarray,
     factors: FactorSet,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = LassoConfig.alpha,
     degrees=DEGREE_GRID,
     location_mode: str = "receiver_only",
 ) -> list[tuple[int, float]]:

@@ -1,0 +1,202 @@
+"""The model registry: every model kind declared once, in ``KINDS``.
+
+An entry names the kind, its model class, its artifact payload fields
+(arrays with named axes) and, if trained by name, its frozen config
+dataclass (validated in ``__post_init__``) and train adapter.  Adapters
+look their train function up on its module at each call, so rebinding
+a module attribute (as a profiler does) reaches them.
+"""
+from __future__ import annotations
+
+import typing
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
+
+import numpy as np
+
+from . import baselines, lasso, wlr_agrnn
+from .errors import ArtifactError
+from .features import ScalarStandardizer, Standardizer
+from .types import EpochHour, GeoPoint
+
+
+@dataclass(frozen=True)
+class ConstantModel:
+    """Predicts one stored value everywhere (mean-TD reference)."""
+
+    value: float
+    factors: tuple = ()
+    location_mode: str = "receiver_only"
+    meta: dict = field(default_factory=dict)
+
+    def predict(self, x) -> np.ndarray | float:
+        x = np.asarray(x, dtype=float)
+        if x.ndim <= 1 and self.location_mode != "path":
+            return float(self.value)
+        return np.full(x.shape[0], float(self.value))
+
+
+@dataclass(frozen=True)
+class LookupModel:
+    """Predicts by epoch lookup; backs perfect-predictor checks."""
+
+    table: dict
+    factors: tuple = ()
+    location_mode: str = "receiver_only"
+    meta: dict = field(default_factory=dict)
+
+    def predict_epoch(self, epoch: EpochHour) -> float:
+        try:
+            return float(self.table[epoch])
+        except KeyError:
+            raise ArtifactError(f"epoch {epoch.isoformat()} not in lookup table") from None
+
+
+# -- payload field declarations ------------------------------------------------
+# An axis name stands for one size across a payload; each Items entry
+# has axes of its own.
+
+@dataclass(frozen=True)
+class Scalar:
+    """A JSON number or string."""
+
+    type: type
+    positive: bool = False
+
+
+@dataclass(frozen=True)
+class Array:
+    """A finite float array, one axis name per dimension."""
+
+    axes: tuple[str, ...]
+    positive: bool = False
+
+
+@dataclass(frozen=True)
+class Record:
+    """An object or tuple as a JSON object (a list when as_list), field by field."""
+
+    make: Callable
+    fields: dict
+    as_list: bool = False
+
+
+@dataclass(frozen=True)
+class Items:
+    """A tuple of like entries along one axis; optional allows null."""
+
+    axis: str
+    item: object
+    optional: bool = False
+
+
+@dataclass(frozen=True)
+class EpochTable:
+    """A dict from EpochHour to a finite float, keyed by ISO hour."""
+
+
+def _as_tuple(**parts):
+    return tuple(parts.values())
+
+
+_STANDARDIZER = Record(Standardizer, {"mean": Array(("n",)), "sd": Array(("n",))})
+_TARGET_SCALE = Record(ScalarStandardizer, {"mean": Scalar(float), "sd": Scalar(float)})
+_LAYER = {  # affine or tanh layer over the n standardized inputs
+    "w1": Array(("hidden", "n")),
+    "b1": Array(("hidden",)),
+    "w2": Array(("hidden",)),
+    "b2": Scalar(float),
+}
+
+
+# -- train adapters: (config, bundle, factors=, location_mode=, meta=) -----------
+
+def _train_lasso(cfg, bundle, **labels):
+    return lasso.train(bundle.flat, bundle.td, degree=cfg.degree, alpha=cfg.alpha,
+                       tol=cfg.tol, max_sweeps=cfg.max_sweeps, **labels)
+
+
+def _train_wlr(cfg, bundle, **labels):
+    return wlr_agrnn.train(bundle.tensor, bundle.td, bundle.elevations, cfg,
+                           points=bundle.points, **labels)
+
+
+def _train_bpnn(cfg, bundle, **labels):
+    return baselines.train_bpnn(bundle.flat, bundle.td, cfg, **labels)
+
+
+def _train_grnn(cfg, bundle, **labels):
+    return baselines.train_grnn(bundle.flat, bundle.td, sigma=cfg.sigma, **labels)
+
+
+def _train_moe(cfg, bundle, **labels):
+    n_loc = bundle.n_locations
+    experts = cfg.experts if n_loc == 1 else min(cfg.experts, n_loc)
+    slices = baselines.default_group_slices(bundle.flat.shape[1], experts, n_locations=n_loc)
+    return baselines.train_moe(bundle.flat, bundle.td, replace(cfg, experts=experts),
+                               group_slices=slices, **labels)
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    name: str
+    model: type
+    payload: dict  # JSON key -> Scalar | Array | Record | Items | EpochTable
+    config: type | None = None  # None: built by hand, never trained by name
+    train: Callable | None = None
+
+
+KINDS = {kind.name: kind for kind in (
+    ModelKind("lasso_mpr", lasso.LassoMprModel, {
+        "n_inputs": Scalar(int),
+        "degree": Scalar(int),
+        "alpha": Scalar(float),
+        "standardizer": _STANDARDIZER,
+        "beta": Array(("columns",)),  # LassoMprModel checks n_inputs, degree fit
+    }, lasso.LassoConfig, _train_lasso),
+    ModelKind("wlr_agrnn", wlr_agrnn.WlrAgrnnModel, {
+        "params": Record(wlr_agrnn.WlrParams, _LAYER),
+        "h_tilde": Array(("l",)),
+        "elevation_mode": Scalar(str),
+        "sigmas": Array(("l",), positive=True),
+        "bank": Array(("l", "T")),
+        "y": Array(("T",)),
+        "w": Array(("T",)),
+        "standardizer": _STANDARDIZER,
+        "points": Items("l", Record(GeoPoint, {"lat": Scalar(float), "lon": Scalar(float)},
+                                    as_list=True), optional=True),
+    }, wlr_agrnn.TrainConfig, _train_wlr),
+    ModelKind("bpnn", baselines.BpnnModel, {
+        **_LAYER,
+        "standardizer": _STANDARDIZER,
+        "target_scale": _TARGET_SCALE,
+    }, baselines.BaselineConfig, _train_bpnn),
+    ModelKind("grnn", baselines.GrnnModel, {
+        "bank": Array(("T", "n")),
+        "y": Array(("T",)),
+        "sigma": Scalar(float, positive=True),
+        "standardizer": _STANDARDIZER,
+    }, baselines.GrnnConfig, _train_grnn),
+    ModelKind("moe", baselines.MoeModel, {
+        "experts": Items("experts", Record(_as_tuple, _LAYER)),  # n: its group's width
+        "gate_w": Array(("experts", "n")),
+        "gate_b": Array(("experts",)),
+        "group_slices": Items("experts", Record(
+            _as_tuple, {"lo": Scalar(int), "hi": Scalar(int)}, as_list=True)),
+        "standardizer": _STANDARDIZER,
+        "target_scale": _TARGET_SCALE,
+    }, baselines.BaselineConfig, _train_moe),
+    ModelKind("constant", ConstantModel, {"value": Scalar(float)}),
+    ModelKind("lookup", LookupModel, {"table": EpochTable()}),
+)}
+
+MODEL_NAMES = tuple(name for name, kind in KINDS.items() if kind.config is not None)
+
+
+def option_types(config: type) -> dict[str, type]:
+    """The [model] keys a config accepts, each with its field's type (X for X | None)."""
+    hints = typing.get_type_hints(config)
+    return {
+        f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        for f in fields(config) if f.metadata.get("option", True)
+    }

@@ -1,9 +1,30 @@
-"""Adam optimizer and the per-iteration training trace record."""
+"""Adam, the training trace, the early-stopping rule and config range checks."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# dataclass field metadata: settable from Python only, not a [model] key
+LIBRARY_ONLY = {"option": False}
+
+
+def require_at_least(cfg, low: float, *names: str, strict: bool = False) -> None:
+    """Raise ValueError unless each named field is finite and >= low (> when strict)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def loss_converged(losses: list[float], tol: float, patience: int) -> bool:
+    """The last patience loss changes are each below tol, relative to max(1, |loss|)."""
+    if len(losses) <= patience:
+        return False
+    recent = losses[-(patience + 1):]
+    scale = max(1.0, abs(recent[0]))
+    return all(abs(recent[i + 1] - recent[i]) / scale < tol for i in range(patience))
 
 
 @dataclass(frozen=True)

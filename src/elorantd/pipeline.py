@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, lasso, wlr_agrnn
-from .artifacts import ConstantModel, LookupModel
+from . import models, wlr_agrnn
 from .errors import (
     AxisMismatchError,
     ConfigError,
@@ -36,7 +35,6 @@ from .ingest import (
 from .stats import anova_oneway, mae, rmse
 from .types import EpochHour, FactorSet, GeoPoint, factor_set
 
-MODEL_NAMES = ("lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe")
 LOCATION_MODES = ("receiver_only", "stations", "path")
 HOURS_PER_FOLD = 168  # contiguous weekly folds for the ANOVA comparison
 
@@ -248,124 +246,48 @@ def holdout_split(bundle: FeatureBundle, fraction: float = 0.25):
 
 # -- model dispatch --------------------------------------------------------------
 
-def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
-    """Train one model by name on a feature bundle.
-
-    options are the per-model hyperparameters (already typed); unknown
-    keys are a config error so CLI typos cannot silently fall back to
-    defaults.
-    """
+def model_config(name: str, options: dict | None = None):
+    """The validated config of one model kind from [model] options, each an
+    INI string or a Python number; unknown keys and bad values are config errors."""
+    kind = models.KINDS.get(name)
+    if kind is None or kind.config is None:
+        raise ConfigError(f"unknown model {name!r}; expected one of {models.MODEL_NAMES}")
     options = dict(options or {})
-    seed = int(options.pop("seed", 0))
+    types = models.option_types(kind.config)
+    unknown = sorted(set(options) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {name} option(s): {', '.join(unknown)}")
+    for key, value in options.items():
+        try:
+            options[key] = value if value is None else types[key](value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"model.{key}: cannot parse {value!r}") from None
+    try:
+        return kind.config(**options)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
+    """Train one model by name on a feature bundle (see model_config)."""
+    cfg = model_config(name, options)
     meta = {
         "train_start": bundle.epochs[0].isoformat(),
         "train_end": bundle.epochs[-1].isoformat(),
         "n_train": len(bundle.epochs),
         "n_locations": bundle.n_locations,
-        "seed": seed,
+        "seed": cfg.seed,
     }
-    if name == "lasso_mpr":
-        allowed = {"degree", "alpha", "tol", "max_sweeps"}
-        _check_options(name, options, allowed)
-        return lasso.train(
-            bundle.flat,
-            bundle.td,
-            bundle.factors,
-            degree=int(options.get("degree", lasso.DEFAULT_DEGREE)),
-            alpha=float(options.get("alpha", lasso.DEFAULT_ALPHA)),
-            tol=float(options.get("tol", lasso.DEFAULT_TOL)),
-            max_sweeps=int(options.get("max_sweeps", lasso.DEFAULT_MAX_SWEEPS)),
-            location_mode=bundle.location_mode,
-            meta=meta,
-        )
-    if name == "wlr_agrnn":
-        allowed = {
-            "hidden",
-            "learning_rate",
-            "max_iterations",
-            "tol",
-            "patience",
-            "elevation_mode",
-            "weight_scheme",
-            "sigma_tol",
-        }
-        _check_options(name, options, allowed)
-        cfg = wlr_agrnn.TrainConfig(
-            hidden=int(options.get("hidden", wlr_agrnn.DEFAULT_HIDDEN)),
-            learning_rate=float(
-                options.get("learning_rate", wlr_agrnn.DEFAULT_LEARNING_RATE)
-            ),
-            max_iterations=int(
-                options.get("max_iterations", wlr_agrnn.DEFAULT_MAX_ITERATIONS)
-            ),
-            tol=float(options.get("tol", wlr_agrnn.DEFAULT_TOL)),
-            patience=int(options.get("patience", wlr_agrnn.DEFAULT_PATIENCE)),
-            elevation_mode=str(options.get("elevation_mode", "floored_normalized")),
-            weight_scheme=str(options.get("weight_scheme", "uniform")),
-            sigma_tol=float(options.get("sigma_tol", wlr_agrnn.DEFAULT_SIGMA_TOL)),
-            seed=seed,
-        )
-        return wlr_agrnn.train(
-            bundle.tensor,
-            bundle.td,
-            bundle.elevations,
-            cfg,
-            factors=bundle.factors,
-            location_mode=bundle.location_mode,
-            points=bundle.points,
-            meta=meta,
-        )
-    if name in ("bpnn", "moe"):
-        allowed = {"hidden", "experts", "expert_hidden", "learning_rate", "max_iterations", "tol", "patience"}
-        _check_options(name, options, allowed)
-        cfg = baselines.BaselineConfig(
-            hidden=int(options.get("hidden", 16)),
-            experts=int(options.get("experts", 4)),
-            expert_hidden=int(options.get("expert_hidden", 8)),
-            learning_rate=float(options.get("learning_rate", 0.001)),
-            max_iterations=int(options.get("max_iterations", 2000)),
-            tol=float(options.get("tol", 1e-8)),
-            patience=int(options.get("patience", 5)),
-            seed=seed,
-        )
-        if name == "bpnn":
-            return baselines.train_bpnn(
-                bundle.flat, bundle.td, cfg,
-                factors=bundle.factors, location_mode=bundle.location_mode, meta=meta,
-            )
-        n_loc = bundle.n_locations
-        experts = cfg.experts if n_loc == 1 else min(cfg.experts, n_loc)
-        slices = baselines.default_group_slices(
-            bundle.flat.shape[1], experts, n_locations=n_loc
-        )
-        cfg = replace(cfg, experts=experts)
-        return baselines.train_moe(
-            bundle.flat, bundle.td, cfg, group_slices=slices,
-            factors=bundle.factors, location_mode=bundle.location_mode, meta=meta,
-        )
-    if name == "grnn":
-        allowed = {"sigma"}
-        _check_options(name, options, allowed)
-        sigma = options.get("sigma")
-        return baselines.train_grnn(
-            bundle.flat, bundle.td,
-            sigma=None if sigma is None else float(sigma),
-            factors=bundle.factors, location_mode=bundle.location_mode, meta=meta,
-        )
-    raise ConfigError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-
-
-def _check_options(name: str, options: dict, allowed: set) -> None:
-    unknown = sorted(set(options) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {name} option(s): {', '.join(unknown)}")
+    return models.KINDS[name].train(
+        cfg, bundle, factors=bundle.factors, location_mode=bundle.location_mode, meta=meta
+    )
 
 
 def predict_model(model, bundle: FeatureBundle) -> np.ndarray:
     """Per-epoch predictions for any artifact kind on a feature bundle."""
-    if isinstance(model, LookupModel):
+    if isinstance(model, models.LookupModel):
         return np.array([model.predict_epoch(e) for e in bundle.epochs], dtype=float)
-    if isinstance(model, ConstantModel):
+    if isinstance(model, models.ConstantModel):
         return np.full(len(bundle.epochs), model.value, dtype=float)
     if isinstance(model, wlr_agrnn.WlrAgrnnModel):
         _check_axes(model, bundle, expect_tensor=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
 
@@ -568,10 +568,6 @@ def load_scenario_config(path) -> ScenarioConfig:
     d = json.loads(Path(path).read_text(encoding="utf-8"))
     d.pop("path_length_km", None)
     return config_from_json(d)
-
-
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(cfg, seed=seed)
 
 
 # -- brute-force oracles --------------------------------------------------------

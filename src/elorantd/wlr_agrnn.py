@@ -24,16 +24,10 @@ from .errors import (
     NonFiniteLossError,
 )
 from .features import Standardizer
-from .optim import Adam, TrainingTrace
+from .optim import LIBRARY_ONLY, Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet, GeoPoint
 
-DEFAULT_HIDDEN = 8
-DEFAULT_LEARNING_RATE = 0.001
-DEFAULT_MAX_ITERATIONS = 200
-DEFAULT_TOL = 1e-6
-DEFAULT_PATIENCE = 5
 SIGMA_BOUNDS = (0.1, 3.0)
-DEFAULT_SIGMA_TOL = 0.02
 ELEVATION_FLOOR_M = 1.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,21 +59,22 @@ class WlrParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    tol: float = DEFAULT_TOL
-    patience: int = DEFAULT_PATIENCE
-    hidden: int = DEFAULT_HIDDEN
+    learning_rate: float = 0.001
+    max_iterations: int = 200
+    tol: float = 1e-6
+    patience: int = 5
+    hidden: int = 8
     elevation_mode: str = "floored_normalized"  # or "raw"
     weight_scheme: str = "uniform"  # or "inverse_residual"
-    weight_eps: float = 1.0
-    weight_every: int = 50
-    sigma_tol: float = DEFAULT_SIGMA_TOL
+    weight_eps: float = field(default=1.0, metadata=LIBRARY_ONLY)
+    weight_every: int = field(default=50, metadata=LIBRARY_ONLY)
+    sigma_tol: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+        require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
+        require_at_least(self, 1, "patience", "hidden", "weight_every")
+        require_at_least(self, 0, "weight_eps", "sigma_tol", strict=True)
         if self.elevation_mode not in ("floored_normalized", "raw"):
             raise ValueError(f"unknown elevation mode {self.elevation_mode!r}")
         if self.weight_scheme not in ("uniform", "inverse_residual"):
@@ -157,7 +152,7 @@ def select_sigmas(
     y: np.ndarray,
     w: np.ndarray | None = None,
     bounds: tuple[float, float] = SIGMA_BOUNDS,
-    tol: float = DEFAULT_SIGMA_TOL,
+    tol: float = TrainConfig.sigma_tol,
 ) -> np.ndarray:
     """Per-row smoothing: sigma_j = c * sd_j, c by golden-section search.
 
@@ -172,6 +167,8 @@ def select_sigmas(
     t_count = u.shape[1]
     if t_count < 2:
         raise DegenerateBankError("need at least 2 bank columns to select sigmas")
+    if not tol > 0:
+        raise ValueError(f"sigma search tolerance must be > 0, got {tol!r}")
     if w is None:
         w = np.ones(t_count)
     sd = u.std(axis=1, ddof=1)
@@ -394,7 +391,6 @@ def train(
     adam = Adam(lr=cfg.learning_rate)
     w = np.ones(t_count)
     losses: list[float] = []
-    converged = False
     for it in range(cfg.max_iterations):
         _, xhat = _forward_all(params, z)
         bank = elevation_weight(xhat, h_tilde).T
@@ -414,15 +410,8 @@ def train(
         glist.append(grads["b2"].reshape(1))
         adam.step(plist, glist)
         params.b2 = float(b2[0])
-        if len(losses) > cfg.patience:
-            recent = losses[-(cfg.patience + 1):]
-            scale = max(1.0, abs(recent[0]))
-            if all(
-                abs(recent[i + 1] - recent[i]) / scale < cfg.tol
-                for i in range(cfg.patience)
-            ):
-                converged = True
-                break
+        if loss_converged(losses, cfg.tol, cfg.patience):
+            break
     # final bank/sigmas consistent with the final parameters
     _, xhat = _forward_all(params, z)
     bank = elevation_weight(xhat, h_tilde).T
@@ -443,4 +432,4 @@ def train(
         points=points,
         meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), converged)
+    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))

@@ -210,3 +210,55 @@ def test_artifact_kind_rejects_non_artifact(tmp_path):
     path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
     with pytest.raises(ArtifactError):
         artifact_kind(path)
+
+
+def _payload_leaves(node, path=()):
+    """(action, path) for every JSON list and every float under node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _payload_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        yield "truncate", path
+        for i, value in enumerate(node):
+            yield from _payload_leaves(value, path + (i,))
+    elif isinstance(node, float):
+        yield "nan", path
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
+)
+def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
+    """Every array cut short by one entry and every float set to NaN is
+    refused at load time, before a predict call could trip over it."""
+    path = tmp_path / "m.json"
+    save_model(every_model[kind], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    leaves = list(_payload_leaves(doc["payload"]))
+    assert any(action == "nan" for action, _ in leaves)
+    if kind not in ("constant", "lookup"):
+        assert any(action == "truncate" for action, _ in leaves)
+    for action, where in leaves:
+        broken = json.loads(json.dumps(doc))
+        node = broken["payload"]
+        for key in where[:-1]:
+            node = node[key]
+        if action == "truncate":
+            node[where[-1]] = node[where[-1]][:-1]
+        else:
+            node[where[-1]] = float("nan")
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        with pytest.raises(ArtifactError):
+            load_model(path)
+            pytest.fail(f"{action} at {where} loaded")
+
+
+def test_load_rejects_moe_slice_that_misses_its_expert(every_model, tmp_path):
+    path = tmp_path / "moe.json"
+    save_model(every_model["moe"], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["payload"]["group_slices"][0] = [0, 2]  # the expert's w1 reads 3 inputs
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="does not fit"):
+        load_model(path)

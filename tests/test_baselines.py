@@ -6,6 +6,7 @@ import pytest
 from elorantd.baselines import (
     BaselineConfig,
     BpnnModel,
+    GrnnConfig,
     GrnnModel,
     MoeModel,
     default_group_slices,
@@ -261,6 +262,23 @@ def test_moe_beats_single_bpnn_on_regime_switching_target():
         x, y, BaselineConfig(hidden=16, learning_rate=0.02, max_iterations=2500, seed=0)
     )
     assert rmse(y, moe.predict(x)) < rmse(y, bpnn.predict(x))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(hidden=0), dict(expert_hidden=0), dict(experts=1), dict(patience=0),
+     dict(max_iterations=-1), dict(learning_rate=float("nan")), dict(tol=-1e-9),
+     dict(seed=-1)],
+)
+def test_baseline_config_validation(bad):
+    with pytest.raises(ValueError):
+        BaselineConfig(**bad)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf")])
+def test_grnn_config_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError):
+        GrnnConfig(sigma=sigma)
 
 
 def test_moe_requires_two_experts():

@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elorantd
 from elorantd import synth
 from elorantd.artifacts import ConstantModel, LookupModel, load_model, save_model
 from elorantd.cli import main
@@ -147,6 +152,51 @@ def test_bad_factor_name_exit_2(tmp_path, small_corpus_dir):
         f"[corpus]\ndir = {small_corpus_dir}\n[features]\nfactors = warp_field\n",
     )
     assert main(["ingest", "--config", cfg]) == 2
+
+
+RX_ONLY = "location_mode = receiver_only\n"
+
+
+@pytest.mark.parametrize(
+    "corpus_extra,features_extra,model",
+    [
+        ("tx_lat = 36.0\n", RX_ONLY, "name = grnn\n"),
+        ("rx_lon = 127.0\n", RX_ONLY, "name = grnn\n"),
+        ("", RX_ONLY + "grid_cellsize = 0\n", "name = grnn\n"),
+        ("", RX_ONLY + "grid_padding = -1\n", "name = grnn\n"),
+        ("", "location_mode = path\nl = 1\n", "name = grnn\n"),
+        ("", RX_ONLY, "name = bpnn\nhidden = 0\n"),
+        ("", RX_ONLY, "name = wlr_agrnn\nhidden = 0\n"),
+        ("", RX_ONLY, "name = grnn\nsigma = 0\n"),
+        ("", RX_ONLY, "name = moe\nexperts = 1\n"),
+        ("", RX_ONLY, "name = lasso_mpr\ndegree = 0\n"),
+        ("", RX_ONLY, "name = lasso_mpr\nalpha = -1\n"),
+        ("", RX_ONLY, "name = wlr_agrnn\nelevation_mode = bogus\n"),
+        ("", RX_ONLY, "name = wlr_agrnn\nsigma_tol = 0\n"),
+    ],
+)
+def test_invalid_settings_exit_2_without_traceback(
+    tmp_path, small_corpus_dir, corpus_extra, features_extra, model
+):
+    """Run as a subprocess so a traceback is visible and a hang is bounded."""
+    cfg = write_ini(
+        tmp_path / "bad.ini",
+        f"[corpus]\ndir = {small_corpus_dir}\n{corpus_extra}"
+        f"[features]\nfactors = 3\n{features_extra}"
+        f"[split]\ntrain = {TRAIN_RANGE}\n[model]\n{model}",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(elorantd.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "elorantd.cli", "train", "--config", cfg,
+         "--out", str(tmp_path / "m.json")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- gridmap ---------------------------------------------------------------------

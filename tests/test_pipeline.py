@@ -20,13 +20,16 @@ from elorantd.pipeline import (
     load_corpus,
     location_points,
     mask_for_ranges,
+    model_config,
     parse_range_list,
     predict_model,
     split_bundle,
     train_model,
     weekly_folds,
 )
-from elorantd.types import EpochHour, GeoPoint, MetFactor, factor_set
+from elorantd.features import PolyTermIndex
+from elorantd.models import option_types
+from elorantd.types import FACTORS_7, EpochHour, GeoPoint, MetFactor, factor_set
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +253,55 @@ def test_train_model_dispatch(name, options, rx_bundle):
 def test_train_model_unknown_name(rx_bundle):
     with pytest.raises(ConfigError, match="unknown model"):
         train_model("forest", sub_bundle(rx_bundle, 30))
+
+
+_BASELINE_DEFAULTS = dict(hidden=16, experts=4, expert_hidden=8, learning_rate=0.001,
+                         max_iterations=2000, tol=1e-8, patience=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name,defaults",
+    [
+        ("lasso_mpr", dict(degree=3, alpha=0.5, tol=1e-8, max_sweeps=10000, seed=0)),
+        ("wlr_agrnn", dict(hidden=8, learning_rate=0.001, max_iterations=200, tol=1e-6,
+                           patience=5, elevation_mode="floored_normalized",
+                           weight_scheme="uniform", sigma_tol=0.02, seed=0)),
+        ("bpnn", _BASELINE_DEFAULTS),
+        ("moe", _BASELINE_DEFAULTS),
+        ("grnn", dict(sigma=None, seed=0)),
+    ],
+)
+def test_model_options_and_defaults(name, defaults):
+    """Each kind's [model] keys and their defaults, as the CLI documents them."""
+    cfg = model_config(name)
+    assert set(option_types(type(cfg))) == set(defaults)
+    assert {key: getattr(cfg, key) for key in defaults} == defaults
+    # INI strings take the field types
+    typed = model_config(name, {key: str(value) for key, value in defaults.items()
+                                if value is not None})
+    assert typed == cfg
+
+
+def test_lasso_design_size_guard_refuses_before_allocating(monkeypatch):
+    """Path mode gives 198 x 7 = 1386 flat inputs; degree 3 would need
+    term_count(1386, 3) + 1 = 445,673,614 design columns."""
+    monkeypatch.setattr(
+        PolyTermIndex, "build",
+        classmethod(lambda cls, *args: pytest.fail("design index was built")),
+    )
+    t, l = 10, 198
+    points = tuple(GeoPoint(36.0, 127.0 + 0.001 * j) for j in range(l))
+    bundle = FeatureBundle(
+        epochs=tuple(EpochHour.of(2024, 10, 1, h) for h in range(t)),
+        factors=FACTORS_7,
+        location_mode="path",
+        points=points,
+        elevations=np.zeros(l),
+        tensor=np.zeros((t, l, len(FACTORS_7))),
+        td=np.zeros(t),
+    )
+    with pytest.raises(ConfigError, match=r"1386 inputs at degree 3 needs 445673614"):
+        train_model("lasso_mpr", bundle)
 
 
 @pytest.mark.parametrize("name", ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe"])

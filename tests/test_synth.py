@@ -26,7 +26,6 @@ from elorantd.synth import (
     kernel_oracle,
     load_scenario_config,
     ols_oracle,
-    with_seed,
     write_corpus,
 )
 from elorantd.types import (
@@ -73,7 +72,7 @@ def test_same_seed_reproduces_scenario_exactly():
 
 def test_different_seed_changes_data():
     a = generate_scenario(tiny_config())
-    b = generate_scenario(with_seed(tiny_config(), 12))
+    b = generate_scenario(dataclasses.replace(tiny_config(), seed=12))
     assert not np.array_equal(a.hourly_td, b.hourly_td)
     assert a.registry != b.registry
 

@@ -120,6 +120,14 @@ def test_sigma_scales_with_row_sd():
     assert b[0] == pytest.approx(a[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.01, float("nan")])
+def test_select_sigmas_rejects_non_positive_tol(tol):
+    # golden-section search never narrows below a tolerance <= 0
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="tolerance"):
+        select_sigmas(rng.normal(size=(3, 12)), rng.normal(size=12), tol=tol)
+
+
 def test_golden_section_matches_brute_force():
     rng = np.random.default_rng(8)
     bank = rng.normal(size=(3, 9))
@@ -406,6 +414,11 @@ def test_train_config_validation():
         TrainConfig(elevation_mode="exponential")
     with pytest.raises(ValueError):
         TrainConfig(weight_scheme="softmax")
+    for bad in (dict(hidden=0), dict(max_iterations=-1), dict(patience=0),
+                dict(weight_every=0), dict(weight_eps=0.0), dict(sigma_tol=0.0),
+                dict(sigma_tol=float("nan")), dict(tol=float("inf")), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_train_inverse_residual_scheme_runs():
