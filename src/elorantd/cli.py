@@ -178,6 +178,15 @@ def load_settings(config_path: str | None) -> RunSettings:
         require_at_least(s, 2, "l")  # path points
         require_at_least(s, 0, "grid_padding")
         require_at_least(s, 0, "grid_cellsize", strict=True)
+        # each test is written so that NaN fails it
+        if not 0.0 < s.holdout_fraction < 1.0:
+            raise ValueError(
+                f"sweep.holdout_fraction must lie in (0, 1), got {s.holdout_fraction!r}"
+            )
+        if not 0.0 <= s.r_min <= 1.0:
+            raise ValueError(f"correlate.r_min must lie in [0, 1], got {s.r_min!r}")
+        if not 0.0 < s.p_max <= 1.0:
+            raise ValueError(f"correlate.p_max must lie in (0, 1], got {s.p_max!r}")
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return s
@@ -512,6 +521,7 @@ def cmd_sweep(args) -> int:
         table = lasso.sweep_alpha(
             fit.flat, fit.td, val.flat, val.td, bundle.factors,
             degree=cfg.degree, location_mode=bundle.location_mode,
+            tol=cfg.tol, max_sweeps=cfg.max_sweeps,
         )
         header = ["alpha", "rmse_ns"]
         log_x = True
@@ -520,6 +530,7 @@ def cmd_sweep(args) -> int:
         table = lasso.sweep_degree(
             fit.flat, fit.td, val.flat, val.td, bundle.factors,
             alpha=cfg.alpha, location_mode=bundle.location_mode,
+            tol=cfg.tol, max_sweeps=cfg.max_sweeps,
         )
         header = ["degree", "rmse_ns"]
         log_x = False

@@ -5,6 +5,13 @@ norm of the polynomial coefficients (the intercept is unpenalized) by
 cyclic coordinate descent with exact soft-threshold updates.  Because the
 loss uses the raw sum rather than the mean, alpha values are tied to the
 training-set size.
+
+The descent runs in covariance form (Friedman, Hastie & Tibshirani 2010,
+"Regularization Paths for Generalized Linear Models via Coordinate
+Descent", JSS 33): the Gram matrix X^T X and X^T y are computed once per
+fit, so updating coordinate p costs one dot product over the p columns
+instead of two passes over the T training rows.  The residual is formed
+only at sweep boundaries, for the recorded objective.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from .stats import rmse
 from .types import FactorSet
 
 DEGREE_GRID = (1, 2, 3, 4, 5)
-MAX_DESIGN_CELLS = 2 ** 28  # float64 cells (2 GiB) in one expanded design
+MAX_DESIGN_CELLS = 2 ** 28  # float64 cells (2 GiB) in one design or Gram matrix
 
 
 @dataclass(frozen=True)
@@ -81,25 +88,27 @@ def coordinate_descent(
         raise DegenerateDesignError(
             f"all-zero design column at index {int(np.flatnonzero(col_sq == 0.0)[0])}"
         )
+    gram_rows = list(x.T @ x)
+    xty = (x.T @ y).tolist()
+    sq = col_sq.tolist()
+    pen = penalize.tolist()
+    gamma = alpha / 2.0
     beta = np.zeros(n_cols)
-    residual = y.copy()
     losses: list[float] = []
     converged = False
     for _ in range(max_sweeps):
         max_delta = 0.0
         for p in range(n_cols):
-            old = beta[p]
-            c_p = float(np.dot(x[:, p], residual)) + col_sq[p] * old
-            if penalize[p]:
-                new = soft_threshold(c_p, alpha / 2.0) / col_sq[p]
+            old = float(beta[p])
+            # x_p . (y - X beta) + |x_p|^2 beta_p, the partial-residual correlation
+            c_p = xty[p] - float(np.dot(gram_rows[p], beta)) + sq[p] * old
+            if pen[p]:
+                new = soft_threshold(c_p, gamma) / sq[p]
             else:
-                new = c_p / col_sq[p]
+                new = c_p / sq[p]
             if new != old:
-                residual += x[:, p] * (old - new)
                 beta[p] = new
                 max_delta = max(max_delta, abs(new - old))
-        # refresh the residual at sweep boundaries so incremental float
-        # drift cannot accumulate into the recorded objective
         residual = y - x @ beta
         sse = float(np.dot(residual, residual))
         losses.append(sse + alpha * float(np.sum(np.abs(beta[penalize]))))
@@ -178,11 +187,13 @@ def train(
         raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
     n_inputs = x.shape[1]
     p_terms = term_count(n_inputs, degree)
-    if x.shape[0] * (p_terms + 1) > MAX_DESIGN_CELLS:  # refuse before allocating
+    # refuse before allocating the T x (p+1) design or its (p+1) x (p+1) Gram matrix
+    if max(x.shape[0], p_terms + 1) * (p_terms + 1) > MAX_DESIGN_CELLS:
         raise ConfigError(
             f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {p_terms + 1} design "
-            f"columns x {x.shape[0]} epochs, over {MAX_DESIGN_CELLS} cells; lower the "
-            "degree or use fewer inputs (e.g. location_mode = receiver_only)"
+            f"columns x {x.shape[0]} epochs and a {p_terms + 1} x {p_terms + 1} Gram matrix, "
+            f"over {MAX_DESIGN_CELLS} cells in one of them; lower the degree or use fewer "
+            "inputs (e.g. location_mode = receiver_only)"
         )
     if x.shape[0] < p_terms + 1:
         warnings.warn(
@@ -217,6 +228,8 @@ def sweep_alpha(
     degree: int = LassoConfig.degree,
     alphas=None,
     location_mode: str = "receiver_only",
+    tol: float = LassoConfig.tol,
+    max_sweeps: int = LassoConfig.max_sweeps,
 ) -> list[tuple[float, float]]:
     """(alpha, validation RMSE) per grid point, grid order preserved."""
     if alphas is None:
@@ -227,7 +240,8 @@ def sweep_alpha(
     table: list[tuple[float, float]] = []
     for a in alphas:
         model, _ = train(
-            x_train, y_train, factors, degree=degree, alpha=a, location_mode=location_mode
+            x_train, y_train, factors, degree=degree, alpha=a, tol=tol,
+            max_sweeps=max_sweeps, location_mode=location_mode,
         )
         table.append((a, rmse(y_val, model.predict(x_val))))
     return table
@@ -242,12 +256,15 @@ def sweep_degree(
     alpha: float = LassoConfig.alpha,
     degrees=DEGREE_GRID,
     location_mode: str = "receiver_only",
+    tol: float = LassoConfig.tol,
+    max_sweeps: int = LassoConfig.max_sweeps,
 ) -> list[tuple[int, float]]:
     """(degree, validation RMSE) per degree."""
     table: list[tuple[int, float]] = []
     for m in degrees:
         model, _ = train(
-            x_train, y_train, factors, degree=int(m), alpha=alpha, location_mode=location_mode
+            x_train, y_train, factors, degree=int(m), alpha=alpha, tol=tol,
+            max_sweeps=max_sweeps, location_mode=location_mode,
         )
         table.append((int(m), rmse(y_val, model.predict(x_val))))
     return table

@@ -423,7 +423,9 @@ def train(
         h_tilde=h_tilde,
         elevation_mode=cfg.elevation_mode,
         sigmas=sigmas,
-        bank=bank,
+        # C-contiguous, as a reloaded artifact holds it, so BLAS sums the
+        # in-memory and the reloaded model's predictions in the same order
+        bank=np.ascontiguousarray(bank),
         y=y.copy(),
         w=w.copy(),
         standardizer=standardizer,

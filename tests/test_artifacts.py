@@ -262,3 +262,19 @@ def test_load_rejects_moe_slice_that_misses_its_expert(every_model, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ArtifactError, match="does not fit"):
         load_model(path)
+
+
+def test_wlr_reload_predicts_bit_for_bit_on_a_path_bank(tmp_path):
+    """Many path points: the trained bank must be laid out as the reloaded one,
+    or BLAS sums the two in different orders and predictions drift apart."""
+    rng = np.random.default_rng(8)
+    t_count, l_count = 240, 40
+    x = rng.normal(size=(t_count, l_count, 3)) * [2.0, 5.0, 1.0] + [10.0, 50.0, 0.0]
+    y = 40.0 + x[:, :, 0].mean(axis=1) - 0.2 * x[:, -1, 1] + rng.normal(size=t_count)
+    cfg = wlr_agrnn.TrainConfig(hidden=3, learning_rate=0.01, max_iterations=2, seed=1)
+    model, _ = wlr_agrnn.train(x, y, rng.uniform(0.0, 300.0, size=l_count), cfg,
+                               factors=FACTORS_3, location_mode="path")
+    path = tmp_path / "wlr.json"
+    save_model(model, path)
+    queries = rng.normal(size=(60, l_count, 3)) * [2.0, 5.0, 1.0] + [10.0, 50.0, 0.0]
+    assert np.array_equal(load_model(path).predict_batch(queries), model.predict_batch(queries))

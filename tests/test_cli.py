@@ -154,6 +154,21 @@ def test_bad_factor_name_exit_2(tmp_path, small_corpus_dir):
     assert main(["ingest", "--config", cfg]) == 2
 
 
+def assert_exit_2_without_traceback(argv):
+    """Run as a subprocess so a traceback is visible and a hang is bounded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(elorantd.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "elorantd.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 RX_ONLY = "location_mode = receiver_only\n"
 
 
@@ -178,25 +193,42 @@ RX_ONLY = "location_mode = receiver_only\n"
 def test_invalid_settings_exit_2_without_traceback(
     tmp_path, small_corpus_dir, corpus_extra, features_extra, model
 ):
-    """Run as a subprocess so a traceback is visible and a hang is bounded."""
     cfg = write_ini(
         tmp_path / "bad.ini",
         f"[corpus]\ndir = {small_corpus_dir}\n{corpus_extra}"
         f"[features]\nfactors = 3\n{features_extra}"
         f"[split]\ntrain = {TRAIN_RANGE}\n[model]\n{model}",
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(elorantd.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    assert_exit_2_without_traceback(["train", "--config", cfg, "--out", str(tmp_path / "m.json")])
+
+
+@pytest.mark.parametrize(
+    "command,section",
+    [
+        ("sweep", "[sweep]\nholdout_fraction = nan\n"),
+        ("sweep", "[sweep]\nholdout_fraction = inf\n"),
+        ("sweep", "[sweep]\nholdout_fraction = 0\n"),
+        ("sweep", "[sweep]\nholdout_fraction = 1\n"),
+        ("sweep", "[sweep]\nholdout_fraction = 1.5\n"),
+        ("correlate", "[correlate]\nr_min = nan\n"),
+        ("correlate", "[correlate]\nr_min = -0.1\n"),
+        ("correlate", "[correlate]\nr_min = 1.5\n"),
+        ("correlate", "[correlate]\np_max = nan\n"),
+        ("correlate", "[correlate]\np_max = 0\n"),
+        ("correlate", "[correlate]\np_max = -1\n"),
+        ("correlate", "[correlate]\np_max = 2\n"),
+    ],
+)
+def test_invalid_sweep_and_correlate_settings_exit_2_without_traceback(
+    tmp_path, small_corpus_dir, command, section
+):
+    cfg = write_ini(
+        tmp_path / "bad.ini",
+        base_ini(small_corpus_dir, f"[model]\nname = lasso_mpr\ndegree = 1\n{section}"),
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "elorantd.cli", "train", "--config", cfg,
-         "--out", str(tmp_path / "m.json")],
-        capture_output=True, text=True, timeout=60, env=env,
+    assert_exit_2_without_traceback(
+        [command, "--config", cfg, "--out", str(tmp_path / "out.csv")]
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "config error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 # -- gridmap ---------------------------------------------------------------------
@@ -478,6 +510,19 @@ def test_sweep_degree_runs(tmp_path, ini):
     assert rows[0] == ["degree", "rmse_ns"]
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
     assert all(np.isfinite(float(r[1])) for r in rows[1:])
+
+
+def test_sweep_honours_model_tol_and_max_sweeps(tmp_path, ini):
+    outputs = {}
+    for label, extra in (("default", ""), ("one_sweep", "max_sweeps = 1\n"),
+                         ("loose", "tol = 1e3\n")):
+        cfg = ini(f"[model]\nname = lasso_mpr\ndegree = 2\n{extra}")
+        outputs[label] = tmp_path / f"{label}.csv"
+        assert main(["sweep", "--config", cfg, "--kind", "alpha",
+                     "--out", str(outputs[label])]) == 0
+    default = outputs["default"].read_bytes()
+    assert outputs["one_sweep"].read_bytes() != default
+    assert outputs["loose"].read_bytes() != default
 
 
 def test_sweep_requires_lasso_config_exit_2(tmp_path, ini, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from elorantd.errors import DegenerateDesignError, DimensionMismatchError
+from elorantd.errors import ConfigError, DegenerateDesignError, DimensionMismatchError
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
 from elorantd.lasso import (
+    MAX_DESIGN_CELLS,
     LassoMprModel,
     alpha_max,
     argmin_table,
@@ -56,6 +57,62 @@ def test_one_dimensional_analytic_solution():
     assert beta[1] == pytest.approx(expect, abs=1e-10)
     assert beta[0] == pytest.approx(y.mean(), abs=1e-10)
     assert trace.converged
+
+
+# -- covariance form vs the residual form it replaced ------------------------
+
+
+def residual_cd_oracle(x, y, alpha, penalize, tol, max_sweeps):
+    """Residual-form cyclic coordinate descent, one column pass per update.
+
+    The same cyclic order, soft-threshold update and stopping rule as
+    coordinate_descent, but each update reads the T-long residual directly.
+    """
+    col_sq = np.einsum("tp,tp->p", x, x)
+    beta = np.zeros(x.shape[1])
+    residual = y.copy()
+    losses = []
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for p in range(x.shape[1]):
+            old = beta[p]
+            c_p = float(np.dot(x[:, p], residual)) + col_sq[p] * old
+            new = (soft_threshold(c_p, alpha / 2.0) if penalize[p] else c_p) / col_sq[p]
+            if new != old:
+                residual += x[:, p] * (old - new)
+                beta[p] = new
+                max_delta = max(max_delta, abs(new - old))
+        residual = y - x @ beta
+        losses.append(float(residual @ residual) + alpha * float(np.sum(np.abs(beta[penalize]))))
+        if max_delta < tol:
+            return beta, losses, True
+    return beta, losses, False
+
+
+@pytest.mark.parametrize(
+    "rows,cols,alpha,free,max_sweeps,converges",
+    [
+        (80, 12, 0.5, 1, 10000, True),  # T > p
+        (15, 40, 0.05, 1, 25, False),  # p > T, stopped by max_sweeps
+        (60, 10, 30.0, 3, 10000, True),  # intercept and two more columns unpenalised
+    ],
+)
+def test_covariance_form_follows_residual_form(rows, cols, alpha, free, max_sweeps, converges):
+    rng = np.random.default_rng(rows * cols)
+    x = np.column_stack([np.ones(rows), rng.normal(size=(rows, cols - 1))])
+    x[:, 2] += 0.9 * x[:, 1]  # correlated columns make the path matter
+    y = x @ rng.normal(size=cols) + rng.normal(size=rows)
+    penalize = np.arange(cols) >= free
+    expect, losses, converged = residual_cd_oracle(x, y, alpha, penalize, 1e-10, max_sweeps)
+    beta, trace = coordinate_descent(x, y, alpha, penalize=penalize, tol=1e-10,
+                                     max_sweeps=max_sweeps)
+    assert converged is converges
+    assert trace.converged is converged
+    assert trace.iterations == len(losses)
+    assert np.max(np.abs(beta - expect)) <= 1e-9 * np.max(np.abs(expect))
+    np.testing.assert_allclose(trace.losses, losses, rtol=1e-9)
+    if free > 1:
+        assert np.any(beta[free:] == 0.0) and np.all(beta[:free] != 0.0)
 
 
 # -- coordinate descent vs least squares --------------------------------------
@@ -173,6 +230,19 @@ def test_train_warns_when_underdetermined():
     y = rng.normal(size=10)
     with pytest.warns(UserWarning, match="training epochs"):
         train(x, y, FACTORS_3, degree=3, alpha=0.5)
+
+
+def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
+    """Ten epochs of 11 inputs at degree 7: the design has 318,240 cells, but
+    its Gram matrix would have term_count(11, 7) + 1 = 31,824 squared."""
+    monkeypatch.setattr(
+        PolyTermIndex, "build",
+        classmethod(lambda cls, *args: pytest.fail("design index was built")),
+    )
+    x = np.zeros((10, 11))
+    assert 10 * (term_count(11, 7) + 1) <= MAX_DESIGN_CELLS < (term_count(11, 7) + 1) ** 2
+    with pytest.raises(ConfigError, match=r"31824 x 31824 Gram matrix"):
+        train(x, np.zeros(10), FACTORS_3, degree=7)
 
 
 # -- sweeps -------------------------------------------------------------------
