@@ -1,9 +1,9 @@
 """Comparison models sharing the train/predict/serialize contract.
 
 BPNN: one tanh hidden layer, linear output, full-batch Adam on MSE.
-GRNN: single-bandwidth Gaussian kernel regression, bandwidth by
-leave-one-out grid search; no iterative training, so its trace has
-exactly one entry.
+GRNN: the AGRNN Gaussian kernel of wlr_agrnn with one bandwidth tied
+across every input (Specht 1991), bandwidth by leave-one-out grid
+search; no iterative training, so its trace has exactly one entry.
 MoE: feedforward experts combined through a softmax gate over a linear
 map of the full input, trained jointly.
 
@@ -26,6 +26,7 @@ from .errors import (
 from .features import ScalarStandardizer, Standardizer
 from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet
+from .wlr_agrnn import agrnn_predict_batch, loo_weights, pairwise_sq_dists
 
 GRNN_SIGMA_GRID_RANGE = (0.05, 5.0)
 GRNN_SIGMA_GRID_POINTS = 30
@@ -181,30 +182,11 @@ def grnn_predict_batch(
         raise DimensionMismatchError(f"queries {q.shape} vs bank {b.shape}")
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
-    d2 = (
-        np.einsum("mi,mi->m", q, q)[:, None]
-        + np.einsum("ti,ti->t", b, b)[None, :]
-        - 2.0 * q @ b.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    e = -d2 / (2.0 * sigma * sigma)
-    m = e.max(axis=1)
-    k = np.exp(e - m[:, None])
-    return (k @ y) / k.sum(axis=1)
+    return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)))
 
 
-def _grnn_loo_rss(bank: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    d2 = (
-        np.einsum("ti,ti->t", bank, bank)[:, None]
-        + np.einsum("si,si->s", bank, bank)[None, :]
-        - 2.0 * bank @ bank.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    e = -d2 / (2.0 * sigma * sigma)
-    np.fill_diagonal(e, -np.inf)
-    m = e.max(axis=1)
-    k = np.exp(e - m[:, None])
-    yhat = (k @ y) / k.sum(axis=1)
+def _loo_rss(d2: np.ndarray, y: np.ndarray, sigma: float) -> float:
+    _, yhat = loo_weights(d2 / (sigma * sigma), y)
     r = y - yhat
     return float(np.dot(r, r))
 
@@ -233,16 +215,16 @@ def train_grnn(
     if sigma is None:
         if bank.shape[0] < 2:
             raise EmptyBankError("need at least 2 rows to select sigma")
-        best = None
-        for cand in grnn_sigma_grid(bank.shape[1]):
-            rss = _grnn_loo_rss(bank, y, cand)
-            if best is None or rss < best[1]:
-                best = (cand, rss)
-        sigma, final_rss = best
+        d2 = pairwise_sq_dists(bank.T)
+        # the first grid point with the least leave-one-out RSS
+        sigma, final_rss = min(
+            ((cand, _loo_rss(d2, y, cand)) for cand in grnn_sigma_grid(bank.shape[1])),
+            key=lambda pair: pair[1],
+        )
     else:
         if sigma <= 0:
             raise ValueError("sigma must be strictly positive")
-        final_rss = _grnn_loo_rss(bank, y, sigma) if bank.shape[0] >= 2 else 0.0
+        final_rss = _loo_rss(pairwise_sq_dists(bank.T), y, sigma) if bank.shape[0] >= 2 else 0.0
     model = GrnnModel(
         bank=bank, y=y.copy(), sigma=float(sigma),
         standardizer=standardizer, factors=factors,

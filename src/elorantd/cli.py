@@ -300,7 +300,10 @@ def cmd_synth(args) -> int:
         meta_path = Path(scenario_name)
         if not meta_path.is_file():
             raise ConfigError(f"synth.scenario: no such file {meta_path}")
-        cfg = synth.load_scenario_config(meta_path)
+        try:
+            cfg = synth.load_scenario_config(meta_path)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"synth.scenario: {meta_path}: {exc}") from None
     # precedence: --seed flag, then [synth] seed, then the seed embedded
     # in the scenario (so regenerating from a meta file reproduces it)
     seed = args.seed if args.seed is not None else s.synth_seed
@@ -310,7 +313,10 @@ def cmd_synth(args) -> int:
     if s.noise_sd_ns is not None:
         overrides["noise_sd_ns"] = s.noise_sd_ns
     if overrides:
-        cfg = replace(cfg, **overrides)
+        try:  # ScenarioConfig range-checks the seed and the noise
+            cfg = replace(cfg, **overrides)
+        except ValueError as exc:
+            raise ConfigError(f"synth: {exc}") from None
     scenario = synth.generate_scenario(cfg)
     paths = synth.write_corpus(scenario, args.out)
     print(f"scenario: {scenario_name} (seed {cfg.seed})")

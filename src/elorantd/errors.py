@@ -60,13 +60,6 @@ class NoObservationsError(DataError):
     """No station reports the requested factor at the requested epoch."""
 
 
-class MissingMapError(DataError):
-    def __init__(self, factor, epoch):
-        super().__init__(f"no grid map for {factor} at {epoch}")
-        self.factor = factor
-        self.epoch = epoch
-
-
 class OutOfExtentError(DataError):
     def __init__(self, index, point):
         super().__init__(f"path point {index} at {point} outside DEM extent")

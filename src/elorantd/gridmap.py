@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegeneratePathError,
-    MissingMapError,
     NoElevationDataError,
     NoObservationsError,
     OutOfExtentError,
@@ -194,47 +193,40 @@ def assign_observations(
     return GridMap(spec, factor, epoch, values, mask)
 
 
-def _assigned_cells(grid: GridMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.nonzero(grid.assigned_mask)
-    return rows, cols, grid.values[rows, cols]
+def idw_weights(spec: GridSpec, query_rows, query_cols, rows_a, cols_a) -> np.ndarray:
+    """Row-normalized 1/d weights (Q, C) of the assigned cells at each query cell.
+
+    A query on an assigned cell gets exactly 1.0 on that cell and 0.0
+    elsewhere, so it reproduces the cell's value bit for bit.
+    """
+    query_rows, query_cols = np.asarray(query_rows), np.asarray(query_cols)
+    rows_a, cols_a = np.asarray(rows_a), np.asarray(cols_a)
+    d = haversine_km_arrays(
+        spec.center_lat(query_rows)[:, None],
+        spec.center_lon(query_cols)[:, None],
+        spec.center_lat(rows_a)[None, :],
+        spec.center_lon(cols_a)[None, :],
+    )
+    on = (query_rows[:, None] == rows_a[None, :]) & (query_cols[:, None] == cols_a[None, :])
+    hit = on.any(axis=1)
+    d[hit] = 1.0  # placeholder; those rows are overwritten below
+    w = 1.0 / d
+    w /= w.sum(axis=1, keepdims=True)
+    w[hit] = on[hit]
+    return w
 
 
 def idw_fill(partial: GridMap) -> GridMap:
     """Fill every unassigned cell from all assigned cells (global Shepard)."""
-    rows_a, cols_a, vals_a = _assigned_cells(partial)
+    rows_a, cols_a = np.nonzero(partial.assigned_mask)
     if rows_a.size == 0:
         raise NoObservationsError("grid has no assigned cells")
     values = partial.values.copy()
     rows_q, cols_q = np.nonzero(~partial.assigned_mask)
     if rows_q.size:
-        d = haversine_km_arrays(
-            partial.spec.center_lat(rows_q)[:, None],
-            partial.spec.center_lon(cols_q)[:, None],
-            partial.spec.center_lat(rows_a)[None, :],
-            partial.spec.center_lon(cols_a)[None, :],
-        )
-        w = 1.0 / d
-        values[rows_q, cols_q] = (w @ vals_a) / w.sum(axis=1)
+        w = idw_weights(partial.spec, rows_q, cols_q, rows_a, cols_a)
+        values[rows_q, cols_q] = w @ partial.values[rows_a, cols_a]
     return GridMap(partial.spec, partial.factor, partial.epoch, values, partial.assigned_mask)
-
-
-def idw_at_cells(partial: GridMap, cells) -> np.ndarray:
-    """Evaluate the filled value at selected (row, col) cells only."""
-    rows_a, cols_a, vals_a = _assigned_cells(partial)
-    if rows_a.size == 0:
-        raise NoObservationsError("grid has no assigned cells")
-    out = np.empty(len(cells), dtype=float)
-    for k, (r, c) in enumerate(cells):
-        if partial.assigned_mask[r, c]:
-            out[k] = partial.values[r, c]
-            continue
-        d = haversine_km_arrays(
-            partial.spec.center_lat(r), partial.spec.center_lon(c),
-            partial.spec.center_lat(rows_a), partial.spec.center_lon(cols_a),
-        )
-        w = 1.0 / d
-        out[k] = float(np.dot(w, vals_a) / w.sum())
-    return out
 
 
 def sample_path(tx: GeoPoint, rx: GeoPoint, l: int = DEFAULT_PATH_POINTS) -> PathPoints:
@@ -316,34 +308,6 @@ def elevation_profile(dem: ElevationGrid, path: PathPoints) -> np.ndarray:
     return out
 
 
-def extract_path_features(maps, path: PathPoints) -> PathFeatureTensor:
-    """Nearest-cell lookup of each filled map at each path point.
-
-    maps is any iterable of complete GridMaps; the tensor covers the full
-    (factor, epoch) cross product found in it.
-    """
-    by_key: dict[tuple[MetFactor, EpochHour], GridMap] = {}
-    for m in maps:
-        by_key[(m.factor, m.epoch)] = m
-    if not by_key:
-        raise MissingMapError("<any>", "<any>")
-    factors_present = sorted({f for f, _ in by_key}, key=lambda f: list(MetFactor).index(f))
-    epochs_present = sorted({e for _, e in by_key}, key=lambda e: e.instant)
-    spec = next(iter(by_key.values())).spec
-    cells = [spec.nearest_cell(p) for p in path]
-    values = np.empty((len(epochs_present), len(path), len(factors_present)), dtype=float)
-    for t, epoch in enumerate(epochs_present):
-        for i, factor in enumerate(factors_present):
-            grid = by_key.get((factor, epoch))
-            if grid is None:
-                raise MissingMapError(factor, epoch)
-            if not grid.complete:
-                raise MissingMapError(factor, epoch)
-            for j, (r, c) in enumerate(cells):
-                values[t, j, i] = grid.values[r, c]
-    return PathFeatureTensor(tuple(epochs_present), tuple(path), tuple(factors_present), values)
-
-
 def path_tensor_from_arrays(
     station_values: np.ndarray,
     epochs: tuple[EpochHour, ...],
@@ -370,22 +334,9 @@ def path_tensor_from_arrays(
     cell_values = np.stack(
         [station_values[:, groups[cell], :].mean(axis=1) for cell in cells_a], axis=1
     )
-    rows_a = np.array([r for r, _ in cells_a])
-    cols_a = np.array([c for _, c in cells_a])
-    weights = np.zeros((len(points), len(cells_a)), dtype=float)
-    assigned_index = {cell: k for k, cell in enumerate(cells_a)}
-    for j, p in enumerate(points):
-        cell = spec.nearest_cell(p)
-        hit = assigned_index.get(cell)
-        if hit is not None:
-            weights[j, hit] = 1.0
-            continue
-        d = haversine_km_arrays(
-            spec.center_lat(cell[0]), spec.center_lon(cell[1]),
-            spec.center_lat(rows_a), spec.center_lon(cols_a),
-        )
-        w = 1.0 / d
-        weights[j] = w / w.sum()
+    rows_a, cols_a = np.array(cells_a).T
+    rows_q, cols_q = np.array([spec.nearest_cell(p) for p in points], dtype=int).reshape(-1, 2).T
+    weights = idw_weights(spec, rows_q, cols_q, rows_a, cols_a)
     values = np.einsum("jc,tcn->tjn", weights, cell_values)
     return PathFeatureTensor(tuple(epochs), tuple(points), factors, values)
 

@@ -38,6 +38,7 @@ from .ingest import (
     write_td_csv,
     write_weather_csv,
 )
+from .optim import require_at_least
 from .types import (
     ALL_FACTORS,
     EpochHour,
@@ -185,8 +186,7 @@ class ScenarioConfig:
     )
 
     def __post_init__(self):
-        if self.noise_sd_ns < 0:
-            raise ValueError("noise sd must be non-negative")
+        require_at_least(self, 0, "seed", "noise_sd_ns")
         if self.duration_hours < 1 or self.station_count < 1 or self.l < 2:
             raise ValueError("bad scenario dimensions")
         if self.td_samples_per_hour < 1:

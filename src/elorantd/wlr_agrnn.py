@@ -122,17 +122,26 @@ def elevation_weight(xhat: np.ndarray, h_tilde: np.ndarray) -> np.ndarray:
     return xhat * h_tilde
 
 
-def _pairwise_sq_dists(v: np.ndarray) -> np.ndarray:
-    """v (l, T) row-scaled coordinates -> (T, T) squared distances."""
-    gram = v.T @ v
-    norms = np.einsum("jt,jt->t", v, v)
-    d2 = norms[:, None] + norms[None, :] - 2.0 * gram
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Row-scaled coordinates a (l, M) and b (l, T) -> (M, T) squared distances.
+
+    b None measures a against itself through the symmetric a.T @ a.
+    """
+    if b is None:
+        gram = a.T @ a
+        norms_a = norms_b = np.einsum("jt,jt->t", a, a)
+    else:
+        gram = a.T @ b
+        norms_a = np.einsum("jm,jm->m", a, a)
+        norms_b = np.einsum("jt,jt->t", b, b)
+    d2 = norms_a[:, None] + norms_b[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _loo_weights(d2: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out normalized kernel weights a (T,T) and predictions."""
+def loo_weights(d2: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out kernel weights a (T,T) on scaled squared distances
+    d2 (kernel exp(-d2/2)), rows normalized, and the predictions a @ y."""
     e = -0.5 * d2
     np.fill_diagonal(e, -np.inf)
     m = e.max(axis=1)
@@ -142,9 +151,11 @@ def _loo_weights(d2: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         m = np.where(np.isfinite(m), m, 0.0)
         e = np.where(np.isfinite(e), e, 0.0)
         np.fill_diagonal(e, -np.inf)
-    k = np.exp(e - m[:, None])
-    a = k / k.sum(axis=1, keepdims=True)
-    return a, a @ y
+    # one T x T buffer: shift, exponentiate and normalize in place
+    e -= m[:, None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e, e @ y
 
 
 def select_sigmas(
@@ -177,16 +188,16 @@ def select_sigmas(
         raise DegenerateBankError("every bank row is constant")
     floor_sigma = 1e-6 * np.abs(u.mean(axis=1)) + 1e-12
     # distance contributions split so the live part rescales as 1/c^2
-    d2_live = _pairwise_sq_dists(u[live] / sd[live, None])
+    d2_live = pairwise_sq_dists(u[live] / sd[live, None])
     d2_dead = None
     if (~live).any():
-        d2_dead = _pairwise_sq_dists(u[~live] / floor_sigma[~live, None])
+        d2_dead = pairwise_sq_dists(u[~live] / floor_sigma[~live, None])
 
     def objective(c: float) -> float:
         d2 = d2_live / (c * c)
         if d2_dead is not None:
             d2 = d2 + d2_dead
-        _, yhat = _loo_weights(d2, y)
+        _, yhat = loo_weights(d2, y)
         r = y - yhat
         return float(np.dot(w * r, r))
 
@@ -235,18 +246,13 @@ def agrnn_predict_batch(
         )
     if np.any(sigmas <= 0):
         raise ValueError("sigmas must be strictly positive")
-    vq = q / sigmas[:, None]
-    vu = u / sigmas[:, None]
-    d2 = (
-        np.einsum("jm,jm->m", vq, vq)[:, None]
-        + np.einsum("jt,jt->t", vu, vu)[None, :]
-        - 2.0 * vq.T @ vu
-    )
-    np.maximum(d2, 0.0, out=d2)
-    e = -0.5 * d2
-    m = e.max(axis=1)
-    k = np.exp(e - m[:, None])
-    denom = k.sum(axis=1)
+    # distances that overflow leave no finite kernel weight; those queries
+    # take the fallback below, so the overflow itself is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = pairwise_sq_dists(q / sigmas[:, None], u / sigmas[:, None])
+        e = -0.5 * d2
+        k = np.exp(e - e.max(axis=1)[:, None])
+        denom = k.sum(axis=1)
     out = np.empty(q.shape[1])
     bad = ~np.isfinite(denom) | (denom == 0.0)
     if bad.any():
@@ -273,8 +279,8 @@ def wrss_loss(
     """Leave-one-out WRSS at fixed sigmas (the training objective)."""
     _, xhat = _forward_all(params, x)
     bank = elevation_weight(xhat, h_tilde).T
-    d2 = _pairwise_sq_dists(bank / sigmas[:, None])
-    _, yhat = _loo_weights(d2, y)
+    d2 = pairwise_sq_dists(bank / sigmas[:, None])
+    _, yhat = loo_weights(d2, y)
     r = y - yhat
     return float(np.dot(w * r, r))
 
@@ -294,8 +300,8 @@ def wrss_and_grads(
     """
     hidden, xhat = _forward_all(params, x)
     bank = elevation_weight(xhat, h_tilde).T  # (l, T)
-    d2 = _pairwise_sq_dists(bank / sigmas[:, None])
-    a, yhat = _loo_weights(d2, y)
+    d2 = pairwise_sq_dists(bank / sigmas[:, None])
+    a, yhat = loo_weights(d2, y)
     r = y - yhat
     loss = float(np.dot(w * r, r))
     # dWRSS/dD2[t,s] for s != t
@@ -336,24 +342,21 @@ class WlrAgrnnModel:
     def n_locations(self) -> int:
         return self.bank.shape[0]
 
-    def _weighted_query(self, x_row: np.ndarray) -> np.ndarray:
-        n = self.params.w1.shape[1]
-        x_row = np.asarray(x_row, dtype=float)
-        if x_row.shape != (self.n_locations, n):
-            raise DimensionMismatchError(
-                f"expected ({self.n_locations}, {n}) features, got {x_row.shape}"
-            )
-        z = self.standardizer.transform(x_row)
-        _, xhat = _forward_all(self.params, z[None, :, :])
-        return elevation_weight(xhat[0], self.h_tilde)
-
     def predict(self, x_row: np.ndarray) -> float:
         """x_row is (l, n) raw factor values for one epoch."""
-        return agrnn_predict(self._weighted_query(x_row), self.bank, self.y, self.sigmas)
+        return float(self.predict_batch(np.asarray(x_row, dtype=float)[None])[0])
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        """x is the raw (M, l, n) tensor; returns (M,) predictions."""
         x = np.asarray(x, dtype=float)
-        queries = np.stack([self._weighted_query(row) for row in x], axis=1)
+        n = self.params.w1.shape[1]
+        if x.ndim != 3 or x.shape[1:] != (self.n_locations, n):
+            raise DimensionMismatchError(
+                f"expected (M, {self.n_locations}, {n}) features, got {x.shape}"
+            )
+        z = self.standardizer.transform(x.reshape(-1, n)).reshape(x.shape)
+        _, xhat = _forward_all(self.params, z)
+        queries = elevation_weight(xhat, self.h_tilde).T
         return agrnn_predict_batch(queries, self.bank, self.y, self.sigmas)
 
 
@@ -396,8 +399,8 @@ def train(
         bank = elevation_weight(xhat, h_tilde).T
         sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
         if cfg.weight_scheme == "inverse_residual" and it > 0 and it % cfg.weight_every == 0:
-            d2 = _pairwise_sq_dists(bank / sigmas[:, None])
-            _, yhat = _loo_weights(d2, y)
+            d2 = pairwise_sq_dists(bank / sigmas[:, None])
+            _, yhat = loo_weights(d2, y)
             w = 1.0 / (cfg.weight_eps + np.abs(y - yhat))
         loss, grads = wrss_and_grads(params, z, y, h_tilde, sigmas, w)
         if not math.isfinite(loss):

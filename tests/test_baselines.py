@@ -23,9 +23,9 @@ from elorantd.errors import (
 )
 from elorantd.features import ScalarStandardizer, Standardizer
 from elorantd.stats import rmse
-from elorantd.synth import ols_oracle
+from elorantd.synth import kernel_oracle, ols_oracle
 from elorantd.types import FACTORS_3
-from elorantd.wlr_agrnn import agrnn_predict
+from elorantd.wlr_agrnn import agrnn_predict, agrnn_predict_batch
 
 
 # -- BPNN ---------------------------------------------------------------------
@@ -137,6 +137,19 @@ def test_grnn_output_bounded_by_targets():
     assert out.max() <= y.max() + 1e-9
 
 
+def test_grnn_overflowing_distance_falls_back_like_agrnn():
+    # the squared distance overflows to inf, so no kernel weight is finite
+    bank = np.array([[0.0], [1.0]])
+    y = np.array([5.0, 9.0])
+    with pytest.warns(UserWarning, match="nearest bank column") as caught:
+        out = grnn_predict_batch(np.array([[1e200]]), bank, y, 1.0)
+    with pytest.warns(UserWarning, match="nearest bank column"):
+        expect = agrnn_predict_batch(np.array([[1e200]]), bank.T, y, np.ones(1))
+    assert [w.category for w in caught] == [UserWarning]
+    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out, expect)
+
+
 def test_grnn_sigma_selection_matches_loo_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(25, 2)) * [2.0, 5.0] + [10.0, -3.0]
@@ -149,9 +162,7 @@ def test_grnn_sigma_selection_matches_loo_oracle():
         total = 0.0
         for t in range(25):
             keep = np.arange(25) != t
-            pred = grnn_predict_batch(
-                model.bank[t][None, :], model.bank[keep], y[keep], sigma
-            )[0]
+            pred = kernel_oracle(model.bank[t], model.bank[keep].T, y[keep], [sigma] * 2)
             total += (y[t] - pred) ** 2
         return total
 

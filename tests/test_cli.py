@@ -95,6 +95,16 @@ def test_synth_missing_scenario_file_exit_2(tmp_path, capsys):
     assert "synth.scenario" in capsys.readouterr().err
 
 
+def test_synth_out_of_range_scenario_file_exit_2(tmp_path, small_corpus_dir, capsys):
+    meta = json.loads((small_corpus_dir / "scenario.meta").read_text())
+    for key, value in (("seed", -3), ("noise_sd_ns", "nan")):
+        bad = tmp_path / f"{key}.meta"
+        bad.write_text(json.dumps({**meta, key: value}))
+        assert main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- ingest ----------------------------------------------------------------------
 
 
@@ -229,6 +239,23 @@ def test_invalid_sweep_and_correlate_settings_exit_2_without_traceback(
     assert_exit_2_without_traceback(
         [command, "--config", cfg, "--out", str(tmp_path / "out.csv")]
     )
+
+
+@pytest.mark.parametrize(
+    "section,flags",
+    [
+        ("noise_sd_ns = -1\n", []),
+        ("noise_sd_ns = nan\n", []),
+        ("noise_sd_ns = inf\n", []),
+        ("seed = -5\n", []),
+        ("", ["--seed", "-5"]),
+    ],
+)
+def test_invalid_synth_settings_exit_2_without_traceback(tmp_path, section, flags):
+    cfg = write_ini(tmp_path / "bad.ini", f"[synth]\nscenario = cubic\n{section}")
+    out = tmp_path / "corpus"
+    assert_exit_2_without_traceback(["synth", "--config", cfg, *flags, "--out", str(out)])
+    assert not out.exists()
 
 
 # -- gridmap ---------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from elorantd.errors import (
     DegeneratePathError,
-    MissingMapError,
     NoElevationDataError,
     NoObservationsError,
     OutOfExtentError,
@@ -14,12 +13,11 @@ from elorantd.gridmap import (
     assign_observations,
     build_path_tensor,
     export_gridmap_csv,
-    extract_path_features,
     elevation_profile,
     haversine_km_arrays,
-    idw_at_cells,
     idw_combine,
     idw_fill,
+    idw_weights,
     path_tensor_from_arrays,
     sample_path,
 )
@@ -172,14 +170,19 @@ def test_idw_fill_linear_in_values():
     np.testing.assert_allclose(b.values, 7.0 * a.values, rtol=1e-12)
 
 
-def test_idw_at_cells_matches_fill():
+def test_idw_weights_rows_are_normalized_and_hits_exact():
     spec = small_spec()
-    grid = spread_grid(spec, [(1, 1), (5, 2), (8, 8)], [3.0, 9.0, -1.0])
-    filled = idw_fill(grid)
-    cells = [(0, 0), (1, 1), (4, 4), (9, 0)]
-    got = idw_at_cells(grid, cells)
-    expect = [filled.values[r, c] for r, c in cells]
-    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    rows_a, cols_a = np.array([1, 5, 8]), np.array([1, 2, 8])
+    rows_q, cols_q = np.array([0, 5, 4, 9]), np.array([0, 2, 4, 0])
+    w = idw_weights(spec, rows_q, cols_q, rows_a, cols_a)
+    assert w.shape == (4, 3)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-15)
+    # (5, 2) is the second assigned cell: exactly one weight, exactly 1.0
+    np.testing.assert_array_equal(w[1], [0.0, 1.0, 0.0])
+    for k in (0, 2, 3):
+        p = spec.cell_center(rows_q[k], cols_q[k])
+        inv = [1.0 / haversine_km(p, spec.cell_center(r, c)) for r, c in zip(rows_a, cols_a)]
+        np.testing.assert_allclose(w[k], np.array(inv) / sum(inv), rtol=1e-12)
 
 
 def test_idw_fill_matches_scalar_oracle():
@@ -305,36 +308,6 @@ def test_elevation_out_of_extent():
 # -- path feature tensors -----------------------------------------------------
 
 
-def test_extract_constant_map():
-    spec = small_spec()
-    values = np.full((spec.nrows, spec.ncols), 7.5)
-    mask = np.ones_like(values, dtype=bool)
-    grid = GridMap(spec, MetFactor.TEMPERATURE, EPOCH, values, mask)
-    path = sample_path(spec.cell_center(8, 1), spec.cell_center(1, 8), l=5)
-    tensor = extract_path_features([grid], path)
-    assert tensor.values.shape == (1, 5, 1)
-    np.testing.assert_array_equal(tensor.values, 7.5)
-
-
-def test_extract_endpoint_cells():
-    spec = small_spec()
-    grid = idw_fill(spread_grid(spec, [(9, 0), (0, 9)], [1.0, 2.0]))
-    tx = spec.cell_center(9, 0)
-    rx = spec.cell_center(0, 9)
-    tensor = extract_path_features([grid], sample_path(tx, rx, l=2))
-    assert tensor.values[0, 0, 0] == 1.0
-    assert tensor.values[0, 1, 0] == 2.0
-
-
-def test_extract_missing_map():
-    spec = small_spec()
-    e2 = EpochHour.parse("2024-10-01T01:00:00Z")
-    g1 = idw_fill(spread_grid(spec, [(0, 0)], [1.0]))
-    g2 = GridMap(spec, MetFactor.HUMIDITY, e2, g1.values, g1.assigned_mask)
-    with pytest.raises(MissingMapError):
-        extract_path_features([g1, g2], sample_path(spec.cell_center(9, 0), spec.cell_center(0, 9), l=3))
-
-
 def test_path_tensor_matches_per_point_idw():
     """Fast-path tensor equals per-point evaluation of the filled maps."""
     spec = small_spec()
@@ -367,6 +340,38 @@ def test_path_tensor_matches_per_point_idw():
                 assert tensor.values[t, j, i] == pytest.approx(
                     filled.values[cell], rel=1e-12
                 ), (t, j, i)
+
+
+def test_path_tensor_on_assigned_cell_takes_cell_mean_bit_for_bit():
+    spec = small_spec()
+    # two stations share the TX cell, one sits on the RX cell
+    tx, rx = spec.cell_center(9, 0), spec.cell_center(0, 9)
+    locations = [tx, GeoPoint(tx.lat + 0.001, tx.lon + 0.001), rx]
+    station_values = np.random.default_rng(15).normal(15.0, 5.0, size=(3, 3, 2))
+    epochs = tuple(EpochHour.parse(f"2024-10-01T0{h}:00:00Z") for h in range(3))
+    factors = (MetFactor.TEMPERATURE, MetFactor.HUMIDITY)
+    path = sample_path(tx, rx, l=6)
+    tensor = path_tensor_from_arrays(station_values, epochs, factors, locations, spec, path)
+    np.testing.assert_array_equal(tensor.values[:, 0, :], station_values[:, :2, :].mean(axis=1))
+    np.testing.assert_array_equal(tensor.values[:, -1, :], station_values[:, 2, :])
+
+
+def test_path_tensor_of_constant_stations_is_constant():
+    spec = small_spec()
+    rng = np.random.default_rng(16)
+    locations = [
+        GeoPoint(float(rng.uniform(spec.lat_min, spec.lat_max)),
+                 float(rng.uniform(spec.lon_min, spec.lon_max)))
+        for _ in range(4)
+    ]
+    station_values = np.full((2, 4, 1), 7.5)
+    epochs = (EPOCH, EpochHour.parse("2024-10-01T01:00:00Z"))
+    path = sample_path(spec.cell_center(8, 1), spec.cell_center(1, 8), l=9)
+    tensor = path_tensor_from_arrays(
+        station_values, epochs, (MetFactor.TEMPERATURE,), locations, spec, path
+    )
+    assert tensor.values.shape == (2, 9, 1)
+    np.testing.assert_allclose(tensor.values, 7.5, rtol=1e-15)
 
 
 def test_grid_spec_around_contains_endpoints():

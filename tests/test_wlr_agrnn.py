@@ -17,6 +17,8 @@ from elorantd.wlr_agrnn import (
     agrnn_predict,
     agrnn_predict_batch,
     elevation_weight,
+    loo_weights,
+    pairwise_sq_dists,
     select_sigmas,
     train,
     transform_elevation,
@@ -251,6 +253,49 @@ def test_agrnn_rejects_nonpositive_sigma():
 
 
 # -- training objective and gradients -----------------------------------------
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_loo_predictions_match_kernel_oracle_without_column_t(tied):
+    """The leave-one-out kernel behind select_sigmas and wrss_loss, checked
+    against the nested-loop oracle on the bank with column t removed."""
+    rng = np.random.default_rng(20)
+    params = toy_params(rng, 3, 4)
+    x = rng.normal(size=(9, 2, 3))
+    y = rng.normal(size=9) * 5.0
+    h = transform_elevation(rng.uniform(10, 500, size=2))
+    w = rng.uniform(0.5, 2.0, size=9)
+    bank = np.stack(
+        [[wlr_forward(params, x[t, j]) * h[j] for t in range(9)] for j in range(2)]
+    )
+    sd = bank.std(axis=1, ddof=1)
+    sigmas = np.full(2, 0.8 * sd.mean()) if tied else 0.8 * sd * [0.5, 2.0]
+    expect = np.empty(9)
+    for t in range(9):
+        keep = np.arange(9) != t
+        expect[t] = kernel_oracle(bank[:, t], bank[:, keep], y[keep], sigmas)
+    _, yhat = loo_weights(pairwise_sq_dists(bank / sigmas[:, None]), y)
+    np.testing.assert_allclose(yhat, expect, rtol=1e-12)
+    r = y - expect
+    assert wrss_loss(params, x, y, h, sigmas, w) == pytest.approx(float(np.sum(w * r * r)), rel=1e-12)
+
+
+def test_predict_batch_matches_per_epoch_oracle():
+    rng = np.random.default_rng(21)
+    x, y, elevations, _ = linear_scenario(rng, t_count=20)
+    cfg = TrainConfig(learning_rate=0.01, max_iterations=5, hidden=3, seed=4)
+    model, _ = train(x, y, elevations, cfg)
+    probe = x[:6] + rng.normal(0.0, 0.1, size=(6, 3, 2))
+    expect = []
+    for row in probe:
+        z = (row - model.standardizer.mean) / model.standardizer.sd
+        query = [wlr_forward(model.params, z[j]) * model.h_tilde[j] for j in range(3)]
+        expect.append(kernel_oracle(query, model.bank, model.y, model.sigmas))
+    np.testing.assert_allclose(model.predict_batch(probe), expect, rtol=1e-10)
+    assert model.predict(probe[2]) == pytest.approx(expect[2], rel=1e-10)
+    for bad in (probe[0], probe[:, :2], probe[..., :1]):
+        with pytest.raises(DimensionMismatchError):
+            model.predict_batch(bad)
 
 
 def test_wrss_uniform_weights_equal_rss():
