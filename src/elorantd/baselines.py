@@ -26,7 +26,7 @@ from .errors import (
 from .features import ScalarStandardizer, Standardizer
 from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet
-from .wlr_agrnn import agrnn_predict_batch, loo_weights, pairwise_sq_dists
+from .wlr_agrnn import agrnn_predict_batch, kernel_regression, loo_shift, pairwise_sq_dists
 
 GRNN_SIGMA_GRID_RANGE = (0.05, 5.0)
 GRNN_SIGMA_GRID_POINTS = 30
@@ -185,8 +185,8 @@ def grnn_predict_batch(
     return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)))
 
 
-def _loo_rss(d2: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    _, yhat = loo_weights(d2 / (sigma * sigma), y)
+def _loo_rss(shifted: np.ndarray, y: np.ndarray, sigma: float, out=None) -> float:
+    _, yhat, _ = kernel_regression(shifted, y, 0.5 / (sigma * sigma), out=out)
     r = y - yhat
     return float(np.dot(r, r))
 
@@ -215,16 +215,20 @@ def train_grnn(
     if sigma is None:
         if bank.shape[0] < 2:
             raise EmptyBankError("need at least 2 rows to select sigma")
-        d2 = pairwise_sq_dists(bank.T)
+        # one shifted distance matrix and one kernel buffer for the whole grid
+        shifted = loo_shift(pairwise_sq_dists(bank.T))
+        kernel = np.empty_like(shifted)
         # the first grid point with the least leave-one-out RSS
         sigma, final_rss = min(
-            ((cand, _loo_rss(d2, y, cand)) for cand in grnn_sigma_grid(bank.shape[1])),
+            ((cand, _loo_rss(shifted, y, cand, kernel)) for cand in grnn_sigma_grid(bank.shape[1])),
             key=lambda pair: pair[1],
         )
     else:
         if sigma <= 0:
             raise ValueError("sigma must be strictly positive")
-        final_rss = _loo_rss(pairwise_sq_dists(bank.T), y, sigma) if bank.shape[0] >= 2 else 0.0
+        final_rss = (
+            _loo_rss(loo_shift(pairwise_sq_dists(bank.T)), y, sigma) if bank.shape[0] >= 2 else 0.0
+        )
     model = GrnnModel(
         bank=bank, y=y.copy(), sigma=float(sigma),
         standardizer=standardizer, factors=factors,

@@ -29,10 +29,16 @@ def loss_converged(losses: list[float], tol: float, patience: int) -> bool:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Loss per iteration (or per sweep) plus the stop reason."""
+    """Loss per iteration (or per sweep) plus the stop reason.
+
+    sigma_scales holds the WLR-AGRNN bandwidth scale c of each iteration
+    and is empty for the other kinds; it is not written to the trace CSV
+    or the artifact.
+    """
 
     losses: tuple[float, ...]
     converged: bool
+    sigma_scales: tuple[float, ...] = ()
 
     @property
     def iterations(self) -> int:

@@ -5,8 +5,11 @@ Training alternates: forward all expert outputs, weight them by
 transformed elevation, rebuild the bank, reselect per-row smoothing
 factors (stop-gradient), predict every training epoch by leave-one-out
 kernel regression, and take one Adam step on the weighted residual sum
-of squares.  Gradients w.r.t. the bank reduce to two (l x T)(T x T)
-matrix products, so no T x T x l intermediate is ever built.
+of squares.  The bandwidths only scale a fixed distance matrix, so each
+sigma search shifts that matrix once and then costs one exp and one
+(T x T)(T x 2) product per evaluation.  Gradients w.r.t. the bank reduce
+to one (l+1 x T)(T x T) matrix product, so no T x T x l intermediate is
+ever built.
 """
 from __future__ import annotations
 
@@ -89,10 +92,10 @@ def wlr_forward(params: WlrParams, x: np.ndarray) -> float:
     return float(params.w2 @ (params.w1 @ x + params.b1) + params.b2)
 
 
-def _forward_all(params: WlrParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x (T, l, n) -> hidden activations (T, l, hidden) and outputs (T, l)."""
-    hidden = x @ params.w1.T + params.b1
-    return hidden, hidden @ params.w2 + params.b2
+def _forward_all(params: WlrParams, x: np.ndarray) -> np.ndarray:
+    """x (T, l, n) -> outputs (T, l).  With no activation the two layers
+    are one affine map: xhat = x . (w1.T w2) + (w2 . b1 + b2)."""
+    return x @ (params.w1.T @ params.w2) + (float(params.w2 @ params.b1) + params.b2)
 
 
 def transform_elevation(
@@ -125,37 +128,61 @@ def elevation_weight(xhat: np.ndarray, h_tilde: np.ndarray) -> np.ndarray:
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Row-scaled coordinates a (l, M) and b (l, T) -> (M, T) squared distances.
 
-    b None measures a against itself through the symmetric a.T @ a.
+    b None measures a against itself through the symmetric a.T @ a.  The
+    result is built inside the Gram buffer, with no other (M, T) array.
     """
     if b is None:
-        gram = a.T @ a
+        d2 = a.T @ a
         norms_a = norms_b = np.einsum("jt,jt->t", a, a)
     else:
-        gram = a.T @ b
+        d2 = a.T @ b
         norms_a = np.einsum("jm,jm->m", a, a)
         norms_b = np.einsum("jt,jt->t", b, b)
-    d2 = norms_a[:, None] + norms_b[None, :] - 2.0 * gram
+    d2 *= -2.0
+    d2 += norms_a[:, None]
+    d2 += norms_b[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def loo_weights(d2: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out kernel weights a (T,T) on scaled squared distances
-    d2 (kernel exp(-d2/2)), rows normalized, and the predictions a @ y."""
-    e = -0.5 * d2
-    np.fill_diagonal(e, -np.inf)
-    m = e.max(axis=1)
-    if not np.all(np.isfinite(m)):
-        # every other column is infinitely far; fall back to uniform over
-        # the rest so the prediction stays defined
-        m = np.where(np.isfinite(m), m, 0.0)
-        e = np.where(np.isfinite(e), e, 0.0)
-        np.fill_diagonal(e, -np.inf)
-    # one T x T buffer: shift, exponentiate and normalize in place
-    e -= m[:, None]
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e, e @ y
+def loo_shift(d2: np.ndarray) -> np.ndarray:
+    """In place: +inf on the diagonal of squared distances d2 (T, T), then
+    each row minus its smallest off-diagonal entry.
+
+    A bandwidth only scales the distances, so this one matrix serves every
+    bandwidth: each row of exp(-s * shifted) peaks at exactly 1.  A row
+    with no finite off-diagonal distance becomes 0 off the diagonal, so
+    that row alone falls back to uniform weights.
+    """
+    np.fill_diagonal(d2, np.inf)
+    m = d2.min(axis=1)
+    far = ~np.isfinite(m)
+    if far.any():
+        rows = np.flatnonzero(far)
+        d2[rows] = 0.0
+        d2[rows, rows] = np.inf
+        m[rows] = 0.0
+    d2 -= m[:, None]
+    return d2
+
+
+def kernel_regression(
+    shifted: np.ndarray, y: np.ndarray, scale: float = 0.5, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian kernel k = exp(-scale * shifted) on row-shifted squared
+    distances, unnormalised and written to out, with the predictions
+    (k @ y) / rowsum and the row sums.  Each row of shifted holds a 0, so
+    each row sum is >= 1; on a loo_shift matrix this is leave-one-out."""
+    k = np.multiply(shifted, -scale, out=out)
+    np.exp(k, out=k)
+    num, den = (k @ np.column_stack((y, np.ones_like(y)))).T
+    return k, num / den, den
+
+
+def _loo_fit(scaled_bank: np.ndarray, y: np.ndarray):
+    """Leave-one-out kernel_regression on row-scaled coordinates, in one T x T buffer."""
+    shifted = loo_shift(pairwise_sq_dists(scaled_bank))
+    return kernel_regression(shifted, y, out=shifted)
 
 
 def select_sigmas(
@@ -169,7 +196,8 @@ def select_sigmas(
 
     The search minimizes the leave-one-out weighted residual sum of
     squares on the bank itself.  Zero-variance rows get a tiny fixed
-    sigma instead of participating in the scale search.
+    sigma instead of participating in the scale search: such a row holds
+    one value in every column, so it adds nothing to any distance.
     """
     u = np.asarray(bank, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,17 +215,13 @@ def select_sigmas(
     if not live.any():
         raise DegenerateBankError("every bank row is constant")
     floor_sigma = 1e-6 * np.abs(u.mean(axis=1)) + 1e-12
-    # distance contributions split so the live part rescales as 1/c^2
-    d2_live = pairwise_sq_dists(u[live] / sd[live, None])
-    d2_dead = None
-    if (~live).any():
-        d2_dead = pairwise_sq_dists(u[~live] / floor_sigma[~live, None])
+    # sigma_j = c * sd_j scales every distance by 1/c^2: one shifted matrix
+    # serves the whole search, and each evaluation is one exp and one product
+    shifted = loo_shift(pairwise_sq_dists(u[live] / sd[live, None]))
+    kernel = np.empty_like(shifted)
 
     def objective(c: float) -> float:
-        d2 = d2_live / (c * c)
-        if d2_dead is not None:
-            d2 = d2 + d2_dead
-        _, yhat = loo_weights(d2, y)
+        _, yhat, _ = kernel_regression(shifted, y, 0.5 / (c * c), out=kernel)
         r = y - yhat
         return float(np.dot(w * r, r))
 
@@ -250,22 +274,30 @@ def agrnn_predict_batch(
     # take the fallback below, so the overflow itself is not reported
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(q / sigmas[:, None], u / sigmas[:, None])
-        e = -0.5 * d2
-        k = np.exp(e - e.max(axis=1)[:, None])
-        denom = k.sum(axis=1)
-    out = np.empty(q.shape[1])
-    bad = ~np.isfinite(denom) | (denom == 0.0)
+    m = d2.min(axis=1)
+    bad = ~np.isfinite(m)
+    d2[bad] = 0.0
+    m[bad] = 0.0
+    # shifted by the row minimum, every row's kernel peaks at exactly 1
+    d2 -= m[:, None]
+    _, out, _ = kernel_regression(d2, y, out=d2)
     if bad.any():
         warnings.warn(
             "kernel weights underflowed for some queries; "
             "falling back to the nearest bank column",
             stacklevel=2,
         )
-        nearest = np.argmin(d2, axis=1)
-        out[bad] = y[nearest[bad]]
-    good = ~bad
-    out[good] = (k[good] @ y) / denom[good]
+        out[bad] = y[_nearest_columns(q[:, bad], u, sigmas)]
     return out
+
+
+def _nearest_columns(q: np.ndarray, u: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Nearest bank column of each query, on coordinates divided by their
+    largest magnitude so the squared distances stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(float(np.abs(q).max()), float(np.abs(u).max()))
+        d2 = pairwise_sq_dists(q / scale / sigmas[:, None], u / scale / sigmas[:, None])
+    return np.argmin(d2, axis=1)
 
 
 def wrss_loss(
@@ -277,10 +309,8 @@ def wrss_loss(
     w: np.ndarray,
 ) -> float:
     """Leave-one-out WRSS at fixed sigmas (the training objective)."""
-    _, xhat = _forward_all(params, x)
-    bank = elevation_weight(xhat, h_tilde).T
-    d2 = pairwise_sq_dists(bank / sigmas[:, None])
-    _, yhat = loo_weights(d2, y)
+    bank = elevation_weight(_forward_all(params, x), h_tilde).T
+    _, yhat, _ = _loo_fit(bank / sigmas[:, None], y)
     r = y - yhat
     return float(np.dot(w * r, r))
 
@@ -298,27 +328,30 @@ def wrss_and_grads(
     Sigmas are treated as constants: the bandwidth reselection is not
     differentiated through.
     """
-    hidden, xhat = _forward_all(params, x)
-    bank = elevation_weight(xhat, h_tilde).T  # (l, T)
-    d2 = pairwise_sq_dists(bank / sigmas[:, None])
-    a, yhat = loo_weights(d2, y)
+    bank = elevation_weight(_forward_all(params, x), h_tilde).T  # (l, T)
+    k, yhat, den = _loo_fit(bank / sigmas[:, None], y)
     r = y - yhat
     loss = float(np.dot(w * r, r))
-    # dWRSS/dD2[t,s] for s != t
-    q = (w * r)[:, None] * a * (y[None, :] - yhat[:, None])
-    row = q.sum(axis=1)
-    col = q.sum(axis=0)
-    g_bank = (
-        2.0
-        / (sigmas * sigmas)[:, None]
-        * (bank * (row + col)[None, :] - bank @ q.T - bank @ q)
-    )
+    # dWRSS/dD2[t,s] = w_t r_t a_ts (y_s - yhat_t) for s != t, built in the
+    # kernel's buffer (a = k / rowsum); only q + q.T enters the gradient
+    q = k
+    q *= (w * r / den)[:, None]
+    both = np.subtract(y[None, :], yhat[:, None])
+    q *= both
+    np.add(q, q.T, out=both)
+    # one product gives bank @ (q + q.T) and, in its last row, the column
+    # sums of q + q.T (row plus column sums of q)
+    prod = np.vstack((bank, np.ones(y.size))) @ both
+    g_bank = 2.0 / (sigmas * sigmas)[:, None] * (bank * prod[-1] - prod[:-1])
     g_xhat = (g_bank * h_tilde[:, None]).T  # (T, l)
-    g_w2 = np.einsum("tj,tjh->h", g_xhat, hidden)
-    g_b2 = float(g_xhat.sum())
-    g_w1 = np.outer(params.w2, np.einsum("tj,tjn->n", g_xhat, x))
-    g_b1 = params.w2 * g_xhat.sum()
-    return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": np.array(g_b2)}
+    # the expert is affine, xhat = z . (w1.T w2) + (w2 . b1 + b2), so every
+    # gradient follows from P = sum g_xhat z and S = sum g_xhat
+    n = x.shape[-1]
+    p = g_xhat.reshape(-1) @ x.reshape(-1, n)
+    s = float(g_xhat.sum())
+    g_w1 = np.outer(params.w2, p)
+    g_w2 = params.w1 @ p + params.b1 * s
+    return loss, {"w1": g_w1, "b1": params.w2 * s, "w2": g_w2, "b2": np.array(s)}
 
 
 @dataclass(frozen=True)
@@ -355,8 +388,7 @@ class WlrAgrnnModel:
                 f"expected (M, {self.n_locations}, {n}) features, got {x.shape}"
             )
         z = self.standardizer.transform(x.reshape(-1, n)).reshape(x.shape)
-        _, xhat = _forward_all(self.params, z)
-        queries = elevation_weight(xhat, self.h_tilde).T
+        queries = elevation_weight(_forward_all(self.params, z), self.h_tilde).T
         return agrnn_predict_batch(queries, self.bank, self.y, self.sigmas)
 
 
@@ -394,18 +426,18 @@ def train(
     adam = Adam(lr=cfg.learning_rate)
     w = np.ones(t_count)
     losses: list[float] = []
+    scales: list[float] = []
     for it in range(cfg.max_iterations):
-        _, xhat = _forward_all(params, z)
-        bank = elevation_weight(xhat, h_tilde).T
+        bank = elevation_weight(_forward_all(params, z), h_tilde).T
         sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
         if cfg.weight_scheme == "inverse_residual" and it > 0 and it % cfg.weight_every == 0:
-            d2 = pairwise_sq_dists(bank / sigmas[:, None])
-            _, yhat = loo_weights(d2, y)
+            _, yhat, _ = _loo_fit(bank / sigmas[:, None], y)
             w = 1.0 / (cfg.weight_eps + np.abs(y - yhat))
         loss, grads = wrss_and_grads(params, z, y, h_tilde, sigmas, w)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"WRSS became non-finite at iteration {it}")
         losses.append(loss)
+        scales.append(_sigma_scale(bank, sigmas))
         plist = [params.w1, params.b1, params.w2]
         glist = [grads["w1"], grads["b1"], grads["w2"]]
         b2 = np.array([params.b2])
@@ -416,11 +448,11 @@ def train(
         if loss_converged(losses, cfg.tol, cfg.patience):
             break
     # final bank/sigmas consistent with the final parameters
-    _, xhat = _forward_all(params, z)
-    bank = elevation_weight(xhat, h_tilde).T
+    bank = elevation_weight(_forward_all(params, z), h_tilde).T
     sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
     if not losses:
         losses.append(wrss_loss(params, z, y, h_tilde, sigmas, w))
+        scales.append(_sigma_scale(bank, sigmas))
     model = WlrAgrnnModel(
         params=params.copy(),
         h_tilde=h_tilde,
@@ -437,4 +469,12 @@ def train(
         points=points,
         meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
+    converged = loss_converged(losses, cfg.tol, cfg.patience)
+    return model, TrainingTrace(tuple(losses), converged, tuple(scales))
+
+
+def _sigma_scale(bank: np.ndarray, sigmas: np.ndarray) -> float:
+    """The scale c that select_sigmas chose, read back from its most variable row."""
+    sd = bank.std(axis=1, ddof=1)
+    j = int(np.argmax(sd))
+    return float(sigmas[j] / sd[j])

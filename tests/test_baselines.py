@@ -150,6 +150,14 @@ def test_grnn_overflowing_distance_falls_back_like_agrnn():
     np.testing.assert_array_equal(out, expect)
 
 
+def test_grnn_overflowing_distance_picks_the_nearest_row():
+    bank = np.array([[-1e152], [1e152]])
+    y = np.array([5.0, 9.0])
+    with pytest.warns(UserWarning, match="nearest bank column"):
+        out = grnn_predict_batch(np.array([[1e155]]), bank, y, 1.0)
+    np.testing.assert_array_equal(out, [9.0])
+
+
 def test_grnn_sigma_selection_matches_loo_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(25, 2)) * [2.0, 5.0] + [10.0, -3.0]

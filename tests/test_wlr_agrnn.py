@@ -17,7 +17,8 @@ from elorantd.wlr_agrnn import (
     agrnn_predict,
     agrnn_predict_batch,
     elevation_weight,
-    loo_weights,
+    kernel_regression,
+    loo_shift,
     pairwise_sq_dists,
     select_sigmas,
     train,
@@ -160,6 +161,18 @@ def test_select_sigmas_degenerate_cases():
         select_sigmas(np.ones((2, 4)), y)  # every row constant
 
 
+def test_constant_row_does_not_move_the_sigma_scale():
+    rng = np.random.default_rng(22)
+    bank = rng.normal(size=(3, 15))
+    y = rng.normal(size=15)
+    w = rng.uniform(0.5, 2.0, size=15)
+    with_constant = np.vstack([bank, np.full(15, -4.25)])
+    a = select_sigmas(bank, y, w)
+    b = select_sigmas(with_constant, y, w)
+    np.testing.assert_array_equal(b[:3], a)
+    assert b[3] == pytest.approx(1e-6 * 4.25 + 1e-12)
+
+
 def test_select_sigmas_floors_constant_row():
     rng = np.random.default_rng(5)
     bank = rng.normal(size=(3, 8))
@@ -241,6 +254,17 @@ def test_agrnn_far_query_falls_back_to_nearest():
     assert out == 9.0  # nearest column wins even when kernels underflow
 
 
+def test_agrnn_overflowing_distances_fall_back_to_the_nearest_column():
+    # every squared distance overflows to inf; the column at +1e152 is nearer
+    bank = np.array([[-1e152, 1e152]])
+    y = np.array([5.0, 9.0])
+    queries = np.array([[1e155, -1e155, 0.5]])
+    with pytest.warns(UserWarning, match="nearest bank column") as caught:
+        out = agrnn_predict_batch(queries, bank, y, np.array([1.0]))
+    assert [w.category for w in caught] == [UserWarning]
+    np.testing.assert_array_equal(out, [9.0, 5.0, 7.0])
+
+
 def test_agrnn_empty_bank():
     with pytest.raises(EmptyBankError):
         agrnn_predict(np.ones(2), np.empty((2, 0)), np.empty(0), np.ones(2))
@@ -258,7 +282,8 @@ def test_agrnn_rejects_nonpositive_sigma():
 @pytest.mark.parametrize("tied", [True, False])
 def test_loo_predictions_match_kernel_oracle_without_column_t(tied):
     """The leave-one-out kernel behind select_sigmas and wrss_loss, checked
-    against the nested-loop oracle on the bank with column t removed."""
+    against the nested-loop oracle on the bank with column t removed, at
+    several bandwidths from one shifted distance matrix."""
     rng = np.random.default_rng(20)
     params = toy_params(rng, 3, 4)
     x = rng.normal(size=(9, 2, 3))
@@ -269,15 +294,37 @@ def test_loo_predictions_match_kernel_oracle_without_column_t(tied):
         [[wlr_forward(params, x[t, j]) * h[j] for t in range(9)] for j in range(2)]
     )
     sd = bank.std(axis=1, ddof=1)
-    sigmas = np.full(2, 0.8 * sd.mean()) if tied else 0.8 * sd * [0.5, 2.0]
-    expect = np.empty(9)
-    for t in range(9):
-        keep = np.arange(9) != t
-        expect[t] = kernel_oracle(bank[:, t], bank[:, keep], y[keep], sigmas)
-    _, yhat = loo_weights(pairwise_sq_dists(bank / sigmas[:, None]), y)
-    np.testing.assert_allclose(yhat, expect, rtol=1e-12)
-    r = y - expect
-    assert wrss_loss(params, x, y, h, sigmas, w) == pytest.approx(float(np.sum(w * r * r)), rel=1e-12)
+    base = np.full(2, sd.mean()) if tied else sd * [0.5, 2.0]
+    shifted = loo_shift(pairwise_sq_dists(bank / base[:, None]))
+    kernel = np.empty_like(shifted)
+    for c in (0.3, 0.8, 2.5):
+        sigmas = c * base
+        expect = np.empty(9)
+        for t in range(9):
+            keep = np.arange(9) != t
+            expect[t] = kernel_oracle(bank[:, t], bank[:, keep], y[keep], sigmas)
+        k, yhat, den = kernel_regression(shifted, y, 0.5 / (c * c), out=kernel)
+        np.testing.assert_allclose(yhat, expect, rtol=1e-12)
+        np.testing.assert_array_equal(np.diag(k), 0.0)
+        assert np.all(den >= 1.0)
+        r = y - expect
+        assert wrss_loss(params, x, y, h, sigmas, w) == pytest.approx(
+            float(np.sum(w * r * r)), rel=1e-12
+        )
+
+
+def test_loo_fallback_is_per_row():
+    # column 2 is infinitely far from the others: row 0 keeps its nearest
+    # neighbour, and only row 2, with no finite distance, is uniform
+    bank = np.array([[0.0, 1.0, 1e200]])
+    y = np.array([1.0, 2.0, 3.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = loo_shift(pairwise_sq_dists(bank))
+    k, yhat, den = kernel_regression(shifted, y)
+    weights = k / den[:, None]
+    np.testing.assert_array_equal(weights[0], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(weights[2], [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(yhat, [2.0, 1.0, 1.5])
 
 
 def test_predict_batch_matches_per_epoch_oracle():
@@ -362,6 +409,36 @@ def test_analytic_gradients_match_finite_differences():
         np.testing.assert_allclose(
             an_all, fd_all, rtol=1e-4, atol=1e-7 * max(1.0, loss)
         )
+
+
+def test_analytic_gradients_match_finite_differences_on_a_larger_bank():
+    """More epochs than locations, weights spread over 50x, so the
+    leave-one-out rows mix many columns."""
+    eps = 1e-5
+    rng = np.random.default_rng(24)
+    params = toy_params(rng, 2, 3)
+    x = rng.normal(size=(14, 3, 2))
+    y = rng.normal(size=14) * 3.0 + 40.0
+    h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
+    sigmas = rng.uniform(2.0, 6.0, size=3)
+    w = rng.uniform(0.1, 5.0, size=14)
+    loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
+    for name in ("w1", "b1", "w2"):
+        arr = getattr(params, name)
+        fd = np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            p_hi, p_lo = params.copy(), params.copy()
+            getattr(p_hi, name)[idx] += eps
+            getattr(p_lo, name)[idx] -= eps
+            fd[idx] = (wrss_loss(p_hi, x, y, h, sigmas, w) - wrss_loss(p_lo, x, y, h, sigmas, w)) / (
+                2.0 * eps
+            )
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7 * max(1.0, loss))
+    p_hi, p_lo = params.copy(), params.copy()
+    p_hi.b2 += eps
+    p_lo.b2 -= eps
+    fd_b2 = (wrss_loss(p_hi, x, y, h, sigmas, w) - wrss_loss(p_lo, x, y, h, sigmas, w)) / (2.0 * eps)
+    assert float(grads["b2"]) == pytest.approx(fd_b2, rel=1e-4, abs=1e-7 * max(1.0, loss))
 
 
 def test_elevation_scale_equivariance():
@@ -464,6 +541,26 @@ def test_train_config_validation():
                 dict(sigma_tol=float("nan")), dict(tol=float("inf")), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+
+
+def test_trace_records_the_sigma_scale_of_each_iteration():
+    rng = np.random.default_rng(23)
+    x, y, elevations, _ = linear_scenario(rng, t_count=20)
+    cfg = TrainConfig(learning_rate=0.01, max_iterations=6, hidden=3, seed=5)
+    model, trace = train(x, y, elevations, cfg)
+    assert len(trace.sigma_scales) == trace.iterations == 6
+    lo, hi = SIGMA_BOUNDS
+    assert all(lo <= c <= hi for c in trace.sigma_scales)
+    # the first iteration selects on the bank of the initial parameters
+    z = (x - model.standardizer.mean) / model.standardizer.sd
+    params = WlrParams.init(2, 3, np.random.default_rng(5))
+    bank = np.array([[wlr_forward(params, z[t, j]) for t in range(20)] for j in range(3)])
+    bank *= model.h_tilde[:, None]
+    np.testing.assert_allclose(
+        select_sigmas(bank, y), trace.sigma_scales[0] * bank.std(axis=1, ddof=1), rtol=1e-12
+    )
+    _, again = train(x, y, elevations, cfg)
+    assert again.sigma_scales == trace.sigma_scales
 
 
 def test_train_inverse_residual_scheme_runs():
