@@ -143,23 +143,6 @@ class PathFeatureTensor:
             raise ValueError(f"tensor shape {self.values.shape} != axes {expected}")
 
 
-def idw_combine(values, distances_km) -> float:
-    """Inverse-distance weighted mean with weights 1/d.
-
-    A zero distance short-circuits to that value: the query point
-    coincides with an assigned cell.
-    """
-    values = np.asarray(values, dtype=float)
-    d = np.asarray(distances_km, dtype=float)
-    if values.size == 0 or values.shape != d.shape:
-        raise ValueError("values and distances must be equal-length and nonempty")
-    zero = np.flatnonzero(d == 0.0)
-    if zero.size:
-        return float(values[zero[0]])
-    w = 1.0 / d
-    return float(np.dot(w, values) / w.sum())
-
-
 def assign_observations(
     spec: GridSpec,
     registry: StationRegistry,

@@ -118,21 +118,6 @@ def coordinate_descent(
     return beta, TrainingTrace(tuple(losses), converged)
 
 
-def alpha_max(design: np.ndarray, y: np.ndarray, penalize: np.ndarray | None = None) -> float:
-    """Smallest alpha at which every penalized coefficient is exactly zero.
-
-    Assumes the only unpenalized column is a constant, so the residual at
-    the all-zero solution is the centered target.
-    """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if penalize is None:
-        penalize = np.ones(x.shape[1], dtype=bool)
-        penalize[0] = False
-    centered = y - y.mean()
-    return float(np.max(2.0 * np.abs(x[:, penalize].T @ centered)))
-
-
 @dataclass(frozen=True)
 class LassoMprModel:
     """Trained polynomial regressor over standardized raw inputs."""

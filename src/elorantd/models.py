@@ -198,5 +198,5 @@ def option_types(config: type) -> dict[str, type]:
     hints = typing.get_type_hints(config)
     return {
         f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
-        for f in fields(config) if f.metadata.get("option", True)
+        for f in fields(config)
     }

@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# dataclass field metadata: settable from Python only, not a [model] key
-LIBRARY_ONLY = {"option": False}
-
 
 def require_at_least(cfg, low: float, *names: str, strict: bool = False) -> None:
     """Raise ValueError unless each named field is finite and >= low (> when strict)."""

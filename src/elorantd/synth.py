@@ -6,9 +6,10 @@ with cross-station correlation decaying over 50 km.  TD is a declared
 recipe over the path feature tensor plus Gaussian noise, so model
 recovery can be tested against a known floor.
 
-The brute-force oracles at the bottom (ols_oracle, kernel_oracle) are
-deliberately naive re-implementations used only to cross-check the
-optimized model code; keep them independent of it.
+The brute-force oracle at the bottom (ols_oracle) is a deliberately
+naive normal-equations solve; the benchmark's lasso gate and the tests
+cross-check the optimized model code against it, so keep it independent
+of that code.  The test-only oracles live in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfRangeError, RankDeficientError
+from .errors import RankDeficientError
 from .gridmap import (
     GridSpec,
     PathFeatureTensor,
@@ -367,15 +368,6 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     )
 
 
-def ground_truth_td(scenario: SyntheticScenario, epoch: EpochHour) -> float:
-    """Noise-free recipe value; the oracle for model-recovery tests."""
-    try:
-        t = scenario.epochs.index(epoch)
-    except ValueError:
-        raise OutOfRangeError("epoch", epoch.isoformat(), "outside scenario range") from None
-    return float(scenario.hourly_truth[t])
-
-
 # -- default scenario family --------------------------------------------------
 
 def default_recipe() -> GroundTruthRecipe:
@@ -586,24 +578,3 @@ def ols_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rhs = x.T @ y
     z = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.T, z)
-
-
-def kernel_oracle(query, bank, y, sigmas) -> float:
-    """Direct anisotropic-kernel evaluation: nested loops, no stabilization.
-
-    Only valid on small, well-scaled inputs; that is the point.
-    """
-    query = [float(v) for v in query]
-    l_count = len(query)
-    t_count = len(y)
-    num = 0.0
-    den = 0.0
-    for t in range(t_count):
-        expo = 0.0
-        for j in range(l_count):
-            diff = query[j] - float(bank[j][t])
-            expo += diff * diff / (2.0 * float(sigmas[j]) ** 2)
-        kval = math.exp(-expo)
-        num += kval * float(y[t])
-        den += kval
-    return num / den

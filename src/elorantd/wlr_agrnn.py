@@ -10,6 +10,14 @@ sigma search shifts that matrix once and then costs one exp and one
 (T x T)(T x 2) product per evaluation.  Gradients w.r.t. the bank reduce
 to one (l+1 x T)(T x T) matrix product, so no T x T x l intermediate is
 ever built.
+
+Each bandwidth is sigma_j = c * sd_j, sd_j the standard deviation of bank
+row j, so a positive factor or a constant shift of any row cancels from
+every distance.  The model therefore learns only c and the direction of
+v = w1.T w2: the elevation weights, the scale of v and the biases b1, b2
+have no effect on the loss.  Adam steps w1 and w2 only; b1 and b2 stay at
+their initial zeros, and the forward still adds them so that artifacts
+saved with nonzero biases predict as they were trained.
 """
 from __future__ import annotations
 
@@ -27,18 +35,26 @@ from .errors import (
     NonFiniteLossError,
 )
 from .features import Standardizer
-from .optim import LIBRARY_ONLY, Adam, TrainingTrace, loss_converged, require_at_least
+from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet, GeoPoint
 
 SIGMA_BOUNDS = (0.1, 3.0)
 ELEVATION_FLOOR_M = 1.0
+# inverse_residual reweighting: w_t = 1 / (WEIGHT_EPS + |r_t|), redone
+# every WEIGHT_EVERY iterations
+WEIGHT_EPS = 1.0
+WEIGHT_EVERY = 50
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
 class WlrParams:
-    """Affine two-layer map shared across locations; no activation."""
+    """Affine two-layer map shared across locations; no activation.
+
+    Training leaves b1 and b2 at zero (their gradients vanish); they are
+    kept so that artifacts holding nonzero biases still load and predict.
+    """
 
     w1: np.ndarray  # (hidden, n)
     b1: np.ndarray  # (hidden,)
@@ -69,32 +85,24 @@ class TrainConfig:
     hidden: int = 8
     elevation_mode: str = "floored_normalized"  # or "raw"
     weight_scheme: str = "uniform"  # or "inverse_residual"
-    weight_eps: float = field(default=1.0, metadata=LIBRARY_ONLY)
-    weight_every: int = field(default=50, metadata=LIBRARY_ONLY)
     sigma_tol: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
         require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
-        require_at_least(self, 1, "patience", "hidden", "weight_every")
-        require_at_least(self, 0, "weight_eps", "sigma_tol", strict=True)
+        require_at_least(self, 1, "patience", "hidden")
+        require_at_least(self, 0, "sigma_tol", strict=True)
         if self.elevation_mode not in ("floored_normalized", "raw"):
             raise ValueError(f"unknown elevation mode {self.elevation_mode!r}")
         if self.weight_scheme not in ("uniform", "inverse_residual"):
             raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
 
 
-def wlr_forward(params: WlrParams, x: np.ndarray) -> float:
-    """Scalar expert output for one location's factor vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.w1.shape[1],):
-        raise DimensionMismatchError(f"expected {params.w1.shape[1]} factors, got {x.shape}")
-    return float(params.w2 @ (params.w1 @ x + params.b1) + params.b2)
-
-
 def _forward_all(params: WlrParams, x: np.ndarray) -> np.ndarray:
     """x (T, l, n) -> outputs (T, l).  With no activation the two layers
-    are one affine map: xhat = x . (w1.T w2) + (w2 . b1 + b2)."""
+    are one affine map: xhat = x . (w1.T w2) + (w2 . b1 + b2).  The bias
+    term is zero for a model trained here; an artifact with nonzero biases
+    stored its bank with them, so its queries must carry them too."""
     return x @ (params.w1.T @ params.w2) + (float(params.w2 @ params.b1) + params.b2)
 
 
@@ -248,12 +256,6 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def agrnn_predict(query: np.ndarray, bank: np.ndarray, y: np.ndarray, sigmas: np.ndarray) -> float:
-    """Kernel-weighted mean of bank targets under per-row bandwidths."""
-    out = agrnn_predict_batch(np.asarray(query, dtype=float)[:, None], bank, y, sigmas)
-    return float(out[0])
-
-
 def agrnn_predict_batch(
     queries: np.ndarray, bank: np.ndarray, y: np.ndarray, sigmas: np.ndarray
 ) -> np.ndarray:
@@ -323,10 +325,11 @@ def wrss_and_grads(
     sigmas: np.ndarray,
     w: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients w.r.t. every WLR parameter.
+    """Loss plus analytic gradients w.r.t. w1 and w2.
 
     Sigmas are treated as constants: the bandwidth reselection is not
-    differentiated through.
+    differentiated through.  The biases get none: they shift every expert
+    output, so each bank row, by one constant, which no distance sees.
     """
     bank = elevation_weight(_forward_all(params, x), h_tilde).T  # (l, T)
     k, yhat, den = _loo_fit(bank / sigmas[:, None], y)
@@ -344,14 +347,11 @@ def wrss_and_grads(
     prod = np.vstack((bank, np.ones(y.size))) @ both
     g_bank = 2.0 / (sigmas * sigmas)[:, None] * (bank * prod[-1] - prod[:-1])
     g_xhat = (g_bank * h_tilde[:, None]).T  # (T, l)
-    # the expert is affine, xhat = z . (w1.T w2) + (w2 . b1 + b2), so every
-    # gradient follows from P = sum g_xhat z and S = sum g_xhat
+    # the expert is affine, xhat = z . (w1.T w2) + const, so both gradients
+    # follow from P = sum g_xhat z (sum g_xhat, the bias gradient, is zero)
     n = x.shape[-1]
     p = g_xhat.reshape(-1) @ x.reshape(-1, n)
-    s = float(g_xhat.sum())
-    g_w1 = np.outer(params.w2, p)
-    g_w2 = params.w1 @ p + params.b1 * s
-    return loss, {"w1": g_w1, "b1": params.w2 * s, "w2": g_w2, "b2": np.array(s)}
+    return loss, {"w1": np.outer(params.w2, p), "w2": params.w1 @ p}
 
 
 @dataclass(frozen=True)
@@ -430,21 +430,15 @@ def train(
     for it in range(cfg.max_iterations):
         bank = elevation_weight(_forward_all(params, z), h_tilde).T
         sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
-        if cfg.weight_scheme == "inverse_residual" and it > 0 and it % cfg.weight_every == 0:
+        if cfg.weight_scheme == "inverse_residual" and it > 0 and it % WEIGHT_EVERY == 0:
             _, yhat, _ = _loo_fit(bank / sigmas[:, None], y)
-            w = 1.0 / (cfg.weight_eps + np.abs(y - yhat))
+            w = 1.0 / (WEIGHT_EPS + np.abs(y - yhat))
         loss, grads = wrss_and_grads(params, z, y, h_tilde, sigmas, w)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"WRSS became non-finite at iteration {it}")
         losses.append(loss)
         scales.append(_sigma_scale(bank, sigmas))
-        plist = [params.w1, params.b1, params.w2]
-        glist = [grads["w1"], grads["b1"], grads["w2"]]
-        b2 = np.array([params.b2])
-        plist.append(b2)
-        glist.append(grads["b2"].reshape(1))
-        adam.step(plist, glist)
-        params.b2 = float(b2[0])
+        adam.step([params.w1, params.w2], [grads["w1"], grads["w2"]])
         if loss_converged(losses, cfg.tol, cfg.patience):
             break
     # final bank/sigmas consistent with the final parameters

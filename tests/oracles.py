@@ -1,0 +1,54 @@
+"""Brute-force references that the tests check the library against.
+
+Each is a deliberately naive re-implementation (scalar loops, no
+stabilization), valid only on small, well-scaled inputs; keep them
+independent of the optimized code in elorantd.
+"""
+import math
+
+import numpy as np
+
+
+def wlr_forward(params, x) -> float:
+    """Scalar WLR expert output w2 . (w1 x + b1) + b2 for one factor vector."""
+    hidden = [
+        sum(float(params.w1[i, k]) * float(x[k]) for k in range(len(x))) + float(params.b1[i])
+        for i in range(len(params.w2))
+    ]
+    return sum(float(params.w2[i]) * hidden[i] for i in range(len(hidden))) + float(params.b2)
+
+
+def kernel_oracle(query, bank, y, sigmas) -> float:
+    """Direct anisotropic-kernel evaluation: nested loops, no stabilization.
+
+    bank is (l, T): one column per bank epoch, one bandwidth per row.
+    """
+    query = [float(v) for v in query]
+    num = 0.0
+    den = 0.0
+    for t in range(len(y)):
+        expo = 0.0
+        for j in range(len(query)):
+            diff = query[j] - float(bank[j][t])
+            expo += diff * diff / (2.0 * float(sigmas[j]) ** 2)
+        kval = math.exp(-expo)
+        num += kval * float(y[t])
+        den += kval
+    return num / den
+
+
+def idw_combine(values, distances_km) -> float:
+    """Inverse-distance weighted mean with weights 1/d.
+
+    A zero distance short-circuits to that value: the query point
+    coincides with an assigned cell.
+    """
+    values = np.asarray(values, dtype=float)
+    d = np.asarray(distances_km, dtype=float)
+    if values.size == 0 or values.shape != d.shape:
+        raise ValueError("values and distances must be equal-length and nonempty")
+    zero = np.flatnonzero(d == 0.0)
+    if zero.size:
+        return float(values[zero[0]])
+    w = 1.0 / d
+    return float(np.dot(w, values) / w.sum())

@@ -16,7 +16,7 @@ import numpy as np
 from elorantd.baselines import grnn_predict_batch
 from elorantd.cli import main
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand
-from elorantd.gridmap import GridMap, GridSpec, idw_combine, idw_fill
+from elorantd.gridmap import GridMap, GridSpec, idw_fill
 from elorantd.lasso import (
     argmin_table,
     coordinate_descent,
@@ -45,13 +45,13 @@ from elorantd.synth import (
     cubic_scenario_config,
     default_scenario_config,
     generate_scenario,
-    kernel_oracle,
     ols_oracle,
     write_corpus,
 )
 from elorantd.types import FACTORS_3, FACTORS_7, EpochHour, MetFactor, factor_set
-from elorantd.wlr_agrnn import agrnn_predict, transform_elevation, wrss_and_grads, wrss_loss
+from elorantd.wlr_agrnn import agrnn_predict_batch, transform_elevation, wrss_and_grads, wrss_loss
 from tests.conftest import small_scenario_config
+from tests.oracles import idw_combine, kernel_oracle
 from tests.test_stats import F_TABLE, T_TABLE
 from tests.test_wlr_agrnn import toy_params
 
@@ -141,7 +141,7 @@ def test_criterion_01_kernel_identity_across_implementations():
         y = 150.0 + 40.0 * rng.normal(size=t)
         sigma = float(rng.uniform(0.4, 2.5))
         query = bank[:, int(rng.integers(t))] + rng.normal(scale=0.3, size=d)
-        via_agrnn = agrnn_predict(query, bank, y, np.full(d, sigma))
+        via_agrnn = float(agrnn_predict_batch(query[:, None], bank, y, np.full(d, sigma))[0])
         via_grnn = float(grnn_predict_batch(query[None, :], bank.T, y, sigma)[0])
         via_oracle = kernel_oracle(query, bank, y, [sigma] * d)
         scale = max(1.0, abs(via_oracle))
@@ -265,6 +265,7 @@ def test_criterion_03_lasso_matches_ols_and_soft_threshold_forms():
 def test_criterion_04_wrss_gradients_match_finite_differences():
     eps = 1e-5
     worst_ratio = 0.0
+    keys_ok = True
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = toy_params(rng, 3, 2)
@@ -279,7 +280,9 @@ def test_criterion_04_wrss_gradients_match_finite_differences():
             return wrss_loss(p, x, y, h, sigmas, w)
 
         atol = 1e-7 * max(1.0, loss)
-        for name in ("w1", "b1", "w2"):
+        # b1 and b2 get no gradient: a constant shift of the bank cancels
+        keys_ok = keys_ok and set(grads) == {"w1", "w2"}
+        for name in ("w1", "w2"):
             arr = getattr(params, name)
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -290,18 +293,12 @@ def test_criterion_04_wrss_gradients_match_finite_differences():
                 fd = (loss_at(p_hi) - loss_at(p_lo)) / (2.0 * eps)
                 an = float(grads[name][idx])
                 worst_ratio = max(worst_ratio, abs(an - fd) / (1e-4 * abs(fd) + atol))
-        p_hi, p_lo = params.copy(), params.copy()
-        p_hi.b2 += eps
-        p_lo.b2 -= eps
-        fd = (loss_at(p_hi) - loss_at(p_lo)) / (2.0 * eps)
-        worst_ratio = max(
-            worst_ratio, abs(float(grads["b2"]) - fd) / (1e-4 * abs(fd) + atol)
-        )
     _verdict(
         4,
-        worst_ratio <= 1.0,
-        f"analytic loss gradients within rtol 1e-4 of central differences on 10 "
-        f"random toys (worst scaled deviation {worst_ratio:.3f} of budget)",
+        keys_ok and worst_ratio <= 1.0,
+        f"analytic w1/w2 loss gradients within rtol 1e-4 of central differences on 10 "
+        f"random toys (worst scaled deviation {worst_ratio:.3f} of budget); "
+        f"gradients for w1 and w2 only: {keys_ok}",
     )
 
 

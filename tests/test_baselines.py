@@ -23,9 +23,10 @@ from elorantd.errors import (
 )
 from elorantd.features import ScalarStandardizer, Standardizer
 from elorantd.stats import rmse
-from elorantd.synth import kernel_oracle, ols_oracle
+from elorantd.synth import ols_oracle
 from elorantd.types import FACTORS_3
-from elorantd.wlr_agrnn import agrnn_predict, agrnn_predict_batch
+from elorantd.wlr_agrnn import agrnn_predict_batch
+from tests.oracles import kernel_oracle
 
 
 # -- BPNN ---------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_grnn_equals_tied_sigma_anisotropic_kernel():
     sigma = 0.7
     q = rng.normal(size=3)
     iso = grnn_predict_batch(q[None, :], bank, y, sigma)[0]
-    aniso = agrnn_predict(q, bank.T, y, np.full(3, sigma))
+    aniso = agrnn_predict_batch(q[:, None], bank.T, y, np.full(3, sigma))[0]
     assert iso == pytest.approx(aniso, rel=1e-12)
 
 

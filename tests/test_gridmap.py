@@ -15,7 +15,6 @@ from elorantd.gridmap import (
     export_gridmap_csv,
     elevation_profile,
     haversine_km_arrays,
-    idw_combine,
     idw_fill,
     idw_weights,
     path_tensor_from_arrays,
@@ -23,6 +22,7 @@ from elorantd.gridmap import (
 )
 from elorantd.ingest import ElevationGrid, StationRegistry, WeatherSeries
 from elorantd.synth import DEFAULT_RX, DEFAULT_TX
+from tests.oracles import idw_combine
 from elorantd.types import EpochHour, GeoPoint, MetFactor, haversine_km
 
 EPOCH = EpochHour.parse("2024-10-01T00:00:00Z")

@@ -6,7 +6,6 @@ from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_cou
 from elorantd.lasso import (
     MAX_DESIGN_CELLS,
     LassoMprModel,
-    alpha_max,
     argmin_table,
     coordinate_descent,
     default_alpha_grid,
@@ -20,6 +19,12 @@ from elorantd.synth import ols_oracle
 from elorantd.types import FACTORS_3, MetFactor
 
 TOL_TIGHT = 1e-12
+
+
+def alpha_max(design: np.ndarray, y: np.ndarray) -> float:
+    """Smallest alpha at which every coefficient but the intercept (column
+    0) is exactly zero: the residual there is the centered target."""
+    return float(np.max(2.0 * np.abs(design[:, 1:].T @ (y - y.mean()))))
 
 
 def random_regression(rng, n_rows, n_cols, noise=0.0):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from elorantd.errors import OutOfRangeError, RankDeficientError
+from elorantd.errors import RankDeficientError
 from elorantd.ingest import (
     aggregate_hourly,
     parse_dem,
@@ -22,20 +22,18 @@ from elorantd.synth import (
     cubic_scenario_config,
     default_scenario_config,
     generate_scenario,
-    ground_truth_td,
-    kernel_oracle,
     load_scenario_config,
     ols_oracle,
     write_corpus,
 )
 from elorantd.types import (
     FACTORS_3,
-    EpochHour,
     MetFactor,
     factor_set,
     validate_factor_value,
 )
 from elorantd.wlr_agrnn import transform_elevation
+from tests.oracles import kernel_oracle
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -165,14 +163,6 @@ def test_elevation_coupling_reacts_to_dem():
     assert not np.array_equal(a.hourly_truth, b.hourly_truth)
 
 
-def test_ground_truth_td_lookup():
-    scenario = generate_scenario(tiny_config())
-    e5 = scenario.epochs[5]
-    assert ground_truth_td(scenario, e5) == scenario.hourly_truth[5]
-    with pytest.raises(OutOfRangeError):
-        ground_truth_td(scenario, EpochHour.of(1999, 1, 1))
-
-
 def test_ground_truth_matches_independent_recipe_evaluation():
     cfg = tiny_config()
     scenario = generate_scenario(cfg)
@@ -183,7 +173,7 @@ def test_ground_truth_matches_independent_recipe_evaluation():
     expect = cfg.recipe.base_ns
     for f, coef in cfg.recipe.linear_ns.items():
         expect += coef * float(scenario.tensor.values[t, :, col[f]] @ w)
-    assert ground_truth_td(scenario, scenario.epochs[t]) == pytest.approx(expect, rel=1e-12)
+    assert scenario.hourly_truth[t] == pytest.approx(expect, rel=1e-12)
 
 
 def test_hourly_td_matches_aggregated_second_samples():

@@ -9,12 +9,12 @@ from elorantd.errors import (
     NonFiniteLossError,
 )
 from elorantd.stats import rmse
-from elorantd.synth import kernel_oracle
 from elorantd.wlr_agrnn import (
     SIGMA_BOUNDS,
+    WEIGHT_EVERY,
     TrainConfig,
     WlrParams,
-    agrnn_predict,
+    _forward_all,
     agrnn_predict_batch,
     elevation_weight,
     kernel_regression,
@@ -23,10 +23,10 @@ from elorantd.wlr_agrnn import (
     select_sigmas,
     train,
     transform_elevation,
-    wlr_forward,
     wrss_and_grads,
     wrss_loss,
 )
+from tests.oracles import kernel_oracle, wlr_forward
 
 
 def toy_params(rng, n, hidden):
@@ -41,29 +41,24 @@ def toy_params(rng, n, hidden):
 # -- linear expert ------------------------------------------------------------
 
 
-def test_wlr_forward_identity_composition():
+def test_forward_identity_composition():
     params = WlrParams(w1=np.eye(3), b1=np.zeros(3), w2=np.ones(3), b2=0.0)
-    assert wlr_forward(params, np.array([1.0, 2.0, 3.0])) == 6.0
+    assert _forward_all(params, np.array([[[1.0, 2.0, 3.0]]])) == 6.0
 
 
-def test_wlr_forward_zero_params():
+def test_forward_zero_params():
     params = WlrParams(w1=np.zeros((4, 2)), b1=np.zeros(4), w2=np.zeros(4), b2=-3.5)
-    assert wlr_forward(params, np.array([100.0, -7.0])) == -3.5
+    np.testing.assert_array_equal(_forward_all(params, np.full((2, 3, 2), 100.0)), -3.5)
 
 
-def test_wlr_forward_matches_matrix_oracle():
+def test_forward_matches_the_scalar_oracle_at_every_epoch_and_location():
+    """The affine map, biases included, is the two-layer expert."""
     rng = np.random.default_rng(0)
     for _ in range(5):
         params = toy_params(rng, 4, 6)
-        x = rng.normal(size=4)
-        expect = float(params.w2 @ (params.w1 @ x + params.b1) + params.b2)
-        assert wlr_forward(params, x) == pytest.approx(expect, rel=1e-12)
-
-
-def test_wlr_forward_dimension_check():
-    params = WlrParams(w1=np.eye(3), b1=np.zeros(3), w2=np.ones(3), b2=0.0)
-    with pytest.raises(DimensionMismatchError):
-        wlr_forward(params, np.ones(2))
+        x = rng.normal(size=(3, 2, 4))
+        expect = [[wlr_forward(params, x[t, j]) for j in range(2)] for t in range(3)]
+        np.testing.assert_allclose(_forward_all(params, x), expect, rtol=1e-12)
 
 
 # -- elevation weighting ------------------------------------------------------
@@ -189,13 +184,14 @@ def test_agrnn_single_column_bank():
     bank = np.array([[1.0], [2.0]])
     y = np.array([42.0])
     for q in (np.zeros(2), np.array([100.0, -100.0])):
-        assert agrnn_predict(q, bank, y, np.ones(2)) == 42.0
+        assert agrnn_predict_batch(q[:, None], bank, y, np.ones(2))[0] == 42.0
 
 
 def test_agrnn_equidistant_symmetry():
     bank = np.array([[-1.0, 1.0]])
     y = np.array([10.0, 20.0])
-    assert agrnn_predict(np.array([0.0]), bank, y, np.array([0.7])) == pytest.approx(15.0)
+    out = agrnn_predict_batch(np.array([[0.0]]), bank, y, np.array([0.7]))
+    assert out[0] == pytest.approx(15.0)
 
 
 def test_agrnn_matches_nested_loop_oracle():
@@ -206,7 +202,9 @@ def test_agrnn_matches_nested_loop_oracle():
     for _ in range(5):
         q = rng.normal(size=4)
         expect = kernel_oracle(q, bank, y, sigmas)
-        assert agrnn_predict(q, bank, y, sigmas) == pytest.approx(expect, rel=1e-12)
+        assert agrnn_predict_batch(q[:, None], bank, y, sigmas)[0] == pytest.approx(
+            expect, rel=1e-12
+        )
 
 
 def test_agrnn_convex_combination_bounds():
@@ -230,7 +228,7 @@ def test_agrnn_single_sigma_reduces_to_grnn_formula():
     d2 = np.sum((bank - q[:, None]) ** 2, axis=0)
     k = np.exp(-d2 / (2.0 * sigma**2))
     expect = float(k @ y / k.sum())
-    got = agrnn_predict(q, bank, y, np.full(3, sigma))
+    got = agrnn_predict_batch(q[:, None], bank, y, np.full(3, sigma))[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -242,16 +240,15 @@ def test_agrnn_huge_sigma_ignores_coordinate():
     q = rng.normal(size=3)
     q_moved = q.copy()
     q_moved[2] += 1000.0
-    a = agrnn_predict(q, bank, y, sigmas)
-    b = agrnn_predict(q_moved, bank, y, sigmas)
+    a, b = agrnn_predict_batch(np.column_stack((q, q_moved)), bank, y, sigmas)
     assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_agrnn_far_query_falls_back_to_nearest():
     bank = np.array([[0.0, 1.0]])
     y = np.array([5.0, 9.0])
-    out = agrnn_predict(np.array([1e6]), bank, y, np.array([1.0]))
-    assert out == 9.0  # nearest column wins even when kernels underflow
+    out = agrnn_predict_batch(np.array([[1e6]]), bank, y, np.array([1.0]))
+    assert out[0] == 9.0  # nearest column wins even when kernels underflow
 
 
 def test_agrnn_overflowing_distances_fall_back_to_the_nearest_column():
@@ -267,13 +264,13 @@ def test_agrnn_overflowing_distances_fall_back_to_the_nearest_column():
 
 def test_agrnn_empty_bank():
     with pytest.raises(EmptyBankError):
-        agrnn_predict(np.ones(2), np.empty((2, 0)), np.empty(0), np.ones(2))
+        agrnn_predict_batch(np.ones((2, 1)), np.empty((2, 0)), np.empty(0), np.ones(2))
 
 
 def test_agrnn_rejects_nonpositive_sigma():
     bank = np.ones((2, 3))
     with pytest.raises(ValueError):
-        agrnn_predict(np.ones(2), bank, np.ones(3), np.array([1.0, 0.0]))
+        agrnn_predict_batch(np.ones((2, 1)), bank, np.ones(3), np.array([1.0, 0.0]))
 
 
 # -- training objective and gradients -----------------------------------------
@@ -380,13 +377,15 @@ def test_analytic_gradients_match_finite_differences():
         sigmas = rng.uniform(0.5, 1.5, size=2)
         w = rng.uniform(0.5, 2.0, size=3)
         loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
+        # the biases do not move the loss (test_bias_shift_changes_nothing)
+        assert set(grads) == {"w1", "w2"}
 
         def loss_at(p):
             return wrss_loss(p, x, y, h, sigmas, w)
 
         fd_all: list[float] = []
         an_all: list[float] = []
-        for name in ("w1", "b1", "w2"):
+        for name in ("w1", "w2"):
             arr = getattr(params, name)
             g = grads[name]
             it = np.nditer(arr, flags=["multi_index"])
@@ -398,12 +397,6 @@ def test_analytic_gradients_match_finite_differences():
                 getattr(p_lo, name)[idx] -= eps
                 fd_all.append((loss_at(p_hi) - loss_at(p_lo)) / (2.0 * eps))
                 an_all.append(float(g[idx]))
-        p_hi = params.copy()
-        p_hi.b2 += eps
-        p_lo = params.copy()
-        p_lo.b2 -= eps
-        fd_all.append((loss_at(p_hi) - loss_at(p_lo)) / (2.0 * eps))
-        an_all.append(float(grads["b2"]))
         # absolute floor covers finite-difference cancellation noise, which
         # scales with the loss value, not with the gradient components
         np.testing.assert_allclose(
@@ -423,7 +416,8 @@ def test_analytic_gradients_match_finite_differences_on_a_larger_bank():
     sigmas = rng.uniform(2.0, 6.0, size=3)
     w = rng.uniform(0.1, 5.0, size=14)
     loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
-    for name in ("w1", "b1", "w2"):
+    assert set(grads) == {"w1", "w2"}
+    for name in ("w1", "w2"):
         arr = getattr(params, name)
         fd = np.empty_like(arr)
         for idx in np.ndindex(arr.shape):
@@ -434,31 +428,78 @@ def test_analytic_gradients_match_finite_differences_on_a_larger_bank():
                 2.0 * eps
             )
         np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7 * max(1.0, loss))
-    p_hi, p_lo = params.copy(), params.copy()
-    p_hi.b2 += eps
-    p_lo.b2 -= eps
-    fd_b2 = (wrss_loss(p_hi, x, y, h, sigmas, w) - wrss_loss(p_lo, x, y, h, sigmas, w)) / (2.0 * eps)
-    assert float(grads["b2"]) == pytest.approx(fd_b2, rel=1e-4, abs=1e-7 * max(1.0, loss))
+
+
+# -- what the model learns: sigma_j = c * sd_j cancels the rest ----------------
+
+
+def bank_of(params, x, h):
+    return elevation_weight(_forward_all(params, x), h).T
+
+
+def test_bias_shift_changes_nothing():
+    """A shift of b1 or b2 moves each bank row (and each query) by one
+    constant: the selected sigmas, the loss and the predictions stay."""
+    rng = np.random.default_rng(25)
+    params = toy_params(rng, 3, 4)
+    params.b1[:] = 0.0
+    params.b2 = 0.0
+    x = rng.normal(size=(16, 3, 3))
+    probe = rng.normal(size=(5, 3, 3))
+    y = rng.normal(size=16) * 4.0 + 30.0
+    h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
+    w = rng.uniform(0.5, 2.0, size=16)
+    bank = bank_of(params, x, h)
+    sigmas = select_sigmas(bank, y, w)
+    loss = wrss_loss(params, x, y, h, sigmas, w)
+    pred = agrnn_predict_batch(bank_of(params, probe, h), bank, y, sigmas)
+    for b1, b2 in ((rng.normal(size=4), 0.0), (np.zeros(4), -1.5), (rng.normal(size=4), 2.5)):
+        shifted = WlrParams(params.w1, b1, params.w2, b2)
+        bank_s = bank_of(shifted, x, h)
+        np.testing.assert_allclose(np.ptp(bank_s - bank, axis=1), 0.0, atol=1e-12)
+        assert np.abs(bank_s - bank).max() > 0.1
+        sigmas_s = select_sigmas(bank_s, y, w)
+        np.testing.assert_allclose(sigmas_s, sigmas, rtol=1e-12)
+        assert wrss_loss(shifted, x, y, h, sigmas_s, w) == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(
+            agrnn_predict_batch(bank_of(shifted, probe, h), bank_s, y, sigmas_s), pred, rtol=1e-12
+        )
+
+
+def test_rescaling_v_scales_the_sigmas_and_keeps_the_loss():
+    """w2 * k scales v = w1.T w2, so every bank row, by k: the selected
+    sigmas scale by |k| and the leave-one-out loss does not change."""
+    rng = np.random.default_rng(26)
+    params = toy_params(rng, 3, 4)
+    x = rng.normal(size=(16, 3, 3))
+    y = rng.normal(size=16) * 4.0 + 30.0
+    h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
+    w = rng.uniform(0.5, 2.0, size=16)
+    sigmas = select_sigmas(bank_of(params, x, h), y, w)
+    loss = wrss_loss(params, x, y, h, sigmas, w)
+    for k in (0.05, 3.0, -2.0):
+        scaled = WlrParams(params.w1, params.b1, params.w2 * k, params.b2)
+        sigmas_k = select_sigmas(bank_of(scaled, x, h), y, w)
+        np.testing.assert_allclose(sigmas_k, abs(k) * sigmas, rtol=1e-12)
+        assert wrss_loss(scaled, x, y, h, sigmas_k, w) == pytest.approx(loss, rel=1e-12)
 
 
 def test_elevation_scale_equivariance():
-    """Scaling every location weight by c leaves predictions unchanged."""
+    """Any positive per-location weight vector h~ trains the same model:
+    the losses, the bandwidth scale c and the predictions agree."""
     rng = np.random.default_rng(13)
-    params = toy_params(rng, 2, 3)
-    x = rng.normal(size=(8, 3, 2))
-    y = rng.normal(size=8)
-    xhat = np.stack([[wlr_forward(params, x[t, j]) for j in range(3)] for t in range(8)])
-    h1 = transform_elevation(rng.uniform(50, 300, size=3))
-    for c in (0.5, 4.0):
-        bank1 = elevation_weight(xhat, h1).T
-        bank2 = elevation_weight(xhat, c * h1).T
-        s1 = select_sigmas(bank1, y)
-        s2 = select_sigmas(bank2, y)
-        q1 = bank1[:, 0] * 1.01
-        q2 = bank2[:, 0] * 1.01
-        a = agrnn_predict(q1, bank1, y, s1)
-        b = agrnn_predict(q2, bank2, y, s2)
-        assert a == pytest.approx(b, rel=1e-9)
+    x, y, _, _ = linear_scenario(rng, t_count=20)
+    probe = x[:6] + rng.normal(0.0, 0.1, size=(6, 3, 2))
+    cfg = TrainConfig(learning_rate=0.01, max_iterations=15, tol=0.0, hidden=3,
+                      elevation_mode="raw", seed=6)
+    h = rng.uniform(50.0, 300.0, size=3)
+    base, base_trace = train(x, y, h, cfg)
+    for factor in (np.full(3, 4.0), rng.uniform(0.01, 100.0, size=3)):
+        model, trace = train(x, y, h * factor, cfg)
+        np.testing.assert_allclose(model.h_tilde, h * factor, rtol=1e-15)
+        np.testing.assert_allclose(trace.losses, base_trace.losses, rtol=1e-12)
+        np.testing.assert_allclose(trace.sigma_scales, base_trace.sigma_scales, rtol=1e-12)
+        np.testing.assert_allclose(model.predict_batch(probe), base.predict_batch(probe), rtol=1e-12)
 
 
 # -- end-to-end training ------------------------------------------------------
@@ -516,7 +557,7 @@ def test_trained_model_kernel_concentration():
     model, _ = train(x, y, elevations, cfg)
     t = 7
     query = model.bank[:, t]
-    got = agrnn_predict(query, model.bank, model.y, model.sigmas * 0.01)
+    got = agrnn_predict_batch(query[:, None], model.bank, model.y, model.sigmas * 0.01)[0]
     assert got == pytest.approx(y[t], abs=1e-6)
 
 
@@ -537,7 +578,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(weight_scheme="softmax")
     for bad in (dict(hidden=0), dict(max_iterations=-1), dict(patience=0),
-                dict(weight_every=0), dict(weight_eps=0.0), dict(sigma_tol=0.0),
+                dict(sigma_tol=0.0),
                 dict(sigma_tol=float("nan")), dict(tol=float("inf")), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
@@ -563,17 +604,31 @@ def test_trace_records_the_sigma_scale_of_each_iteration():
     assert again.sigma_scales == trace.sigma_scales
 
 
-def test_train_inverse_residual_scheme_runs():
+def test_training_holds_the_biases_at_zero():
+    rng = np.random.default_rng(27)
+    x, y, elevations, _ = linear_scenario(rng, t_count=20)
+    cfg = TrainConfig(learning_rate=0.05, max_iterations=20, tol=0.0, hidden=3, seed=8)
+    model, trace = train(x, y, elevations, cfg)
+    assert trace.iterations == 20
+    fresh = WlrParams.init(2, 3, np.random.default_rng(8))
+    assert np.abs(model.params.w1 - fresh.w1).max() > 1e-3
+    np.testing.assert_array_equal(model.params.b1, 0.0)
+    assert model.params.b2 == 0.0
+
+
+def test_train_inverse_residual_scheme_reweights():
     rng = np.random.default_rng(19)
     x, y, elevations, _ = linear_scenario(rng, t_count=24)
     cfg = TrainConfig(
         learning_rate=0.01,
-        max_iterations=12,
+        max_iterations=WEIGHT_EVERY + 2,
+        tol=0.0,
         hidden=3,
         weight_scheme="inverse_residual",
-        weight_every=5,
         seed=3,
     )
     model, trace = train(x, y, elevations, cfg)
+    assert trace.iterations == WEIGHT_EVERY + 2
     assert np.all(model.w > 0)
+    assert np.ptp(model.w) > 0.01 * model.w.max()  # no longer uniform
     assert np.isfinite(trace.losses).all()
