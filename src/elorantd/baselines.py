@@ -258,15 +258,6 @@ class MoeModel:
             if not 0 <= lo < hi <= n or w1.shape[1] != hi - lo:
                 raise ValueError(f"slice ({lo}, {hi}) of {n} inputs does not fit w1 {w1.shape}")
 
-    def gate_weights(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        z = self.standardizer.transform(x)
-        p = _softmax(z @ self.gate_w.T + self.gate_b)
-        return p[0] if single else p
-
     def predict(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1

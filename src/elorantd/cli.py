@@ -176,6 +176,10 @@ def load_settings(config_path: str | None) -> RunSettings:
         if has("sweep", "holdout_fraction"):
             s.holdout_fraction = float(get("sweep", "holdout_fraction"))
         require_at_least(s, 2, "l")  # path points
+        if s.min_samples is not None and s.min_samples < 1:
+            raise ValueError(
+                f"corpus.min_samples_per_hour must be >= 1, got {s.min_samples}"
+            )
         require_at_least(s, 0, "grid_padding")
         require_at_least(s, 0, "grid_cellsize", strict=True)
         # each test is written so that NaN fails it

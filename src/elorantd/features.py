@@ -51,22 +51,8 @@ class PolyTermIndex:
         return cls(n_features, degree, tuple(monomial_terms(n_features, degree)))
 
     @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    @property
     def n_columns(self) -> int:
         return len(self.terms) + 1
-
-    def describe(self, names: list[str] | None = None) -> list[str]:
-        """Column labels including the constant, e.g. ['1', 'x0', 'x0*x1']."""
-        if names is None:
-            names = [f"x{i}" for i in range(self.n_features)]
-        if len(names) != self.n_features:
-            raise DimensionMismatchError(
-                f"{len(names)} names for {self.n_features} features"
-            )
-        return ["1"] + ["*".join(names[i] for i in term) for term in self.terms]
 
 
 def poly_expand(x: np.ndarray, index: PolyTermIndex) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries
 from .types import (
+    ALL_FACTORS,
     EARTH_RADIUS_KM,
     EpochHour,
     FactorSet,
@@ -94,9 +95,6 @@ class GridSpec:
     def center_lon(self, col) -> np.ndarray | float:
         return self.lon_min + (np.asarray(col) + 0.5) * self.cellsize
 
-    def cell_center(self, row: int, col: int) -> GeoPoint:
-        return GeoPoint(float(self.center_lat(row)), float(self.center_lon(col)))
-
     def contains(self, p: GeoPoint) -> bool:
         return (
             self.lat_min <= p.lat <= self.lat_max
@@ -155,16 +153,20 @@ def assign_observations(
     Stations outside the bounding box are skipped.  Stations sharing a
     nearest cell are averaged arithmetically.
     """
+    f = ALL_FACTORS.index(factor)
+    reported = {
+        sid: float(weather.values[t, s, f])
+        for t in np.flatnonzero(weather.hours == epoch.hours_since_epoch)
+        for s, sid in enumerate(weather.station_ids)
+        if weather.present[t, s, f]
+    }
     sums: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
     for sid, loc in registry.entries:
-        if not spec.contains(loc):
-            continue
-        value = weather.value(sid, epoch, factor)
-        if value is None:
+        if not spec.contains(loc) or sid not in reported:
             continue
         cell = spec.nearest_cell(loc)
-        sums[cell] = sums.get(cell, 0.0) + value
+        sums[cell] = sums.get(cell, 0.0) + reported[sid]
         counts[cell] = counts.get(cell, 0) + 1
     if not sums:
         raise NoObservationsError(f"no station reports {factor} at {epoch.isoformat()}")

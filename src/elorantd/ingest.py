@@ -4,13 +4,20 @@ Four text formats: station registry CSV, hourly weather CSV, 1 Hz TD CSV,
 and ESRI ASCII DEM rasters.  Floats are written with repr() so every
 parse -> serialize -> parse round trip is exact.  Timestamps are UTC
 ISO-8601 with a trailing Z.
+
+One hour axis runs through ingest: integer hours since the Unix epoch.
+The weather store (WeatherSeries) is a dense cube on it, values and a
+presence mask of shape (hour, station, factor) with stations in registry
+order and factors in ALL_FACTORS order; 1 Hz TD samples are bucketed by
+the same integer hour, and alignment keeps the TD hours whose cube row
+is present for every station and requested factor.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -35,6 +42,9 @@ from .types import (
 )
 
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+HOUR = timedelta(hours=1)
 
 # half an hour of 1 Hz data; hours with fewer samples are dropped
 DEFAULT_MIN_SAMPLES_PER_HOUR = 1800
@@ -74,35 +84,41 @@ class StationRegistry:
         return any(sid == station_id for sid, _ in self.entries)
 
 
+@dataclass(frozen=True, eq=False)
 class WeatherSeries:
-    """Per (station, hour) partial records of factor values.
+    """Hourly factor values per station: a dense (hour, station, factor) cube.
 
-    Missing values are genuinely absent; there are no sentinel numbers.
+    hours holds the sorted integer hours since the Unix epoch that have
+    any value; station_ids is registry order; the factor axis is
+    ALL_FACTORS order.  present marks the values that were reported;
+    the others are genuinely absent, whatever values holds there.
+    Every present value lies inside its factor's validity range.
     """
 
-    def __init__(self):
-        self._data: dict[str, dict[EpochHour, dict[MetFactor, float]]] = {}
+    hours: np.ndarray
+    station_ids: tuple[str, ...]
+    values: np.ndarray
+    present: np.ndarray
 
-    def put(self, station_id: str, epoch: EpochHour, factor: MetFactor, value: float):
-        self._data.setdefault(station_id, {}).setdefault(epoch, {})[factor] = value
-
-    def value(self, station_id: str, epoch: EpochHour, factor: MetFactor) -> float | None:
-        return self._data.get(station_id, {}).get(epoch, {}).get(factor)
-
-    def record(self, station_id: str, epoch: EpochHour) -> dict[MetFactor, float]:
-        return dict(self._data.get(station_id, {}).get(epoch, {}))
-
-    def station_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._data))
-
-    def epochs(self) -> tuple[EpochHour, ...]:
-        seen = set()
-        for per_station in self._data.values():
-            seen.update(per_station)
-        return tuple(sorted(seen, key=lambda e: e.instant))
+    def __post_init__(self):
+        shape = (len(self.hours), len(self.station_ids), len(ALL_FACTORS))
+        if self.values.shape != shape or self.present.shape != shape:
+            raise ValueError(f"weather cube {self.values.shape} != axes {shape}")
+        if np.any(np.diff(self.hours) <= 0):
+            raise ValueError("weather hours must be strictly increasing")
+        if not self.present.any(axis=(1, 2)).all():
+            raise ValueError("every weather hour must hold a value")
+        for i, factor in enumerate(ALL_FACTORS):
+            validate_factor_value(factor, self.values[:, :, i][self.present[:, :, i]])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeatherSeries) and self._data == other._data
+        return (
+            isinstance(other, WeatherSeries)
+            and np.array_equal(self.hours, other.hours)
+            and self.station_ids == other.station_ids
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.values[self.present], other.values[other.present])
+        )
 
 
 @dataclass(frozen=True)
@@ -112,22 +128,6 @@ class HourlyTdSeries:
     epochs: tuple[EpochHour, ...]
     values: np.ndarray
     counts: np.ndarray
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[EpochHour, tuple[float, int]]) -> "HourlyTdSeries":
-        epochs = tuple(sorted(mapping, key=lambda e: e.instant))
-        values = np.array([mapping[e][0] for e in epochs], dtype=float)
-        counts = np.array([mapping[e][1] for e in epochs], dtype=int)
-        return cls(epochs, values, counts)
-
-    def value(self, epoch: EpochHour) -> float | None:
-        try:
-            return float(self.values[self.epochs.index(epoch)])
-        except ValueError:
-            return None
-
-    def as_dict(self) -> dict[EpochHour, float]:
-        return {e: float(v) for e, v in zip(self.epochs, self.values)}
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -178,11 +178,6 @@ class ElevationGrid:
     @property
     def ncols(self) -> int:
         return self.values.shape[1]
-
-    def cell_center(self, row: int, col: int) -> GeoPoint:
-        lat = self.origin.lat + (self.nrows - row - 0.5) * self.cellsize
-        lon = self.origin.lon + (col + 0.5) * self.cellsize
-        return GeoPoint(lat, lon)
 
     def contains(self, p: GeoPoint) -> bool:
         return (
@@ -243,7 +238,9 @@ def write_station_registry(registry: StationRegistry, path) -> None:
 # -- weather ------------------------------------------------------------------
 
 def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
-    series = WeatherSeries()
+    """Rows are checked one by one, then each factor column at once."""
+    station_index = {sid: s for s, sid in enumerate(registry.ids)}
+    rows: dict[tuple[int, int], tuple[list[float], list[bool]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -255,6 +252,8 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
             raise ParseError(path, 1, str(exc)) from None
         if not columns:
             raise ParseError(path, 1, "no factor columns declared")
+        if len(set(columns)) != len(columns):
+            raise ParseError(path, 1, "repeated factor column")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -263,41 +262,52 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
                     path, lineno, f"expected {len(columns) + 2} fields, got {len(row)}"
                 )
             sid = row[0].strip()
-            if sid not in registry:
+            if sid not in station_index:
                 raise UnknownStationError(sid)
             try:
-                epoch = EpochHour.parse(row[1])
+                hour = EpochHour.parse(row[1]).hours_since_epoch
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
-            for factor, cell in zip(columns, row[2:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
+            key = (hour, station_index[sid])
+            if key in rows:
+                raise ParseError(path, lineno, f"second row for {sid} at {row[1].strip()}")
+            cells = [cell.strip() for cell in row[2:]]
+            values = []
+            for cell in cells:
                 try:
-                    value = validate_factor_value(factor, float(cell))
-                except (ValueError, OutOfRangeError) as exc:
-                    if isinstance(exc, OutOfRangeError):
-                        raise
+                    values.append(float(cell) if cell else math.nan)
+                except ValueError:
                     raise ParseError(path, lineno, f"bad number {cell!r}") from None
-                series.put(sid, epoch, factor, value)
-    return series
+            rows[key] = values, [bool(cell) for cell in cells]
+
+    keys = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
+    row_values = np.array([v for v, _ in rows.values()], dtype=float).reshape(-1, len(columns))
+    row_present = np.array([p for _, p in rows.values()], dtype=bool).reshape(row_values.shape)
+    reported = row_present.any(axis=1)
+    hours, hour_rows = np.unique(keys[reported, 0], return_inverse=True)
+    shape = (len(hours), len(registry), len(ALL_FACTORS))
+    values, present = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    index = (hour_rows[:, None], keys[reported, 1, None], [ALL_FACTORS.index(f) for f in columns])
+    values[index] = row_values[reported]
+    present[index] = row_present[reported]
+    return WeatherSeries(hours, registry.ids, values, present)
 
 
 def write_weather_csv(series: WeatherSeries, path, factors: FactorSet = ALL_FACTORS) -> None:
+    """One row per (station, hour) with any value: stations by id, hours ascending."""
     factors = factor_set(factors)
+    columns = [ALL_FACTORS.index(f) for f in factors]
+    stamps = [EpochHour.from_hours(int(h)).isoformat() for h in series.hours]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["station_id", "timestamp"] + [f.column for f in factors])
-        for sid in series.station_ids():
-            epochs = sorted(
-                (e for e in series.epochs() if series.record(sid, e)),
-                key=lambda e: e.instant,
-            )
-            for epoch in epochs:
-                record = series.record(sid, epoch)
-                row = [sid, epoch.isoformat()]
-                row += ["" if f not in record else repr(record[f]) for f in factors]
-                writer.writerow(row)
+        for sid in sorted(series.station_ids):
+            s = series.station_ids.index(sid)
+            values = series.values[:, s, columns].tolist()
+            present = series.present[:, s, columns].tolist()
+            for t in np.flatnonzero(series.present[:, s].any(axis=1)):
+                cells = ["" if not p else repr(v) for v, p in zip(values[t], present[t])]
+                writer.writerow([sid, stamps[t], *cells])
 
 
 # -- 1 Hz TD ------------------------------------------------------------------
@@ -340,20 +350,23 @@ def write_td_csv(samples, path) -> None:
 def aggregate_hourly(samples, min_samples: int = DEFAULT_MIN_SAMPLES_PER_HOUR) -> HourlyTdSeries:
     """Mean TD per whole UTC hour; hours with < min_samples are omitted.
 
-    Values are sorted before summation so the result is independent of
-    within-hour sample order.
+    Samples are bucketed by integer hour since the Unix epoch.  Values are
+    sorted before summation so the result is independent of within-hour
+    sample order.
     """
-    buckets: dict[EpochHour, list[float]] = {}
+    buckets: dict[int, list[float]] = {}
     for when, value in samples:
-        hour = EpochHour(when.replace(minute=0, second=0, microsecond=0))
-        buckets.setdefault(hour, []).append(float(value))
-    mapping: dict[EpochHour, tuple[float, int]] = {}
-    for hour, values in buckets.items():
-        if len(values) < min_samples:
-            continue
-        ordered = np.sort(np.asarray(values, dtype=float))
-        mapping[hour] = (float(ordered.sum() / ordered.size), len(values))
-    return HourlyTdSeries.from_mapping(mapping)
+        if when.utcoffset() != timedelta(0):
+            raise ValueError(f"sample time {when!r} must be timezone-aware UTC")
+        buckets.setdefault((when - UNIX_EPOCH) // HOUR, []).append(float(value))
+    kept = sorted(hour for hour, values in buckets.items() if len(values) >= min_samples)
+    means = [np.sort(np.asarray(buckets[hour], dtype=float)).sum() / len(buckets[hour])
+             for hour in kept]
+    return HourlyTdSeries(
+        epochs=tuple(EpochHour.from_hours(hour) for hour in kept),
+        values=np.array(means, dtype=float),
+        counts=np.array([len(buckets[hour]) for hour in kept], dtype=int),
+    )
 
 
 # -- alignment ----------------------------------------------------------------
@@ -367,26 +380,26 @@ def align_epochs(
     """Intersect TD hours with hours fully covered at every station."""
     factors = factor_set(factors)
     ids = stations.ids
-    kept: list[EpochHour] = []
-    for epoch in td.epochs:
-        complete = all(
-            all(weather.value(sid, epoch, f) is not None for f in factors) for sid in ids
+    if not set(ids) <= set(weather.station_ids):
+        raise EmptyIntersectionError(
+            f"no weather rows for stations {sorted(set(ids) - set(weather.station_ids))}"
         )
-        if complete:
-            kept.append(epoch)
-    if not kept:
+    td_hours = np.array([e.hours_since_epoch for e in td.epochs], dtype=np.int64)
+    rows = np.searchsorted(weather.hours, td_hours)
+    found = rows < len(weather.hours)
+    found[found] = weather.hours[rows[found]] == td_hours[found]
+    stations_at = [weather.station_ids.index(sid) for sid in ids]
+    columns = [ALL_FACTORS.index(f) for f in factors]
+    found[found] = weather.present[np.ix_(rows[found], stations_at, columns)].all(axis=(1, 2))
+    kept = np.flatnonzero(found)
+    if not kept.size:
         raise EmptyIntersectionError(
             "no epoch has TD plus every requested factor at every station"
         )
-    kept.sort(key=lambda e: e.instant)
-    values = np.empty((len(kept), len(ids), len(factors)), dtype=float)
-    for t, epoch in enumerate(kept):
-        for s, sid in enumerate(ids):
-            for i, f in enumerate(factors):
-                values[t, s, i] = weather.value(sid, epoch, f)
-    td_map = td.as_dict()
-    td_values = np.array([td_map[e] for e in kept], dtype=float)
-    return AlignedDataset(tuple(kept), ids, factors, values, td_values)
+    values = weather.values[np.ix_(rows[kept], stations_at, columns)]
+    return AlignedDataset(
+        tuple(td.epochs[t] for t in kept), ids, factors, values, td.values[kept]
+    )
 
 
 # -- DEM ----------------------------------------------------------------------

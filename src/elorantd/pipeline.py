@@ -118,13 +118,6 @@ class FeatureBundle:
         t = self.tensor.shape[0]
         return self.tensor.reshape(t, -1)
 
-    def flat_labels(self) -> list[str]:
-        if self.n_locations == 1:
-            return [f.column for f in self.factors]
-        return [
-            f"{f.column}@{j}" for j in range(self.n_locations) for f in self.factors
-        ]
-
     def subset(self, mask: np.ndarray) -> "FeatureBundle":
         mask = np.asarray(mask, dtype=bool)
         epochs = tuple(e for e, keep in zip(self.epochs, mask) if keep)

@@ -48,7 +48,6 @@ from .types import (
     MetFactor,
     factor_set,
     haversine_km,
-    validate_factor_value,
 )
 from .wlr_agrnn import transform_elevation
 
@@ -328,11 +327,12 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
         )
         station_values[:, :, i] = _clip_factor(f, raw)
 
-    weather = WeatherSeries()
-    for s, (sid, _) in enumerate(registry.entries):
-        for t, epoch in enumerate(epochs):
-            for i, f in enumerate(factors):
-                weather.put(sid, epoch, f, validate_factor_value(f, station_values[t, s, i]))
+    columns = [ALL_FACTORS.index(f) for f in factors]
+    cube = np.full((len(epochs), len(positions), len(ALL_FACTORS)), np.nan)
+    cube[:, :, columns] = station_values
+    present = np.zeros(cube.shape, dtype=bool)
+    present[:, :, columns] = True
+    weather = WeatherSeries(hours_abs.astype(np.int64), registry.ids, cube, present)
 
     tensor = path_tensor_from_arrays(
         station_values, epochs, factors, positions, cfg.grid_spec(), path

@@ -11,6 +11,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .errors import OutOfRangeError
 
 EARTH_RADIUS_KM = 6371.0088
@@ -180,19 +182,21 @@ FACTORS_7 = factor_set(
 FACTOR_PRESETS = {"3": FACTORS_3, "5": FACTORS_5, "7": FACTORS_7}
 
 
-def validate_factor_value(factor: MetFactor, value: float) -> float:
-    """Return ``value`` if it lies inside the factor's validity range.
+def validate_factor_value(factor: MetFactor, values) -> np.ndarray:
+    """Return ``values`` as a float array if all lie inside the factor's
+    validity range.
 
-    Raises OutOfRangeError otherwise; used to reject corrupt ingest rows.
+    Raises OutOfRangeError naming the first offending value otherwise;
+    used to reject corrupt weather columns.
     """
-    v = float(value)
-    if not math.isfinite(v):
-        raise OutOfRangeError(factor, value, "non-finite")
+    v = np.asarray(values, dtype=float)
     lo, hi = factor.bounds
-    if not lo <= v <= hi:
-        raise OutOfRangeError(factor, value, f"outside [{lo}, {hi}]")
-    if factor.integer_valued and v != math.floor(v):
-        raise OutOfRangeError(factor, value, "must be integer-valued")
+    checks = [(~np.isfinite(v), "non-finite"), ((v < lo) | (v > hi), f"outside [{lo}, {hi}]")]
+    if factor.integer_valued:
+        checks.append((v != np.floor(v), "must be integer-valued"))
+    for bad, reason in checks:
+        if bad.any():
+            raise OutOfRangeError(factor, v[bad][0].item(), reason)
     return v
 
 

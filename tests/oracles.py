@@ -2,11 +2,15 @@
 
 Each is a deliberately naive re-implementation (scalar loops, no
 stabilization), valid only on small, well-scaled inputs; keep them
-independent of the optimized code in elorantd.
+independent of the optimized code in elorantd.  The weather and hourly
+TD helpers at the bottom build and read the ingest stores cell by cell.
 """
 import math
 
 import numpy as np
+
+from elorantd.ingest import WeatherSeries
+from elorantd.types import ALL_FACTORS
 
 
 def wlr_forward(params, x) -> float:
@@ -52,3 +56,25 @@ def idw_combine(values, distances_km) -> float:
         return float(values[zero[0]])
     w = 1.0 / d
     return float(np.dot(w, values) / w.sum())
+
+
+def weather_from_cells(station_ids, cells):
+    """A weather store holding exactly ``cells``, filled one cell at a time.
+
+    cells maps (station_id, EpochHour, MetFactor) to a value.
+    """
+    hours = sorted({epoch.hours_since_epoch for _, epoch, _ in cells})
+    shape = (len(hours), len(station_ids), len(ALL_FACTORS))
+    values, present = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    for (sid, epoch, factor), value in cells.items():
+        at = (hours.index(epoch.hours_since_epoch), list(station_ids).index(sid),
+              ALL_FACTORS.index(factor))
+        values[at], present[at] = value, True
+    return WeatherSeries(np.array(hours, dtype=np.int64), tuple(station_ids), values, present)
+
+
+def hourly_value(series, epoch):
+    """The hourly TD mean of ``epoch``, or None when the hour was dropped."""
+    if epoch not in series.epochs:
+        return None
+    return float(series.values[series.epochs.index(epoch)])

@@ -198,6 +198,7 @@ RX_ONLY = "location_mode = receiver_only\n"
         ("", RX_ONLY, "name = lasso_mpr\nalpha = -1\n"),
         ("", RX_ONLY, "name = wlr_agrnn\nelevation_mode = bogus\n"),
         ("", RX_ONLY, "name = wlr_agrnn\nsigma_tol = 0\n"),
+        ("min_samples_per_hour = -5\n", RX_ONLY, "name = grnn\n"),
     ],
 )
 def test_invalid_settings_exit_2_without_traceback(
@@ -210,6 +211,15 @@ def test_invalid_settings_exit_2_without_traceback(
         f"[split]\ntrain = {TRAIN_RANGE}\n[model]\n{model}",
     )
     assert_exit_2_without_traceback(["train", "--config", cfg, "--out", str(tmp_path / "m.json")])
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_ingest_min_samples_below_one_exit_2_without_traceback(tmp_path, small_corpus_dir, value):
+    cfg = write_ini(
+        tmp_path / "bad.ini",
+        base_ini(small_corpus_dir, corpus_extra=f"min_samples_per_hour = {value}\n"),
+    )
+    assert_exit_2_without_traceback(["ingest", "--config", cfg])
 
 
 @pytest.mark.parametrize(
@@ -460,7 +470,7 @@ def test_predict_without_range_exit_2(tmp_path, ini, grnn_artifact):
 def test_evaluate_perfect_and_constant(tmp_path, ini, small_corpus_dir):
     corpus_td = aggregate_hourly(parse_td_csv(small_corpus_dir / "td.csv"), 12)
     lo, hi = EpochHour.of(2024, 10, 15), EpochHour.of(2024, 10, 21)
-    span = [(e, corpus_td.value(e)) for e in corpus_td.epochs if lo <= e < hi]
+    span = [(e, float(v)) for e, v in zip(corpus_td.epochs, corpus_td.values) if lo <= e < hi]
     td = np.array([v for _, v in span])
     perfect = tmp_path / "perfect.json"
     save_model(LookupModel(table=dict(span)), perfect)

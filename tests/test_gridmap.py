@@ -20,12 +20,16 @@ from elorantd.gridmap import (
     path_tensor_from_arrays,
     sample_path,
 )
-from elorantd.ingest import ElevationGrid, StationRegistry, WeatherSeries
+from elorantd.ingest import ElevationGrid, StationRegistry
 from elorantd.synth import DEFAULT_RX, DEFAULT_TX
-from tests.oracles import idw_combine
+from tests.oracles import idw_combine, weather_from_cells
 from elorantd.types import EpochHour, GeoPoint, MetFactor, haversine_km
 
 EPOCH = EpochHour.parse("2024-10-01T00:00:00Z")
+
+
+def cell_center(spec, row, col):
+    return GeoPoint(float(spec.center_lat(row)), float(spec.center_lon(col)))
 
 
 def small_spec():
@@ -47,10 +51,9 @@ def spread_grid(spec, cells, values):
 
 def test_assign_station_at_cell_center():
     spec = small_spec()
-    center = spec.cell_center(3, 4)
+    center = cell_center(spec, 3, 4)
     registry = StationRegistry((("S1", center),))
-    weather = WeatherSeries()
-    weather.put("S1", EPOCH, MetFactor.TEMPERATURE, 21.5)
+    weather = weather_from_cells(registry.ids, {("S1", EPOCH, MetFactor.TEMPERATURE): 21.5})
     grid = assign_observations(spec, registry, weather, EPOCH, MetFactor.TEMPERATURE)
     assert grid.assigned_mask[3, 4]
     assert grid.values[3, 4] == 21.5
@@ -59,15 +62,16 @@ def test_assign_station_at_cell_center():
 
 def test_assign_collision_averages():
     spec = small_spec()
-    center = spec.cell_center(2, 2)
+    center = cell_center(spec, 2, 2)
     # two stations offset by much less than half a cell share the nearest cell
     a = GeoPoint(center.lat + 0.001, center.lon - 0.001)
     b = GeoPoint(center.lat - 0.001, center.lon + 0.001)
     assert spec.nearest_cell(a) == spec.nearest_cell(b) == (2, 2)
     registry = StationRegistry((("A", a), ("B", b)))
-    weather = WeatherSeries()
-    weather.put("A", EPOCH, MetFactor.TEMPERATURE, 10.0)
-    weather.put("B", EPOCH, MetFactor.TEMPERATURE, 20.0)
+    weather = weather_from_cells(registry.ids, {
+        ("A", EPOCH, MetFactor.TEMPERATURE): 10.0,
+        ("B", EPOCH, MetFactor.TEMPERATURE): 20.0,
+    })
     grid = assign_observations(spec, registry, weather, EPOCH, MetFactor.TEMPERATURE)
     assert grid.values[2, 2] == 15.0
     assert grid.assigned_mask.sum() == 1
@@ -75,8 +79,12 @@ def test_assign_collision_averages():
 
 def test_assign_no_observations():
     spec = small_spec()
-    registry = StationRegistry((("S1", spec.cell_center(0, 0)),))
-    weather = WeatherSeries()  # nothing reported
+    registry = StationRegistry((("S1", cell_center(spec, 0, 0)),))
+    # S1 reports another factor at EPOCH and temperature an hour later
+    weather = weather_from_cells(registry.ids, {
+        ("S1", EPOCH, MetFactor.HUMIDITY): 50.0,
+        ("S1", EpochHour.of(2024, 10, 1, 1), MetFactor.TEMPERATURE): 10.0,
+    })
     with pytest.raises(NoObservationsError):
         assign_observations(spec, registry, weather, EPOCH, MetFactor.TEMPERATURE)
 
@@ -85,7 +93,7 @@ def test_assign_matches_reference_nearest_cell():
     spec = small_spec()
     rng = np.random.default_rng(5)
     entries = []
-    weather = WeatherSeries()
+    cells = {}
     for k in range(8):
         loc = GeoPoint(
             float(rng.uniform(spec.lat_min, spec.lat_max)),
@@ -93,8 +101,9 @@ def test_assign_matches_reference_nearest_cell():
         )
         sid = f"S{k}"
         entries.append((sid, loc))
-        weather.put(sid, EPOCH, MetFactor.TEMPERATURE, float(rng.normal(15.0, 5.0)))
+        cells[(sid, EPOCH, MetFactor.TEMPERATURE)] = float(rng.normal(15.0, 5.0))
     registry = StationRegistry(tuple(entries))
+    weather = weather_from_cells(registry.ids, cells)
     grid = assign_observations(spec, registry, weather, EPOCH, MetFactor.TEMPERATURE)
 
     # reference: nearest cell center by exhaustive haversine scan
@@ -103,11 +112,11 @@ def test_assign_matches_reference_nearest_cell():
         best = None
         for r in range(spec.nrows):
             for c in range(spec.ncols):
-                cc = spec.cell_center(r, c)
+                cc = cell_center(spec, r, c)
                 d = haversine_km(loc, cc)
                 if best is None or d < best[0]:
                     best = (d, (r, c))
-        expect.setdefault(best[1], []).append(weather.value(sid, EPOCH, MetFactor.TEMPERATURE))
+        expect.setdefault(best[1], []).append(cells[(sid, EPOCH, MetFactor.TEMPERATURE)])
     for cell, vals in expect.items():
         assert grid.assigned_mask[cell]
         assert grid.values[cell] == pytest.approx(np.mean(vals), rel=1e-12)
@@ -180,8 +189,8 @@ def test_idw_weights_rows_are_normalized_and_hits_exact():
     # (5, 2) is the second assigned cell: exactly one weight, exactly 1.0
     np.testing.assert_array_equal(w[1], [0.0, 1.0, 0.0])
     for k in (0, 2, 3):
-        p = spec.cell_center(rows_q[k], cols_q[k])
-        inv = [1.0 / haversine_km(p, spec.cell_center(r, c)) for r, c in zip(rows_a, cols_a)]
+        p = cell_center(spec, rows_q[k], cols_q[k])
+        inv = [1.0 / haversine_km(p, cell_center(spec, r, c)) for r, c in zip(rows_a, cols_a)]
         np.testing.assert_allclose(w[k], np.array(inv) / sum(inv), rtol=1e-12)
 
 
@@ -195,8 +204,8 @@ def test_idw_fill_matches_scalar_oracle():
         for c in range(0, spec.ncols, 3):
             if (r, c) in cells:
                 continue
-            p = spec.cell_center(r, c)
-            dists = [haversine_km(p, spec.cell_center(*cell)) for cell in cells]
+            p = cell_center(spec, r, c)
+            dists = [haversine_km(p, cell_center(spec, *cell)) for cell in cells]
             assert filled.values[r, c] == pytest.approx(
                 idw_combine(values, dists), rel=1e-12
             )
@@ -323,15 +332,14 @@ def test_path_tensor_matches_per_point_idw():
     epochs = (EPOCH, EpochHour.parse("2024-10-01T01:00:00Z"))
     factors = (MetFactor.TEMPERATURE, MetFactor.HUMIDITY)
     station_values = rng.normal(15.0, 5.0, size=(2, 3, 2))
-    path = sample_path(spec.cell_center(9, 1), spec.cell_center(0, 8), l=7)
+    path = sample_path(cell_center(spec, 9, 1), cell_center(spec, 0, 8), l=7)
 
     tensor = path_tensor_from_arrays(station_values, epochs, factors, locations, spec, path)
 
-    weather = WeatherSeries()
-    for t, epoch in enumerate(epochs):
-        for s in range(3):
-            for i, f in enumerate(factors):
-                weather.put(f"S{s}", epoch, f, float(station_values[t, s, i]))
+    weather = weather_from_cells(registry.ids, {
+        (f"S{s}", epoch, f): float(station_values[t, s, i])
+        for t, epoch in enumerate(epochs) for s in range(3) for i, f in enumerate(factors)
+    })
     for t, epoch in enumerate(epochs):
         for i, f in enumerate(factors):
             filled = idw_fill(assign_observations(spec, registry, weather, epoch, f))
@@ -345,7 +353,7 @@ def test_path_tensor_matches_per_point_idw():
 def test_path_tensor_on_assigned_cell_takes_cell_mean_bit_for_bit():
     spec = small_spec()
     # two stations share the TX cell, one sits on the RX cell
-    tx, rx = spec.cell_center(9, 0), spec.cell_center(0, 9)
+    tx, rx = cell_center(spec, 9, 0), cell_center(spec, 0, 9)
     locations = [tx, GeoPoint(tx.lat + 0.001, tx.lon + 0.001), rx]
     station_values = np.random.default_rng(15).normal(15.0, 5.0, size=(3, 3, 2))
     epochs = tuple(EpochHour.parse(f"2024-10-01T0{h}:00:00Z") for h in range(3))
@@ -366,7 +374,7 @@ def test_path_tensor_of_constant_stations_is_constant():
     ]
     station_values = np.full((2, 4, 1), 7.5)
     epochs = (EPOCH, EpochHour.parse("2024-10-01T01:00:00Z"))
-    path = sample_path(spec.cell_center(8, 1), spec.cell_center(1, 8), l=9)
+    path = sample_path(cell_center(spec, 8, 1), cell_center(spec, 1, 8), l=9)
     tensor = path_tensor_from_arrays(
         station_values, epochs, (MetFactor.TEMPERATURE,), locations, spec, path
     )

@@ -27,13 +27,14 @@ from elorantd.synth import (
     write_corpus,
 )
 from elorantd.types import (
+    ALL_FACTORS,
     FACTORS_3,
     MetFactor,
     factor_set,
     validate_factor_value,
 )
 from elorantd.wlr_agrnn import transform_elevation
-from tests.oracles import kernel_oracle
+from tests.oracles import hourly_value, kernel_oracle
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -85,12 +86,14 @@ def test_default_config_dimensions():
 
 def test_generated_weather_within_validated_ranges():
     scenario = generate_scenario(tiny_config(duration_hours=48))
-    for sid in scenario.registry.ids:
-        for epoch in scenario.epochs[:24]:
-            record = scenario.weather.record(sid, epoch)
-            assert set(record) == set(FACTORS_3)
-            for f, value in record.items():
-                assert validate_factor_value(f, value) == value
+    weather = scenario.weather
+    assert weather.station_ids == scenario.registry.ids
+    np.testing.assert_array_equal(weather.hours, [e.hours_since_epoch for e in scenario.epochs])
+    generated = [f in FACTORS_3 for f in ALL_FACTORS]
+    np.testing.assert_array_equal(weather.present, np.broadcast_to(generated, weather.present.shape))
+    for i, f in enumerate(FACTORS_3):
+        column = weather.values[:, :, ALL_FACTORS.index(f)]
+        np.testing.assert_array_equal(validate_factor_value(f, column), column)
 
 
 def test_td_equals_truth_plus_noise_in_distribution():
@@ -181,7 +184,7 @@ def test_hourly_td_matches_aggregated_second_samples():
     hourly = aggregate_hourly(scenario.td_samples, min_samples=1)
     for t, epoch in enumerate(scenario.epochs):
         # the within-hour jitter is a pure sinusoid, so the mean cancels it
-        assert hourly.value(epoch) == pytest.approx(scenario.hourly_td[t], abs=1e-9)
+        assert hourly_value(hourly, epoch) == pytest.approx(scenario.hourly_td[t], abs=1e-9)
 
 
 # -- corpus round trip ---------------------------------------------------------

@@ -91,6 +91,22 @@ def test_validate_factor_value_bounds():
         validate_factor_value(MetFactor.HUMIDITY, float("inf"))
 
 
+@pytest.mark.parametrize(
+    "factor,column,bad",
+    [
+        (MetFactor.HUMIDITY, [55.0, 0.0, 100.0, float("nan"), 101.0], float("nan")),
+        (MetFactor.HUMIDITY, [55.0, 0.0, 101.0, 100.0, -1.0], 101.0),
+        (MetFactor.CLOUD_COVER, [3.0, 10.0, 6.5, 0.0, 11.0], 11.0),
+        (MetFactor.CLOUD_COVER, [3.0, 10.0, 6.5, 0.0, 2.25], 6.5),
+    ],
+)
+def test_validate_factor_value_checks_a_whole_column(factor, column, bad):
+    np.testing.assert_array_equal(validate_factor_value(factor, column[:2]), column[:2])
+    with pytest.raises(OutOfRangeError) as info:
+        validate_factor_value(factor, column)
+    assert info.value.value == bad or (math.isnan(bad) and math.isnan(info.value.value))
+
+
 def test_cloud_cover_is_integer_valued():
     assert validate_factor_value(MetFactor.CLOUD_COVER, 7.0) == 7.0
     with pytest.raises(OutOfRangeError):
