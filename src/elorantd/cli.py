@@ -23,7 +23,6 @@ from .errors import (
     AxisMismatchError,
     ConfigError,
     ElorantdError,
-    EmptyIntersectionError,
     NonFiniteLossError,
 )
 from .gridmap import GridSpec, assign_observations, export_gridmap_csv, idw_fill
@@ -40,6 +39,7 @@ from .pipeline import (
     parse_range_list,
     predict_model,
     split_bundle,
+    subset_in_ranges,
     train_model,
 )
 from .stats import pearson, select_factors
@@ -103,10 +103,11 @@ def _parse_factors(text: str) -> FactorSet:
         return FACTOR_PRESETS[text]
     if text == "all":
         return ALL_FACTORS
+    columns = [c.strip() for c in text.split(",") if c.strip()]
+    if not columns:
+        raise ConfigError("features.factors: at least one factor is required")
     try:
-        return factor_set(
-            MetFactor.from_column(c.strip()) for c in text.split(",") if c.strip()
-        )
+        return factor_set(MetFactor.from_column(c) for c in columns)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"features.factors: {exc}") from None
 
@@ -418,13 +419,11 @@ def cmd_train(args) -> int:
     corpus, bundle = _bundle(args, s)
     if s.train_ranges is None:
         raise ConfigError("split.train is required for training")
-    train_mask = mask_for_ranges(bundle.epochs, s.train_ranges)
     if s.test_ranges is not None:
         # enforce overlap hygiene even though only the train side is used
-        split_bundle(bundle, s.train_ranges, s.test_ranges)
-    if not train_mask.any():
-        raise EmptyIntersectionError("no aligned epoch falls in the train ranges")
-    train = bundle.subset(train_mask)
+        train, _ = split_bundle(bundle, s.train_ranges, s.test_ranges)
+    else:
+        train = subset_in_ranges(bundle, s.train_ranges, "train")
     model, trace = train_model(name, train, options)
     save_model(model, args.out)
     trace_path = args.trace or (str(args.out) + ".trace.csv")
@@ -477,11 +476,9 @@ def cmd_evaluate(args) -> int:
     if s.test_ranges is None:
         raise ConfigError("split.test is required for evaluation")
     if s.train_ranges is not None:
-        split_bundle(bundle, s.train_ranges, s.test_ranges)
-    mask = mask_for_ranges(bundle.epochs, s.test_ranges)
-    if not mask.any():
-        raise EmptyIntersectionError("no aligned epoch falls in the test ranges")
-    test = bundle.subset(mask)
+        _, test = split_bundle(bundle, s.train_ranges, s.test_ranges)
+    else:
+        test = subset_in_ranges(bundle, s.test_ranges, "test")
     report = evaluate_models(named, test)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -522,10 +519,7 @@ def cmd_sweep(args) -> int:
     cfg = model_config(s.model_name, s.model_options)
     corpus, bundle = _bundle(args, s)
     if s.train_ranges is not None:
-        mask = mask_for_ranges(bundle.epochs, s.train_ranges)
-        if not mask.any():
-            raise EmptyIntersectionError("no aligned epoch falls in the train ranges")
-        bundle = bundle.subset(mask)
+        bundle = subset_in_ranges(bundle, s.train_ranges, "train")
     fit, val = holdout_split(bundle, s.holdout_fraction)
     if kind == "alpha":
         table = lasso.sweep_alpha(

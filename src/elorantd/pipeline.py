@@ -215,15 +215,18 @@ def check_disjoint(train_ranges, test_ranges) -> None:
                 )
 
 
+def subset_in_ranges(bundle: FeatureBundle, ranges, side: str) -> FeatureBundle:
+    """The epochs of bundle inside ranges; none is an error naming side."""
+    mask = mask_for_ranges(bundle.epochs, ranges)
+    if not mask.any():
+        raise EmptyIntersectionError(f"no aligned epoch falls in the {side} ranges")
+    return bundle.subset(mask)
+
+
 def split_bundle(bundle: FeatureBundle, train_ranges, test_ranges):
     check_disjoint(train_ranges, test_ranges)
-    train_mask = mask_for_ranges(bundle.epochs, train_ranges)
-    test_mask = mask_for_ranges(bundle.epochs, test_ranges)
-    if not train_mask.any():
-        raise EmptyIntersectionError("no aligned epoch falls in the train ranges")
-    if not test_mask.any():
-        raise EmptyIntersectionError("no aligned epoch falls in the test ranges")
-    return bundle.subset(train_mask), bundle.subset(test_mask)
+    return (subset_in_ranges(bundle, train_ranges, "train"),
+            subset_in_ranges(bundle, test_ranges, "test"))
 
 
 def holdout_split(bundle: FeatureBundle, fraction: float = 0.25):

@@ -344,20 +344,21 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     noise = noise_rng.standard_normal(cfg.duration_hours) * cfg.noise_sd_ns
     hourly_td = truth + noise
 
-    samples = []
     step = 3600 // cfg.td_samples_per_hour
     k_range = np.arange(cfg.td_samples_per_hour)
     jitter = cfg.td_jitter_ns * np.sin(2.0 * np.pi * (k_range + 0.5) / cfg.td_samples_per_hour)
-    for t, epoch in enumerate(epochs):
-        base = epoch.instant
-        for k in range(cfg.td_samples_per_hour):
-            samples.append((base + timedelta(seconds=int(k) * step), hourly_td[t] + jitter[k]))
+    offsets = [timedelta(seconds=int(k) * step) for k in k_range]
+    samples = tuple(
+        (epoch.instant + offset, value)
+        for epoch, row in zip(epochs, (hourly_td[:, None] + jitter).tolist())
+        for offset, value in zip(offsets, row)
+    )
 
     return SyntheticScenario(
         config=cfg,
         registry=registry,
         weather=weather,
-        td_samples=tuple(samples),
+        td_samples=samples,
         dem=dem,
         path=path,
         profile=profile,

@@ -6,10 +6,11 @@ transformed elevation, rebuild the bank, reselect per-row smoothing
 factors (stop-gradient), predict every training epoch by leave-one-out
 kernel regression, and take one Adam step on the weighted residual sum
 of squares.  The bandwidths only scale a fixed distance matrix, so each
-sigma search shifts that matrix once and then costs one exp and one
-(T x T)(T x 2) product per evaluation.  Gradients w.r.t. the bank reduce
-to one (l+1 x T)(T x T) matrix product, so no T x T x l intermediate is
-ever built.
+iteration builds and shifts one T x T matrix: the sigma search costs one
+exp and one (T x T)(T x 2) product per evaluation on it, and the loss,
+the gradient and any reweighting read one more kernel at the selected
+scale.  Gradients w.r.t. the bank reduce to one (l+1 x T)(T x T) matrix
+product, so no T x T x l intermediate is ever built.
 
 Each bandwidth is sigma_j = c * sd_j, sd_j the standard deviation of bank
 row j, so a positive factor or a constant shift of any row cancels from
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,10 +189,16 @@ def kernel_regression(
     return k, num / den, den
 
 
-def _loo_fit(scaled_bank: np.ndarray, y: np.ndarray):
-    """Leave-one-out kernel_regression on row-scaled coordinates, in one T x T buffer."""
-    shifted = loo_shift(pairwise_sq_dists(scaled_bank))
-    return kernel_regression(shifted, y, out=shifted)
+class SigmaSearch(NamedTuple):
+    """What select_sigmas found.  shifted is the loo_shift matrix of the
+    live (non-constant) bank rows divided by their sd, so the kernel at
+    sigmas = c * sd is exp(-0.5 / c^2 * shifted); constant rows hold one
+    value in every column and appear in no distance."""
+
+    c: float
+    sigmas: np.ndarray  # c * sd on live rows, a tiny floor on constant rows
+    live: np.ndarray  # (l,) bool
+    shifted: np.ndarray  # (T, T)
 
 
 def select_sigmas(
@@ -199,7 +207,7 @@ def select_sigmas(
     w: np.ndarray | None = None,
     bounds: tuple[float, float] = SIGMA_BOUNDS,
     tol: float = TrainConfig.sigma_tol,
-) -> np.ndarray:
+) -> SigmaSearch:
     """Per-row smoothing: sigma_j = c * sd_j, c by golden-section search.
 
     The search minimizes the leave-one-out weighted residual sum of
@@ -234,8 +242,7 @@ def select_sigmas(
         return float(np.dot(w * r, r))
 
     c_best = _golden_section(objective, bounds[0], bounds[1], tol)
-    sigmas = np.where(live, c_best * sd, floor_sigma)
-    return sigmas
+    return SigmaSearch(c_best, np.where(live, c_best * sd, floor_sigma), live, shifted)
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
@@ -302,56 +309,52 @@ def _nearest_columns(q: np.ndarray, u: np.ndarray, sigmas: np.ndarray) -> np.nda
     return np.argmin(d2, axis=1)
 
 
-def wrss_loss(
-    params: WlrParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    h_tilde: np.ndarray,
-    sigmas: np.ndarray,
-    w: np.ndarray,
-) -> float:
-    """Leave-one-out WRSS at fixed sigmas (the training objective)."""
-    bank = elevation_weight(_forward_all(params, x), h_tilde).T
-    _, yhat, _ = _loo_fit(bank / sigmas[:, None], y)
-    r = y - yhat
-    return float(np.dot(w * r, r))
-
-
 def wrss_and_grads(
     params: WlrParams,
     x: np.ndarray,
     y: np.ndarray,
     h_tilde: np.ndarray,
-    sigmas: np.ndarray,
+    bank: np.ndarray,
+    search: SigmaSearch,
     w: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients w.r.t. w1 and w2.
+    reweight: bool = False,
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Leave-one-out WRSS of bank (l, T) at the searched sigmas, analytic
+    gradients w.r.t. w1 and w2, and the weights the loss used.
 
-    Sigmas are treated as constants: the bandwidth reselection is not
-    differentiated through.  The biases get none: they shift every expert
-    output, so each bank row, by one constant, which no distance sees.
+    One kernel at the searched scale serves all three; reweight first
+    replaces w by the inverse_residual weights of its predictions.  The
+    search's matrix is overwritten.  Sigmas are treated as constants: the
+    bandwidth reselection is not differentiated through.  The biases get
+    no gradient: they shift every expert output, so each bank row, by one
+    constant, which no distance sees.
     """
-    bank = elevation_weight(_forward_all(params, x), h_tilde).T  # (l, T)
-    k, yhat, den = _loo_fit(bank / sigmas[:, None], y)
+    c, sigmas, live, shifted = search
+    k, yhat, den = kernel_regression(shifted, y, 0.5 / (c * c))
     r = y - yhat
+    if reweight:
+        w = 1.0 / (WEIGHT_EPS + np.abs(r))
     loss = float(np.dot(w * r, r))
     # dWRSS/dD2[t,s] = w_t r_t a_ts (y_s - yhat_t) for s != t, built in the
-    # kernel's buffer (a = k / rowsum); only q + q.T enters the gradient
+    # kernel's buffer (a = k / rowsum); only q + q.T, written over the
+    # spent search matrix, enters the gradient
     q = k
     q *= (w * r / den)[:, None]
-    both = np.subtract(y[None, :], yhat[:, None])
+    both = np.subtract(y[None, :], yhat[:, None], out=shifted)
     q *= both
     np.add(q, q.T, out=both)
-    # one product gives bank @ (q + q.T) and, in its last row, the column
-    # sums of q + q.T (row plus column sums of q)
-    prod = np.vstack((bank, np.ones(y.size))) @ both
-    g_bank = 2.0 / (sigmas * sigmas)[:, None] * (bank * prod[-1] - prod[:-1])
+    # one product gives u @ (q + q.T) and, in its last row, the column sums
+    # of q + q.T (row plus column sums of q); constant rows have no gradient
+    u = bank[live]
+    prod = np.vstack((u, np.ones(y.size))) @ both
+    g_bank = np.zeros(bank.shape)
+    g_bank[live] = 2.0 / (sigmas[live] ** 2)[:, None] * (u * prod[-1] - prod[:-1])
     g_xhat = (g_bank * h_tilde[:, None]).T  # (T, l)
     # the expert is affine, xhat = z . (w1.T w2) + const, so both gradients
     # follow from P = sum g_xhat z (sum g_xhat, the bias gradient, is zero)
     n = x.shape[-1]
     p = g_xhat.reshape(-1) @ x.reshape(-1, n)
-    return loss, {"w1": np.outer(params.w2, p), "w2": params.w1 @ p}
+    return loss, {"w1": np.outer(params.w2, p), "w2": params.w1 @ p}, w
 
 
 @dataclass(frozen=True)
@@ -429,29 +432,30 @@ def train(
     scales: list[float] = []
     for it in range(cfg.max_iterations):
         bank = elevation_weight(_forward_all(params, z), h_tilde).T
-        sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
-        if cfg.weight_scheme == "inverse_residual" and it > 0 and it % WEIGHT_EVERY == 0:
-            _, yhat, _ = _loo_fit(bank / sigmas[:, None], y)
-            w = 1.0 / (WEIGHT_EPS + np.abs(y - yhat))
-        loss, grads = wrss_and_grads(params, z, y, h_tilde, sigmas, w)
+        search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
+        reweight = (cfg.weight_scheme == "inverse_residual" and it > 0
+                    and it % WEIGHT_EVERY == 0)
+        loss, grads, w = wrss_and_grads(params, z, y, h_tilde, bank, search, w, reweight)
         if not math.isfinite(loss):
             raise NonFiniteLossError(f"WRSS became non-finite at iteration {it}")
         losses.append(loss)
-        scales.append(_sigma_scale(bank, sigmas))
+        scales.append(search.c)
+        # free this search's T x T matrix before the next one is built
+        del search
         adam.step([params.w1, params.w2], [grads["w1"], grads["w2"]])
         if loss_converged(losses, cfg.tol, cfg.patience):
             break
     # final bank/sigmas consistent with the final parameters
     bank = elevation_weight(_forward_all(params, z), h_tilde).T
-    sigmas = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
+    search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
     if not losses:
-        losses.append(wrss_loss(params, z, y, h_tilde, sigmas, w))
-        scales.append(_sigma_scale(bank, sigmas))
+        losses.append(wrss_and_grads(params, z, y, h_tilde, bank, search, w)[0])
+        scales.append(search.c)
     model = WlrAgrnnModel(
         params=params.copy(),
         h_tilde=h_tilde,
         elevation_mode=cfg.elevation_mode,
-        sigmas=sigmas,
+        sigmas=search.sigmas,
         # C-contiguous, as a reloaded artifact holds it, so BLAS sums the
         # in-memory and the reloaded model's predictions in the same order
         bank=np.ascontiguousarray(bank),
@@ -465,10 +469,3 @@ def train(
     )
     converged = loss_converged(losses, cfg.tol, cfg.patience)
     return model, TrainingTrace(tuple(losses), converged, tuple(scales))
-
-
-def _sigma_scale(bank: np.ndarray, sigmas: np.ndarray) -> float:
-    """The scale c that select_sigmas chose, read back from its most variable row."""
-    sd = bank.std(axis=1, ddof=1)
-    j = int(np.argmax(sd))
-    return float(sigmas[j] / sd[j])

@@ -41,6 +41,22 @@ def kernel_oracle(query, bank, y, sigmas) -> float:
     return num / den
 
 
+def wrss_loss(params, x, y, h_tilde, sigmas, w) -> float:
+    """Leave-one-out WRSS at fixed sigmas: epoch t is predicted by
+    kernel_oracle on the bank of the expert outputs with column t removed."""
+    t_count, l_count = len(y), len(h_tilde)
+    bank = [[wlr_forward(params, x[t][j]) * float(h_tilde[j]) for t in range(t_count)]
+            for j in range(l_count)]
+    total = 0.0
+    for t in range(t_count):
+        keep = [s for s in range(t_count) if s != t]
+        yhat = kernel_oracle([row[t] for row in bank], [[row[s] for s in keep] for row in bank],
+                             [y[s] for s in keep], sigmas)
+        r = float(y[t]) - yhat
+        total += float(w[t]) * r * r
+    return total
+
+
 def idw_combine(values, distances_km) -> float:
     """Inverse-distance weighted mean with weights 1/d.
 

@@ -49,11 +49,16 @@ from elorantd.synth import (
     write_corpus,
 )
 from elorantd.types import FACTORS_3, FACTORS_7, EpochHour, MetFactor, factor_set
-from elorantd.wlr_agrnn import agrnn_predict_batch, transform_elevation, wrss_and_grads, wrss_loss
+from elorantd.wlr_agrnn import (
+    agrnn_predict_batch,
+    select_sigmas,
+    transform_elevation,
+    wrss_and_grads,
+)
 from tests.conftest import small_scenario_config
-from tests.oracles import idw_combine, kernel_oracle
+from tests.oracles import idw_combine, kernel_oracle, wrss_loss
 from tests.test_stats import F_TABLE, T_TABLE
-from tests.test_wlr_agrnn import toy_params
+from tests.test_wlr_agrnn import bank_of, toy_params
 
 # Chronological split used by every scenario-level criterion: two training
 # blocks bracketing a held-out mid-winter test block.
@@ -272,11 +277,13 @@ def test_criterion_04_wrss_gradients_match_finite_differences():
         x = rng.normal(size=(3, 2, 3))
         y = 2.0 * rng.normal(size=3)
         h = transform_elevation(rng.uniform(5.0, 400.0, size=2))
-        sigmas = rng.uniform(0.5, 1.5, size=2)
         w = rng.uniform(0.5, 2.0, size=3)
-        loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
+        bank = bank_of(params, x, h)
+        search = select_sigmas(bank, y, w)
+        loss, grads, _ = wrss_and_grads(params, x, y, h, bank, search, w)
 
-        def loss_at(p):
+        # the nested-loop oracle at the sigmas the search picked, c held fixed
+        def loss_at(p, sigmas=search.sigmas):
             return wrss_loss(p, x, y, h, sigmas, w)
 
         atol = 1e-7 * max(1.0, loss)
@@ -296,8 +303,8 @@ def test_criterion_04_wrss_gradients_match_finite_differences():
     _verdict(
         4,
         keys_ok and worst_ratio <= 1.0,
-        f"analytic w1/w2 loss gradients within rtol 1e-4 of central differences on 10 "
-        f"random toys (worst scaled deviation {worst_ratio:.3f} of budget); "
+        f"analytic w1/w2 loss gradients within rtol 1e-4 of central differences of the "
+        f"nested-loop leave-one-out oracle on 10 random toys (worst scaled deviation {worst_ratio:.3f} of budget); "
         f"gradients for w1 and w2 only: {keys_ok}",
     )
 

@@ -213,6 +213,18 @@ def test_invalid_settings_exit_2_without_traceback(
     assert_exit_2_without_traceback(["train", "--config", cfg, "--out", str(tmp_path / "m.json")])
 
 
+@pytest.mark.parametrize("factors", [",", "", " , ,"])
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_empty_factor_list_exit_2_without_traceback(tmp_path, small_corpus_dir, factors, command):
+    cfg = write_ini(
+        tmp_path / "bad.ini",
+        f"[corpus]\ndir = {small_corpus_dir}\n[features]\nfactors = {factors}\n{RX_ONLY}"
+        f"[split]\ntrain = {TRAIN_RANGE}\n[model]\nname = grnn\n",
+    )
+    out = ["--out", str(tmp_path / "m.json")] if command == "train" else []
+    assert_exit_2_without_traceback([command, "--config", cfg, *out])
+
+
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_ingest_min_samples_below_one_exit_2_without_traceback(tmp_path, small_corpus_dir, value):
     cfg = write_ini(
@@ -400,10 +412,12 @@ def test_train_overlapping_split_exit_2(tmp_path, ini):
                  "--out", str(tmp_path / "m.json")]) == 2
 
 
-def test_train_empty_range_exit_3(tmp_path, ini):
-    cfg = ini("[split]\ntrain = 2030-01-01..2030-02-01\n")
+@pytest.mark.parametrize("test_split", ["", f"test = {TEST_RANGE}\n"])
+def test_train_empty_range_exit_3(tmp_path, ini, capsys, test_split):
+    cfg = ini("[split]\ntrain = 2030-01-01..2030-02-01\n" + test_split)
     assert main(["train", "--config", cfg, "--model", "grnn",
                  "--out", str(tmp_path / "m.json")]) == 3
+    assert "no aligned epoch falls in the train ranges" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -507,12 +521,14 @@ def test_evaluate_identical_artifacts_anova(tmp_path, ini):
     assert p_value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evaluate_empty_test_range_exit_3(tmp_path, ini):
+@pytest.mark.parametrize("train_split", ["", f"train = {TRAIN_RANGE}\n"])
+def test_evaluate_empty_test_range_exit_3(tmp_path, ini, capsys, train_split):
     artifact = tmp_path / "const.json"
     save_model(ConstantModel(value=0.0), artifact)
-    cfg = ini("[split]\ntest = 2030-01-01..2030-02-01\n")
+    cfg = ini("[split]\ntest = 2030-01-01..2030-02-01\n" + train_split)
     assert main(["evaluate", "--config", cfg, "--artifacts", str(artifact),
                  "--out", str(tmp_path / "e.csv")]) == 3
+    assert "no aligned epoch falls in the test ranges" in capsys.readouterr().err
 
 
 def test_evaluate_without_test_split_exit_2(tmp_path, ini):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from elorantd import wlr_agrnn
 from elorantd.errors import (
     DegenerateBankError,
     DimensionMismatchError,
@@ -11,6 +14,7 @@ from elorantd.errors import (
 from elorantd.stats import rmse
 from elorantd.wlr_agrnn import (
     SIGMA_BOUNDS,
+    WEIGHT_EPS,
     WEIGHT_EVERY,
     TrainConfig,
     WlrParams,
@@ -24,9 +28,8 @@ from elorantd.wlr_agrnn import (
     train,
     transform_elevation,
     wrss_and_grads,
-    wrss_loss,
 )
-from tests.oracles import kernel_oracle, wlr_forward
+from tests.oracles import kernel_oracle, wlr_forward, wrss_loss
 
 
 def toy_params(rng, n, hidden):
@@ -102,7 +105,7 @@ def test_equal_sd_rows_get_equal_sigmas():
     base = rng.normal(size=10)
     bank = np.stack([base, base[::-1], -base])  # identical sd by construction
     y = rng.normal(size=10)
-    sigmas = select_sigmas(bank, y)
+    sigmas = select_sigmas(bank, y).sigmas
     np.testing.assert_allclose(sigmas, sigmas[0], rtol=1e-12)
 
 
@@ -110,10 +113,10 @@ def test_sigma_scales_with_row_sd():
     rng = np.random.default_rng(4)
     bank = rng.normal(size=(3, 12))
     y = rng.normal(size=12)
-    a = select_sigmas(bank, y)
+    a = select_sigmas(bank, y).sigmas
     scaled = bank.copy()
     scaled[1] *= 10.0
-    b = select_sigmas(scaled, y)
+    b = select_sigmas(scaled, y).sigmas
     assert b[1] == pytest.approx(10.0 * a[1], rel=1e-9)
     assert b[0] == pytest.approx(a[0], rel=1e-9)
 
@@ -130,9 +133,10 @@ def test_golden_section_matches_brute_force():
     rng = np.random.default_rng(8)
     bank = rng.normal(size=(3, 9))
     y = rng.normal(size=9)
-    sigmas = select_sigmas(bank, y, tol=1e-4)
+    search = select_sigmas(bank, y, tol=1e-4)
     sd = bank.std(axis=1, ddof=1)
-    c_found = float(sigmas[0] / sd[0])
+    c_found = search.c
+    np.testing.assert_array_equal(search.sigmas, c_found * sd)
 
     def objective(c):
         yhat = np.empty(9)
@@ -164,15 +168,18 @@ def test_constant_row_does_not_move_the_sigma_scale():
     with_constant = np.vstack([bank, np.full(15, -4.25)])
     a = select_sigmas(bank, y, w)
     b = select_sigmas(with_constant, y, w)
-    np.testing.assert_array_equal(b[:3], a)
-    assert b[3] == pytest.approx(1e-6 * 4.25 + 1e-12)
+    assert b.c == a.c
+    np.testing.assert_array_equal(b.sigmas[:3], a.sigmas)
+    assert b.sigmas[3] == pytest.approx(1e-6 * 4.25 + 1e-12)
+    np.testing.assert_array_equal(b.live, [True, True, True, False])
+    np.testing.assert_array_equal(b.shifted, a.shifted)
 
 
 def test_select_sigmas_floors_constant_row():
     rng = np.random.default_rng(5)
     bank = rng.normal(size=(3, 8))
     bank[2] = 7.0  # zero variance
-    sigmas = select_sigmas(bank, rng.normal(size=8))
+    sigmas = select_sigmas(bank, rng.normal(size=8)).sigmas
     assert sigmas[2] == pytest.approx(1e-6 * 7.0 + 1e-12)
     assert np.all(sigmas > 0)
 
@@ -278,15 +285,14 @@ def test_agrnn_rejects_nonpositive_sigma():
 
 @pytest.mark.parametrize("tied", [True, False])
 def test_loo_predictions_match_kernel_oracle_without_column_t(tied):
-    """The leave-one-out kernel behind select_sigmas and wrss_loss, checked
-    against the nested-loop oracle on the bank with column t removed, at
-    several bandwidths from one shifted distance matrix."""
+    """The leave-one-out kernel behind select_sigmas and wrss_and_grads,
+    checked against the nested-loop oracle on the bank with column t
+    removed, at several bandwidths from one shifted distance matrix."""
     rng = np.random.default_rng(20)
     params = toy_params(rng, 3, 4)
     x = rng.normal(size=(9, 2, 3))
     y = rng.normal(size=9) * 5.0
     h = transform_elevation(rng.uniform(10, 500, size=2))
-    w = rng.uniform(0.5, 2.0, size=9)
     bank = np.stack(
         [[wlr_forward(params, x[t, j]) * h[j] for t in range(9)] for j in range(2)]
     )
@@ -304,10 +310,6 @@ def test_loo_predictions_match_kernel_oracle_without_column_t(tied):
         np.testing.assert_allclose(yhat, expect, rtol=1e-12)
         np.testing.assert_array_equal(np.diag(k), 0.0)
         assert np.all(den >= 1.0)
-        r = y - expect
-        assert wrss_loss(params, x, y, h, sigmas, w) == pytest.approx(
-            float(np.sum(w * r * r)), rel=1e-12
-        )
 
 
 def test_loo_fallback_is_per_row():
@@ -343,16 +345,26 @@ def test_predict_batch_matches_per_epoch_oracle():
 
 
 def test_wrss_uniform_weights_equal_rss():
+    """Uniform weights give the plain leave-one-out RSS; doubling them picks
+    the same scale and doubles the loss and the gradients."""
     rng = np.random.default_rng(11)
     params = toy_params(rng, 3, 4)
     x = rng.normal(size=(6, 2, 3))
     y = rng.normal(size=6)
     h = transform_elevation(rng.uniform(10, 500, size=2))
-    sigmas = rng.uniform(0.5, 1.5, size=2)
-    w_uniform = np.ones(6)
-    loss = wrss_loss(params, x, y, h, sigmas, w_uniform)
-    w_scaled = np.full(6, 2.0)
-    assert wrss_loss(params, x, y, h, sigmas, w_scaled) == pytest.approx(2.0 * loss, rel=1e-12)
+    bank = bank_of(params, x, h)
+    runs = []
+    for w in (np.ones(6), np.full(6, 2.0)):
+        search = select_sigmas(bank, y, w)
+        runs.append((search.sigmas, *wrss_and_grads(params, x, y, h, bank, search, w)))
+    (sigmas, loss1, g1, _), (sigmas2, loss2, g2, _) = runs
+    np.testing.assert_array_equal(sigmas2, sigmas)
+    yhat = [kernel_oracle(bank[:, t], np.delete(bank, t, axis=1), np.delete(y, t), sigmas)
+            for t in range(6)]
+    assert loss1 == pytest.approx(float(np.sum((y - yhat) ** 2)), rel=1e-12)
+    assert loss2 == pytest.approx(2.0 * loss1, rel=1e-12)
+    for name in ("w1", "w2"):
+        np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
 
 
 def test_loo_exclusion_keeps_loss_positive_at_tiny_sigma():
@@ -361,73 +373,82 @@ def test_loo_exclusion_keeps_loss_positive_at_tiny_sigma():
     params = toy_params(rng, 2, 3)
     x = rng.normal(size=(5, 2, 2))
     y = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
-    h = np.ones(2)
-    loss = wrss_loss(params, x, y, h, np.full(2, 1e-3), np.ones(5))
-    assert loss > 1.0
+    bank = bank_of(params, x, np.ones(2))
+    _, yhat, _ = kernel_regression(loo_shift(pairwise_sq_dists(bank / 1e-3)), y)
+    assert float(np.sum((y - yhat) ** 2)) > 1.0
+
+
+def check_gradients_against_the_oracle(params, x, y, h, w, eps=1e-5):
+    """wrss_and_grads against central differences of the nested-loop oracle
+    at the sigmas its own search picked, held fixed."""
+    bank = bank_of(params, x, h)
+    search = select_sigmas(bank, y, w)
+    sigmas = search.sigmas
+    loss, grads, w_used = wrss_and_grads(params, x, y, h, bank, search, w)
+    assert w_used is w
+    assert loss == pytest.approx(wrss_loss(params, x, y, h, sigmas, w), rel=1e-12)
+    # the biases do not move the loss (test_bias_shift_changes_nothing)
+    assert set(grads) == {"w1", "w2"}
+    fd_all: list[float] = []
+    an_all: list[float] = []
+    for name in ("w1", "w2"):
+        arr = getattr(params, name)
+        for idx in np.ndindex(arr.shape):
+            p_hi, p_lo = params.copy(), params.copy()
+            getattr(p_hi, name)[idx] += eps
+            getattr(p_lo, name)[idx] -= eps
+            fd_all.append((wrss_loss(p_hi, x, y, h, sigmas, w)
+                           - wrss_loss(p_lo, x, y, h, sigmas, w)) / (2.0 * eps))
+            an_all.append(float(grads[name][idx]))
+    # absolute floor covers finite-difference cancellation noise, which
+    # scales with the loss value, not with the gradient components
+    np.testing.assert_allclose(an_all, fd_all, rtol=1e-4, atol=1e-7 * max(1.0, loss))
 
 
 def test_analytic_gradients_match_finite_differences():
-    eps = 1e-5
     for seed in range(10):
         rng = np.random.default_rng(seed)
         params = toy_params(rng, 3, 2)
         x = rng.normal(size=(3, 2, 3))
         y = rng.normal(size=3) * 2.0
         h = transform_elevation(rng.uniform(5.0, 400.0, size=2))
-        sigmas = rng.uniform(0.5, 1.5, size=2)
         w = rng.uniform(0.5, 2.0, size=3)
-        loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
-        # the biases do not move the loss (test_bias_shift_changes_nothing)
-        assert set(grads) == {"w1", "w2"}
-
-        def loss_at(p):
-            return wrss_loss(p, x, y, h, sigmas, w)
-
-        fd_all: list[float] = []
-        an_all: list[float] = []
-        for name in ("w1", "w2"):
-            arr = getattr(params, name)
-            g = grads[name]
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                p_hi = params.copy()
-                getattr(p_hi, name)[idx] += eps
-                p_lo = params.copy()
-                getattr(p_lo, name)[idx] -= eps
-                fd_all.append((loss_at(p_hi) - loss_at(p_lo)) / (2.0 * eps))
-                an_all.append(float(g[idx]))
-        # absolute floor covers finite-difference cancellation noise, which
-        # scales with the loss value, not with the gradient components
-        np.testing.assert_allclose(
-            an_all, fd_all, rtol=1e-4, atol=1e-7 * max(1.0, loss)
-        )
+        check_gradients_against_the_oracle(params, x, y, h, w)
 
 
 def test_analytic_gradients_match_finite_differences_on_a_larger_bank():
     """More epochs than locations, weights spread over 50x, so the
     leave-one-out rows mix many columns."""
-    eps = 1e-5
     rng = np.random.default_rng(24)
     params = toy_params(rng, 2, 3)
     x = rng.normal(size=(14, 3, 2))
     y = rng.normal(size=14) * 3.0 + 40.0
     h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
-    sigmas = rng.uniform(2.0, 6.0, size=3)
     w = rng.uniform(0.1, 5.0, size=14)
-    loss, grads = wrss_and_grads(params, x, y, h, sigmas, w)
-    assert set(grads) == {"w1", "w2"}
+    check_gradients_against_the_oracle(params, x, y, h, w)
+
+
+def test_a_constant_location_adds_no_loss_and_no_gradient():
+    """A location whose features never change gives a constant bank row:
+    it is absent from the search's matrix, so loss and gradients match
+    those of the bank without it."""
+    rng = np.random.default_rng(28)
+    params = toy_params(rng, 2, 3)
+    x = rng.normal(size=(12, 3, 2))
+    y = rng.normal(size=12) * 3.0 + 40.0
+    h = transform_elevation(rng.uniform(5.0, 400.0, size=4))
+    w = rng.uniform(0.5, 2.0, size=12)
+    with_constant = np.concatenate([x, np.broadcast_to([2.0, -1.0], (12, 1, 2))], axis=1)
+    runs = []
+    for xs, hs in ((x, h[:3]), (with_constant, h)):
+        bank = bank_of(params, xs, hs)
+        search = select_sigmas(bank, y, w)
+        runs.append((search.c, *wrss_and_grads(params, xs, y, hs, bank, search, w)[:2]))
+    (c1, loss1, g1), (c2, loss2, g2) = runs
+    assert c2 == c1
+    assert loss2 == loss1
     for name in ("w1", "w2"):
-        arr = getattr(params, name)
-        fd = np.empty_like(arr)
-        for idx in np.ndindex(arr.shape):
-            p_hi, p_lo = params.copy(), params.copy()
-            getattr(p_hi, name)[idx] += eps
-            getattr(p_lo, name)[idx] -= eps
-            fd[idx] = (wrss_loss(p_hi, x, y, h, sigmas, w) - wrss_loss(p_lo, x, y, h, sigmas, w)) / (
-                2.0 * eps
-            )
-        np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7 * max(1.0, loss))
+        np.testing.assert_allclose(g2[name], g1[name], rtol=1e-12)
 
 
 # -- what the model learns: sigma_j = c * sd_j cancels the rest ----------------
@@ -450,17 +471,20 @@ def test_bias_shift_changes_nothing():
     h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
     w = rng.uniform(0.5, 2.0, size=16)
     bank = bank_of(params, x, h)
-    sigmas = select_sigmas(bank, y, w)
-    loss = wrss_loss(params, x, y, h, sigmas, w)
+    search = select_sigmas(bank, y, w)
+    sigmas = search.sigmas
+    loss, _, _ = wrss_and_grads(params, x, y, h, bank, search, w)
     pred = agrnn_predict_batch(bank_of(params, probe, h), bank, y, sigmas)
     for b1, b2 in ((rng.normal(size=4), 0.0), (np.zeros(4), -1.5), (rng.normal(size=4), 2.5)):
         shifted = WlrParams(params.w1, b1, params.w2, b2)
         bank_s = bank_of(shifted, x, h)
         np.testing.assert_allclose(np.ptp(bank_s - bank, axis=1), 0.0, atol=1e-12)
         assert np.abs(bank_s - bank).max() > 0.1
-        sigmas_s = select_sigmas(bank_s, y, w)
+        search_s = select_sigmas(bank_s, y, w)
+        sigmas_s = search_s.sigmas
         np.testing.assert_allclose(sigmas_s, sigmas, rtol=1e-12)
-        assert wrss_loss(shifted, x, y, h, sigmas_s, w) == pytest.approx(loss, rel=1e-12)
+        loss_s, _, _ = wrss_and_grads(shifted, x, y, h, bank_s, search_s, w)
+        assert loss_s == pytest.approx(loss, rel=1e-12)
         np.testing.assert_allclose(
             agrnn_predict_batch(bank_of(shifted, probe, h), bank_s, y, sigmas_s), pred, rtol=1e-12
         )
@@ -475,13 +499,17 @@ def test_rescaling_v_scales_the_sigmas_and_keeps_the_loss():
     y = rng.normal(size=16) * 4.0 + 30.0
     h = transform_elevation(rng.uniform(5.0, 400.0, size=3))
     w = rng.uniform(0.5, 2.0, size=16)
-    sigmas = select_sigmas(bank_of(params, x, h), y, w)
-    loss = wrss_loss(params, x, y, h, sigmas, w)
+    bank = bank_of(params, x, h)
+    search = select_sigmas(bank, y, w)
+    sigmas = search.sigmas
+    loss, _, _ = wrss_and_grads(params, x, y, h, bank, search, w)
     for k in (0.05, 3.0, -2.0):
         scaled = WlrParams(params.w1, params.b1, params.w2 * k, params.b2)
-        sigmas_k = select_sigmas(bank_of(scaled, x, h), y, w)
-        np.testing.assert_allclose(sigmas_k, abs(k) * sigmas, rtol=1e-12)
-        assert wrss_loss(scaled, x, y, h, sigmas_k, w) == pytest.approx(loss, rel=1e-12)
+        bank_k = bank_of(scaled, x, h)
+        search_k = select_sigmas(bank_k, y, w)
+        np.testing.assert_allclose(search_k.sigmas, abs(k) * sigmas, rtol=1e-12)
+        loss_k, _, _ = wrss_and_grads(scaled, x, y, h, bank_k, search_k, w)
+        assert loss_k == pytest.approx(loss, rel=1e-12)
 
 
 def test_elevation_scale_equivariance():
@@ -597,9 +625,7 @@ def test_trace_records_the_sigma_scale_of_each_iteration():
     params = WlrParams.init(2, 3, np.random.default_rng(5))
     bank = np.array([[wlr_forward(params, z[t, j]) for t in range(20)] for j in range(3)])
     bank *= model.h_tilde[:, None]
-    np.testing.assert_allclose(
-        select_sigmas(bank, y), trace.sigma_scales[0] * bank.std(axis=1, ddof=1), rtol=1e-12
-    )
+    assert select_sigmas(bank, y).c == pytest.approx(trace.sigma_scales[0], rel=1e-12)
     _, again = train(x, y, elevations, cfg)
     assert again.sigma_scales == trace.sigma_scales
 
@@ -632,3 +658,92 @@ def test_train_inverse_residual_scheme_reweights():
     assert np.all(model.w > 0)
     assert np.ptp(model.w) > 0.01 * model.w.max()  # no longer uniform
     assert np.isfinite(trace.losses).all()
+
+
+def test_each_iteration_builds_one_distance_matrix(monkeypatch):
+    """k iterations forward the experts, build and shift one T x T matrix
+    k + 1 times (the last for the final selection), and the trace holds
+    the c each search returned."""
+    calls = {"_forward_all": 0, "pairwise_sq_dists": 0, "loo_shift": 0}
+    for name in calls:
+        inner = getattr(wlr_agrnn, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(wlr_agrnn, name, counted)
+    searched = []
+    inner_select = wlr_agrnn.select_sigmas
+
+    def recording_select(*args, **kwargs):
+        search = inner_select(*args, **kwargs)
+        searched.append(search.c)
+        return search
+
+    monkeypatch.setattr(wlr_agrnn, "select_sigmas", recording_select)
+    rng = np.random.default_rng(29)
+    x, y, elevations, _ = linear_scenario(rng, t_count=20)
+    for k in (0, 4):
+        for name in calls:
+            calls[name] = 0
+        searched.clear()
+        cfg = TrainConfig(learning_rate=0.01, max_iterations=k, tol=0.0, hidden=3, seed=9)
+        _, trace = train(x, y, elevations, cfg)
+        assert calls == dict.fromkeys(calls, k + 1)
+        # with no iteration, the one loss comes from the final selection
+        assert trace.sigma_scales == tuple(searched[:max(k, 1)])
+
+
+def test_zero_iterations_take_the_loss_from_the_final_search():
+    rng = np.random.default_rng(30)
+    x, y, elevations, _ = linear_scenario(rng, t_count=12)
+    cfg = TrainConfig(max_iterations=0, hidden=3, seed=10)
+    model, trace = train(x, y, elevations, cfg)
+    z = (x - model.standardizer.mean) / model.standardizer.sd
+    assert trace.losses == pytest.approx(
+        [wrss_loss(model.params, z, y, model.h_tilde, model.sigmas, np.ones(12))], rel=1e-10
+    )
+    sd = model.bank.std(axis=1, ddof=1)
+    np.testing.assert_allclose(model.sigmas, trace.sigma_scales[0] * sd, rtol=1e-15)
+
+
+def test_inverse_residual_weights_come_from_the_leave_one_out_fit():
+    """With a frozen bank every search picks the c of uniform weights; at
+    iteration WEIGHT_EVERY the weights become 1 / (WEIGHT_EPS + |y - yhat|)
+    of that fit, and that iteration's loss already uses them."""
+    rng = np.random.default_rng(31)
+    x, y, elevations, _ = linear_scenario(rng, t_count=16)
+    cfg = TrainConfig(learning_rate=0.0, max_iterations=WEIGHT_EVERY + 1, tol=0.0, hidden=3,
+                      weight_scheme="inverse_residual", seed=11)
+    model, trace = train(x, y, elevations, cfg)
+    assert trace.iterations == WEIGHT_EVERY + 1
+    bank = model.bank
+    sigmas = select_sigmas(bank, y).sigmas
+    yhat = np.array([
+        kernel_oracle(bank[:, t], np.delete(bank, t, axis=1), np.delete(y, t), sigmas)
+        for t in range(16)
+    ])
+    r = y - yhat
+    expect_w = 1.0 / (WEIGHT_EPS + np.abs(r))
+    np.testing.assert_allclose(model.w, expect_w, rtol=1e-10)
+    np.testing.assert_allclose(trace.losses[:WEIGHT_EVERY], np.sum(r * r), rtol=1e-10)
+    assert trace.losses[WEIGHT_EVERY] == pytest.approx(np.sum(expect_w * r * r), rel=1e-10)
+
+
+def test_training_holds_at_most_two_square_buffers():
+    """The T x T memory budget: one iteration holds the search's shifted
+    matrix and one kernel buffer, and frees both before the next search."""
+    rng = np.random.default_rng(32)
+    t_count = 600
+    x = rng.normal(size=(t_count, 12, 3))
+    y = rng.normal(size=t_count) * 3.0 + 40.0
+    cfg = TrainConfig(learning_rate=0.01, max_iterations=3, tol=0.0, hidden=3, seed=12)
+    tracemalloc.start()
+    try:
+        _, trace = train(x, y, rng.uniform(10.0, 500.0, size=12), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 3
+    assert peak < 2.5 * t_count * t_count * 8
