@@ -8,16 +8,19 @@ ISO-8601 with a trailing Z.
 One hour axis runs through ingest: integer hours since the Unix epoch.
 The weather store (WeatherSeries) is a dense cube on it, values and a
 presence mask of shape (hour, station, factor) with stations in registry
-order and factors in ALL_FACTORS order; 1 Hz TD samples are bucketed by
-the same integer hour, and alignment keeps the TD hours whose cube row
-is present for every station and requested factor.
+order and factors in ALL_FACTORS order.  The 1 Hz TD log (TdSamples) is
+two columns, int64 microseconds since the epoch and float64 TD; its
+samples are bucketed by the same integer hour, and alignment keeps the TD
+hours whose cube row is present for every station and requested factor.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .types import (
     ALL_FACTORS,
+    TD_SANITY_BOUND_NS,
     EpochHour,
     FactorSet,
     GeoPoint,
@@ -41,17 +45,13 @@ from .types import (
     validate_td_ns,
 )
 
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
 UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-HOUR = timedelta(hours=1)
+MICROSECOND = timedelta(microseconds=1)
+MICROS_PER_SECOND = 1_000_000
+MICROS_PER_HOUR = 3600 * MICROS_PER_SECOND
 
 # half an hour of 1 Hz data; hours with fewer samples are dropped
 DEFAULT_MIN_SAMPLES_PER_HOUR = 1800
-
-
-def format_timestamp(t: datetime) -> str:
-    return t.strftime(TIMESTAMP_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,56 @@ class WeatherSeries:
             and self.station_ids == other.station_ids
             and np.array_equal(self.present, other.present)
             and np.array_equal(self.values[self.present], other.values[other.present])
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TdSamples:
+    """A TD log as two columns: micros, int64 microseconds since the Unix
+    epoch, strictly increasing; values, float64 TD in ns, each passing
+    validate_td_ns.
+
+    Indexing and iteration give (aware-UTC datetime, float) pairs.
+    """
+
+    micros: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.micros.ndim != 1 or self.micros.shape != self.values.shape:
+            raise ValueError(f"TD columns {self.micros.shape} and {self.values.shape} differ")
+        if np.any(self.micros[1:] <= self.micros[:-1]):
+            raise ValueError("TD sample times must be strictly increasing")
+        bad = ~((self.values > -TD_SANITY_BOUND_NS) & (self.values < TD_SANITY_BOUND_NS))
+        if bad.any():
+            validate_td_ns(self.values[bad][0])  # raises, naming the first offender
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "TdSamples":
+        """From (aware-UTC datetime, value) pairs in time order."""
+        micros, values = [], []
+        for when, value in pairs:
+            if when.utcoffset() != timedelta(0):
+                raise ValueError(f"sample time {when!r} must be timezone-aware UTC")
+            micros.append((when - UNIX_EPOCH) // MICROSECOND)
+            values.append(float(value))
+        return cls(np.array(micros, dtype=np.int64), np.array(values, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.micros)
+
+    def __getitem__(self, i: int) -> tuple[datetime, float]:
+        return UNIX_EPOCH + int(self.micros[i]) * MICROSECOND, float(self.values[i])
+
+    def __iter__(self):
+        offsets = self.micros.astype("timedelta64[us]").tolist()
+        return zip(map(UNIX_EPOCH.__add__, offsets), self.values.tolist())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TdSamples)
+            and np.array_equal(self.micros, other.micros)
+            and np.array_equal(self.values, other.values)
         )
 
 
@@ -312,8 +362,54 @@ def write_weather_csv(series: WeatherSeries, path, factors: FactorSet = ALL_FACT
 
 # -- 1 Hz TD ------------------------------------------------------------------
 
-def parse_td_csv(path) -> list[tuple[datetime, float]]:
-    samples: list[tuple[datetime, float]] = []
+_TD_HEADER = (b"timestamp,td_ns\n", b"timestamp,td_ns\r\n")
+# the stamp write_td_csv writes for a whole second, as bytes: 0 marks a
+# digit, then the NUL that pads a 20-byte stamp in a 21-byte field
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
+_STAMP_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
+_FIRST_TIME = np.datetime64("0001-01-01T00:00:00", "s")  # datetime has no year 0; numpy does
+
+
+def parse_td_csv(path) -> TdSamples:
+    """A file of whole-second Z stamps, as write_td_csv writes them, is read
+    in bulk; any other file is read row by row, which accepts every
+    ISO-8601 UTC form and reports faults at their line."""
+    samples = _read_td_fixed(path)
+    return samples if samples is not None else _read_td_rows(path)
+
+
+def _read_td_fixed(path) -> TdSamples | None:
+    """The log if every row is YYYY-MM-DDTHH:MM:SSZ,<float> and every check
+    passes; None otherwise, so that the row loop reports the fault."""
+    with open(path, "rb") as fh:
+        if fh.readline() not in _TD_HEADER:
+            return None
+        # numpy's byte-string fields drop trailing NULs, which could hide junk
+        if any(b"\0" in chunk for chunk in iter(partial(fh.read, 1 << 20), b"")):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a log with no rows
+            rows = np.loadtxt(path, dtype=[("stamp", "S21"), ("td", "f8")], delimiter=",",
+                              skiprows=1, comments=None, encoding="utf-8", ndmin=1)
+        raw = rows.view(np.uint8).reshape(-1, rows.itemsize)
+        # column by column, so that no temporary is the size of the stamps
+        if any((raw[:, j] - _STAMP[j]).max() > _STAMP_SLACK[j] for j in range(len(_STAMP))):
+            return None
+        stamps = np.ndarray(len(rows), dtype="S19", buffer=rows, strides=(rows.itemsize,))
+        times = stamps.astype("datetime64[s]")  # rejects e.g. Feb 30 and hour 24
+        if np.any(times < _FIRST_TIME):
+            return None
+        micros = times.view(np.int64)
+        micros *= MICROS_PER_SECOND
+        return TdSamples(micros, np.ascontiguousarray(rows["td"]))
+    except (ValueError, OutOfRangeError, Warning):
+        return None
+
+
+def _read_td_rows(path) -> TdSamples:
+    micros: list[int] = []
+    values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -335,37 +431,47 @@ def parse_td_csv(path) -> list[tuple[datetime, float]]:
             if prev is not None and when <= prev:
                 raise ParseError(path, lineno, "timestamps must be strictly increasing")
             prev = when
-            samples.append((when, value))
-    return samples
+            micros.append((when - UNIX_EPOCH) // MICROSECOND)
+            values.append(value)
+    return TdSamples(np.array(micros, dtype=np.int64), np.array(values, dtype=float))
+
+
+_WRITE_ROWS = 1 << 16  # rows formatted per write
 
 
 def write_td_csv(samples, path) -> None:
+    """TdSamples, or (datetime, value) pairs; times carry .ffffff only when
+    they are not whole seconds, values are written by repr."""
+    if not isinstance(samples, TdSamples):
+        samples = TdSamples.from_pairs(samples)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "td_ns"])
-        for when, value in samples:
-            writer.writerow([format_timestamp(when), repr(float(value))])
+        fh.write("timestamp,td_ns\r\n")
+        for start in range(0, len(samples), _WRITE_ROWS):
+            micros = samples.micros[start:start + _WRITE_ROWS]
+            stamps = np.datetime_as_string(micros.astype("datetime64[us]"))
+            stamps = np.where(micros % MICROS_PER_SECOND == 0, stamps.astype("U19"), stamps)
+            values = samples.values[start:start + _WRITE_ROWS].tolist()
+            fh.write("".join([f"{t}Z,{v!r}\r\n" for t, v in zip(stamps.tolist(), values)]))
 
 
-def aggregate_hourly(samples, min_samples: int = DEFAULT_MIN_SAMPLES_PER_HOUR) -> HourlyTdSeries:
+def aggregate_hourly(samples: TdSamples,
+                     min_samples: int = DEFAULT_MIN_SAMPLES_PER_HOUR) -> HourlyTdSeries:
     """Mean TD per whole UTC hour; hours with < min_samples are omitted.
 
-    Samples are bucketed by integer hour since the Unix epoch.  Values are
-    sorted before summation so the result is independent of within-hour
-    sample order.
+    Sample times are sorted, so each integer hour since the Unix epoch is
+    one run of samples.  A run's values are sorted before summation, so a
+    mean does not depend on the order of the values within its hour.
     """
-    buckets: dict[int, list[float]] = {}
-    for when, value in samples:
-        if when.utcoffset() != timedelta(0):
-            raise ValueError(f"sample time {when!r} must be timezone-aware UTC")
-        buckets.setdefault((when - UNIX_EPOCH) // HOUR, []).append(float(value))
-    kept = sorted(hour for hour, values in buckets.items() if len(values) >= min_samples)
-    means = [np.sort(np.asarray(buckets[hour], dtype=float)).sum() / len(buckets[hour])
-             for hour in kept]
+    hours = samples.micros // MICROS_PER_HOUR
+    starts = np.flatnonzero(np.diff(hours, prepend=hours[:1] - 1))
+    counts = np.diff(starts, append=len(hours))
+    kept = np.flatnonzero(counts >= min_samples)
+    means = [np.sort(samples.values[starts[k]:starts[k] + counts[k]]).sum() / counts[k]
+             for k in kept]
     return HourlyTdSeries(
-        epochs=tuple(EpochHour.from_hours(hour) for hour in kept),
+        epochs=tuple(EpochHour.from_hours(h) for h in hours[starts[kept]].tolist()),
         values=np.array(means, dtype=float),
-        counts=np.array([len(buckets[hour]) for hour in kept], dtype=int),
+        counts=counts[kept].astype(int),
     )
 
 
@@ -405,11 +511,20 @@ def align_epochs(
 # -- DEM ----------------------------------------------------------------------
 
 _DEM_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# what each header value must be; NaN fails every rule
+_DEM_HEADER_RULES = (
+    ("ncols", "an integer >= 1", lambda v: v >= 1 and v.is_integer()),
+    ("nrows", "an integer >= 1", lambda v: v >= 1 and v.is_integer()),
+    ("xllcorner", "a longitude in [-180, 180]", lambda v: -180.0 <= v <= 180.0),
+    ("yllcorner", "a latitude in [-90, 90]", lambda v: -90.0 <= v <= 90.0),
+    ("cellsize", "finite and > 0", lambda v: 0.0 < v < math.inf),
+)
 
 
 def parse_dem(path) -> ElevationGrid:
     """ESRI ASCII grid: six header lines then row-major values, north first."""
     header: dict[str, float] = {}
+    header_line: dict[str, int] = {}
     rows: list[list[float]] = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -425,12 +540,14 @@ def parse_dem(path) -> ElevationGrid:
             header[key] = float(parts[1])
         except ValueError:
             raise ParseError(path, lineno, f"bad header value {parts[1]!r}") from None
+        header_line[key] = lineno
     missing = [k for k in _DEM_HEADER_KEYS if k not in header]
     if missing:
         raise ParseError(path, lineno, f"missing header keywords {missing}")
+    for key, rule, ok in _DEM_HEADER_RULES:
+        if not ok(header[key]):
+            raise ParseError(path, header_line[key], f"{key} must be {rule}, got {header[key]!r}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if ncols < 1 or nrows < 1:
-        raise ParseError(path, 1, "ncols and nrows must be >= 1")
     nodata = header["nodata_value"]
     for lineno, line in enumerate(lines[6:], start=7):
         if not line.strip():

@@ -24,6 +24,7 @@ from .ingest import (
     DEFAULT_MIN_SAMPLES_PER_HOUR,
     ElevationGrid,
     StationRegistry,
+    TdSamples,
     WeatherSeries,
     aggregate_hourly,
     align_epochs,
@@ -46,7 +47,7 @@ class Corpus:
     directory: Path
     registry: StationRegistry
     weather: WeatherSeries
-    td_samples: tuple
+    td_samples: TdSamples
     dem: ElevationGrid
     meta: dict | None = None
 
@@ -67,7 +68,7 @@ def load_corpus(directory) -> Corpus:
             raise DataError(f"corpus {root} is missing {fname}")
     registry = parse_station_registry(root / "stations.csv")
     weather = parse_weather_csv(root / "weather.csv", registry)
-    td_samples = tuple(parse_td_csv(root / "td.csv"))
+    td_samples = parse_td_csv(root / "td.csv")
     dem = parse_dem(root / "dem.asc")
     meta = None
     meta_path = root / "scenario.meta"

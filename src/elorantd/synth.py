@@ -31,8 +31,10 @@ from .gridmap import (
     sample_path,
 )
 from .ingest import (
+    MICROS_PER_SECOND,
     ElevationGrid,
     StationRegistry,
+    TdSamples,
     WeatherSeries,
     write_dem,
     write_station_registry,
@@ -189,8 +191,8 @@ class ScenarioConfig:
         require_at_least(self, 0, "seed", "noise_sd_ns")
         if self.duration_hours < 1 or self.station_count < 1 or self.l < 2:
             raise ValueError("bad scenario dimensions")
-        if self.td_samples_per_hour < 1:
-            raise ValueError("need at least one TD sample per hour")
+        if not 1 <= self.td_samples_per_hour <= 3600:
+            raise ValueError("need 1 to 3600 TD samples per hour (at most one a second)")
         missing = [f for f in self.recipe.used_factors() if f not in self.factors]
         if missing:
             raise ValueError(
@@ -207,7 +209,7 @@ class SyntheticScenario:
     config: ScenarioConfig
     registry: StationRegistry
     weather: WeatherSeries
-    td_samples: tuple
+    td_samples: TdSamples
     dem: ElevationGrid
     path: PathPoints
     profile: np.ndarray
@@ -347,11 +349,9 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     step = 3600 // cfg.td_samples_per_hour
     k_range = np.arange(cfg.td_samples_per_hour)
     jitter = cfg.td_jitter_ns * np.sin(2.0 * np.pi * (k_range + 0.5) / cfg.td_samples_per_hour)
-    offsets = [timedelta(seconds=int(k) * step) for k in k_range]
-    samples = tuple(
-        (epoch.instant + offset, value)
-        for epoch, row in zip(epochs, (hourly_td[:, None] + jitter).tolist())
-        for offset, value in zip(offsets, row)
+    seconds = hours_abs.astype(np.int64)[:, None] * 3600 + k_range * step
+    samples = TdSamples(
+        (seconds * MICROS_PER_SECOND).ravel(), (hourly_td[:, None] + jitter).ravel()
     )
 
     return SyntheticScenario(

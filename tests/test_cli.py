@@ -132,6 +132,26 @@ def test_ingest_missing_corpus_file_exit_3(tmp_path, small_corpus_dir):
     assert main(["ingest", "--corpus", str(partial)]) == 3
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("ncols", "nan"), ("nrows", "inf"), ("xllcorner", "inf"), ("yllcorner", "-1e308"),
+     ("cellsize", "-1e308")],
+)
+def test_ingest_bad_dem_header_value_exit_3(tmp_path, small_corpus_dir, capsys, key, value):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("stations.csv", "weather.csv", "td.csv", "scenario.meta"):
+        (corpus / name).write_bytes((small_corpus_dir / name).read_bytes())
+    dem = (small_corpus_dir / "dem.asc").read_text().splitlines()
+    line = next(i for i, text in enumerate(dem) if text.lower().startswith(key))
+    dem[line] = f"{key} {value}"
+    (corpus / "dem.asc").write_text("\n".join(dem) + "\n")
+    cfg = write_ini(tmp_path / "run.ini", base_ini(corpus))
+    assert main(["ingest", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert f"dem.asc:{line + 1}: {key} must be" in err
+
+
 def test_missing_corpus_dir_exit_2(tmp_path):
     assert main(["ingest", "--corpus", str(tmp_path / "void")]) == 2
 

@@ -14,8 +14,12 @@ from elorantd.errors import (
 from elorantd.ingest import (
     ElevationGrid,
     HourlyTdSeries,
+    UNIX_EPOCH,
     StationRegistry,
+    TdSamples,
     WeatherSeries,
+    _read_td_fixed,
+    _read_td_rows,
     aggregate_hourly,
     align_epochs,
     parse_dem,
@@ -279,15 +283,149 @@ def test_weather_store_rejects_out_of_range_present_values(registry):
 # -- TD -----------------------------------------------------------------------
 
 
-def test_parse_td_strictly_increasing(tmp_path):
+TD_ROW0 = "2024-10-01T00:00:00Z,100.0"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("time,td_ns\n" + TD_ROW0 + "\n", 1),  # bad header
+        ("timestamp,td_ns,extra\n" + TD_ROW0 + "\n", 1),
+        ("", 1),  # no header at all
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z,1.0,2.0\n", 3),  # field count
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z\n", 3),
+        (f"timestamp,td_ns\n{TD_ROW0}\n   \n", 3),  # whitespace-only line: one field
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-13-01T00:00:01Z,1.0\n", 3),  # bad timestamp
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01 00:00:01Q,1.0\n", 3),
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-02-30T00:00:00Z,1.0\n", 3),
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01,1.0\n", 3),  # naive
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T09:00:01+09:00,1.0\n", 3),  # not UTC
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z,1.0ns\n", 3),  # bad float
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z,\n", 3),
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:00Z,1.0\n", 3),  # repeated time
+        (f"timestamp,td_ns\n{TD_ROW0}\n2024-09-30T23:59:59Z,1.0\n", 3),  # earlier time
+        (f"timestamp,td_ns\n{TD_ROW0}\n\n\n2024-10-01T00:00:00Z,1.0\n", 5),  # blank lines count
+        (f"timestamp,td_ns\r\n{TD_ROW0}\r\n\r\n2024-10-01T00:00:01Z,x\r\n", 4),
+    ],
+)
+def test_parse_td_faults_report_their_line(tmp_path, text, line):
     path = tmp_path / "td.csv"
-    path.write_text(
-        "timestamp,td_ns\n"
-        "2024-10-01T00:00:00Z,100.0\n"
-        "2024-10-01T00:00:00Z,101.0\n"
-    )
-    with pytest.raises(ParseError):
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as info:
         parse_td_csv(path)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e9", "-1e9", "1.5e300"])
+def test_parse_td_rejects_non_finite_and_out_of_bound_values(tmp_path, cell):
+    path = tmp_path / "td.csv"
+    path.write_text(f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z,{cell}\n")
+    with pytest.raises(OutOfRangeError) as info:
+        parse_td_csv(path)
+    assert repr(float(cell)) in str(info.value)
+
+
+def td_outcome(read, path):
+    """The samples a reader returns, or the type, line and text of its error."""
+    try:
+        return read(path)
+    except (ParseError, OutOfRangeError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def assert_readers_agree(path) -> bool:
+    """The bulk reader accepts only what the row loop reads to the same
+    samples; parse_td_csv gives the row loop's samples or error.  Returns
+    whether the bulk reader accepted the file."""
+    fixed = _read_td_fixed(path)
+    rows = td_outcome(_read_td_rows, path)
+    if fixed is not None:
+        assert fixed == rows
+    assert td_outcome(parse_td_csv, path) == rows
+    return fixed is not None
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "row,bulk",
+    [
+        ("2024-10-01T00:00:05Z,1.5", True),
+        ("2024-10-01T00:00:05Z, 1.5 ", True),
+        ("2024-10-01T00:00:05Z,+1.5e-3", True),
+        ("2024-10-01T00:00:05Zjunk,1.5", False),  # a valid stamp, then junk after byte 20
+        ("2024-10-01T00:00:05Z\0,1.5", False),
+        ('"2024-10-01T00:00:05Z",1.5', False),  # quoted stamp
+        ("2024-10-01T00:00:05Z,1.5#note", False),  # '#' in a value
+        ("   ", False),  # whitespace-only line
+        ("2024-10-01T00:00:05z,1.5", False),  # lowercase z
+        ("2024-10-01T00:00:05.5Z,1.5", False),  # fractional seconds
+        ("2024-10-01T00:00:05+00:00,1.5", False),
+        ("2024-10-01T00:00:05Z,1_000", False),  # Python's float accepts underscores
+        ("2024-10-01T00:00:05Z,inf", False),
+        ("2024-10-01T00:00:03Z,1.5", False),  # not increasing
+        ("2024-10-01 00:00:05Z,1.5", False),
+        ("2024-10-01T24:00:05Z,1.5", False),
+        ("2024-02-30T00:00:05Z,1.5", False),
+        ("0000-10-01T00:00:05Z,1.5", False),
+    ],
+)
+def test_bulk_td_reader_agrees_with_the_row_loop(tmp_path, row, bulk, newline):
+    rows = [f"2024-10-01T00:00:0{k}Z,{k}.25" for k in range(5)]
+    rows += [row, "", "2024-10-01T00:00:07Z,7.0"]
+    path = tmp_path / "td.csv"
+    path.write_bytes(newline.join(["timestamp,td_ns", *rows, ""]).encode())
+    assert assert_readers_agree(path) == bulk
+
+
+def test_bulk_td_reader_leaves_year_zero_to_the_row_loop(tmp_path):
+    # numpy's datetime64 has a year 0; Python's datetime does not
+    path = tmp_path / "td.csv"
+    path.write_text("timestamp,td_ns\n0000-12-31T23:59:59Z,1.0\n0001-01-01T00:00:00Z,2.0\n")
+    assert not assert_readers_agree(path)
+    with pytest.raises(ParseError) as info:
+        parse_td_csv(path)
+    assert info.value.line == 2
+
+
+TD_MUTATIONS = (
+    lambda line: line[:20] + "x" + line[20:],
+    lambda line: line[:20] + "\0" + line[20:],
+    lambda line: '"' + line[:20] + '"' + line[20:],
+    lambda line: line + "#c",
+    lambda line: "   ",
+    lambda line: line.replace("Z", "z"),
+    lambda line: line.replace("Z", ".5Z"),
+    lambda line: line.replace("Z", "+00:00"),
+    lambda line: line.replace("Z", "+09:00"),
+    lambda line: line[:22] + "_" + line[22:],
+    lambda line: line.replace(",", ", ") + " ",
+    lambda line: line + "\n",
+    lambda line: line.replace(",", ""),
+    lambda line: line + ",1",
+    lambda line: line[:20] + ",nan",
+    lambda line: line[:20] + ",1e9",
+    lambda line: line[:5] + "13" + line[7:],
+    lambda line: line[:11] + "2" + line[12:],
+    lambda line: line[:17] + "00" + line[19:],
+)
+
+
+def test_bulk_td_reader_agrees_with_the_row_loop_on_seeded_mutations(tmp_path):
+    rng = np.random.default_rng(20)
+    base = utc(2024, 10, 1, 5)
+    clean = [f"{(base + timedelta(seconds=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},{v!r}"
+             for k, v in enumerate(rng.normal(0.0, 3000.0, size=40).tolist())]
+    path = tmp_path / "td.csv"
+    accepted = 0
+    for case in range(150):
+        lines = list(clean)
+        for _ in range(rng.integers(0, 3)):
+            k = int(rng.integers(len(lines)))
+            lines[k] = TD_MUTATIONS[int(rng.integers(len(TD_MUTATIONS)))](lines[k])
+        newline = "\r\n" if case % 3 == 0 else "\n"
+        path.write_bytes(newline.join(["timestamp,td_ns", *lines, ""]).encode())
+        accepted += assert_readers_agree(path)
+    assert 20 <= accepted <= 130  # both readers were exercised
 
 
 def test_td_roundtrip(tmp_path):
@@ -298,12 +436,63 @@ def test_td_roundtrip(tmp_path):
     ]
     path = tmp_path / "td.csv"
     write_td_csv(samples, path)
+    assert path.read_bytes() == (
+        b"timestamp,td_ns\r\n2024-10-01T00:00:00Z,100.25\r\n"
+        b"2024-10-01T00:00:01Z,101.5\r\n2024-10-01T00:00:02Z,99.0\r\n"
+    )
+    assert parse_td_csv(path) == TdSamples.from_pairs(samples)
+    assert list(parse_td_csv(path)) == samples
+
+
+def test_td_roundtrip_keeps_sub_second_times(tmp_path):
+    samples = TdSamples.from_pairs([
+        (utc(2024, 10, 1, 0, 0, 0), 1.0),
+        (utc(2024, 10, 1, 0, 0, 0, 250000), 2.0),
+        (utc(2024, 10, 1, 0, 0, 0, 250001), 3.0),
+        (utc(2024, 10, 1, 0, 0, 1), 4.0),
+        (utc(1969, 12, 31, 23, 59, 59, 999999) + timedelta(days=20000), 5.0),
+    ])
+    path = tmp_path / "td.csv"
+    write_td_csv(samples, path)
+    lines = path.read_text().splitlines()
+    assert lines[1:5] == [
+        "2024-10-01T00:00:00Z,1.0",
+        "2024-10-01T00:00:00.250000Z,2.0",
+        "2024-10-01T00:00:00.250001Z,3.0",
+        "2024-10-01T00:00:01Z,4.0",
+    ]
     assert parse_td_csv(path) == samples
+
+
+def test_td_samples_view_gives_aware_utc_pairs():
+    pairs = [(utc(2024, 10, 1, 5, 0, 0), -2848.5), (utc(2024, 10, 1, 5, 59, 59, 999999), 7.0)]
+    samples = TdSamples.from_pairs(pairs)
+    assert len(samples) == 2
+    assert samples.micros.dtype == np.int64 and samples.values.dtype == np.float64
+    assert samples[0] == pairs[0] and samples[-1] == pairs[-1]
+    assert list(samples) == pairs
+    assert all(type(v) is float and t.tzinfo is timezone.utc for t, v in samples)
+    assert samples != pairs
+    assert samples != TdSamples.from_pairs(pairs[:1])
+
+
+def test_td_samples_reject_broken_columns():
+    micros, values = np.array([0, 1_000_000], dtype=np.int64), np.array([1.0, 2.0])
+    TdSamples(micros, values)
+    with pytest.raises(ValueError):
+        TdSamples(micros[::-1].copy(), values)
+    with pytest.raises(ValueError):
+        TdSamples(np.zeros(2, dtype=np.int64), values)
+    with pytest.raises(ValueError):
+        TdSamples(micros, values[:1])
+    for bad in (np.nan, np.inf, 1e9, -1e9):
+        with pytest.raises(OutOfRangeError):
+            TdSamples(micros, np.array([1.0, bad]))
 
 
 def test_aggregate_hourly_constant_hour():
     base = utc(2024, 10, 1, 5)
-    samples = [(base + timedelta(seconds=s), 100.0) for s in range(3600)]
+    samples = TdSamples.from_pairs([(base + timedelta(seconds=s), 100.0) for s in range(3600)])
     hourly = aggregate_hourly(samples, min_samples=1800)
     epoch = EpochHour(base)
     assert hourly_value(hourly, epoch) == 100.0
@@ -313,34 +502,57 @@ def test_aggregate_hourly_constant_hour():
 def test_aggregate_hourly_arithmetic_series():
     # one sample per second valued 0..3599 -> mean (0 + 3599) / 2 = 1799.5
     base = utc(2024, 10, 1, 5)
-    samples = [(base + timedelta(seconds=s), float(s)) for s in range(3600)]
+    samples = TdSamples.from_pairs([(base + timedelta(seconds=s), float(s)) for s in range(3600)])
     hourly = aggregate_hourly(samples, min_samples=1800)
     assert hourly_value(hourly, EpochHour(base)) == pytest.approx(1799.5, abs=1e-12)
 
 
 def test_aggregate_hourly_drops_thin_hours():
     base = utc(2024, 10, 1, 5)
-    samples = [(base + timedelta(seconds=s), 10.0) for s in range(10)]
+    samples = TdSamples.from_pairs([(base + timedelta(seconds=s), 10.0) for s in range(10)])
     hourly = aggregate_hourly(samples, min_samples=1800)
     assert len(hourly) == 0
     assert hourly_value(hourly, EpochHour(base)) is None
 
 
+def test_aggregate_hourly_of_no_samples_is_empty():
+    hourly = aggregate_hourly(TdSamples.from_pairs([]), min_samples=1)
+    assert hourly.epochs == () and hourly.values.size == 0 and hourly.counts.size == 0
+
+
 def test_aggregate_hourly_order_invariant():
     rng = np.random.default_rng(3)
     base = utc(2024, 10, 1, 5)
-    values = rng.normal(100.0, 20.0, size=2000)
-    samples = [(base + timedelta(seconds=s), float(v)) for s, v in enumerate(values)]
-    shuffled = list(samples)
-    rng.shuffle(shuffled)
-    a = aggregate_hourly(samples, min_samples=1800)
-    b = aggregate_hourly(shuffled, min_samples=1800)
-    assert hourly_value(a, EpochHour(base)) == hourly_value(b, EpochHour(base))
+    micros = (base - UNIX_EPOCH) // timedelta(microseconds=1) + 1_000_000 * np.arange(5000)
+    values = rng.normal(100.0, 20.0, size=micros.size)
+    shuffled = np.r_[rng.permutation(values[:3600]), rng.permutation(values[3600:])]
+    a = aggregate_hourly(TdSamples(micros, values), min_samples=1)
+    b = aggregate_hourly(TdSamples(micros, shuffled), min_samples=1)
+    assert a.epochs == b.epochs
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_aggregate_hourly_matches_per_hour_python_means():
+    """Hours before the epoch, gaps, and uneven counts: each mean is the
+    sorted sum of its own hour's values, and counts are exact."""
+    rng = np.random.default_rng(5)
+    seconds = np.sort(rng.choice(np.arange(-7200, 14400), size=3000, replace=False))
+    values = rng.normal(0.0, 50.0, size=seconds.size)
+    hourly = aggregate_hourly(TdSamples(seconds * 1_000_000, values), min_samples=300)
+    buckets = {}
+    for s, v in zip(seconds.tolist(), values.tolist()):
+        buckets.setdefault(s // 3600, []).append(v)
+    kept = sorted(h for h, vs in buckets.items() if len(vs) >= 300)
+    assert [e.hours_since_epoch for e in hourly.epochs] == kept
+    assert hourly.counts.tolist() == [len(buckets[h]) for h in kept]
+    assert hourly.values.tolist() == [float(np.sort(buckets[h]).sum() / len(buckets[h]))
+                                      for h in kept]
 
 
 def test_aggregate_hourly_last_microsecond_stays_in_its_hour():
     late = [(utc(2024, 10, 1, h, 59, 59, 999999), 10.0 * h) for h in (5, 6)]
-    hourly = aggregate_hourly([(utc(2024, 10, 1, 5, 0, 0), 0.0), *late], min_samples=1)
+    samples = TdSamples.from_pairs([(utc(2024, 10, 1, 5, 0, 0), 0.0), *late])
+    hourly = aggregate_hourly(samples, min_samples=1)
     assert hourly.epochs == (EpochHour.of(2024, 10, 1, 5), EpochHour.of(2024, 10, 1, 6))
     np.testing.assert_array_equal(hourly.values, [25.0, 60.0])
     np.testing.assert_array_equal(hourly.counts, [2, 1])
@@ -350,10 +562,10 @@ def test_aggregate_hourly_last_microsecond_stays_in_its_hour():
     "when",
     [datetime(2024, 10, 1, 5), datetime(2024, 10, 1, 5, tzinfo=timezone(timedelta(hours=9)))],
 )
-def test_aggregate_hourly_rejects_naive_and_non_utc_times(when):
+def test_td_samples_from_pairs_rejects_naive_and_non_utc_times(when):
     samples = [(utc(2024, 10, 1, 4), 1.0), (when, 2.0)]
     with pytest.raises(ValueError):
-        aggregate_hourly(samples, min_samples=1)
+        TdSamples.from_pairs(samples)
 
 
 # -- alignment ----------------------------------------------------------------
@@ -492,3 +704,41 @@ def test_dem_header_case_insensitive(tmp_path):
     path.write_text(DEM_TEXT.replace("ncols", "NCOLS").replace("cellsize", "CELLSIZE"))
     grid = parse_dem(path)
     assert grid.ncols == 2
+
+
+@pytest.mark.parametrize(
+    "key,value,line",
+    [
+        ("ncols", "nan", 1),
+        ("ncols", "2.5", 1),
+        ("ncols", "0", 1),
+        ("nrows", "inf", 2),
+        ("nrows", "-1", 2),
+        ("xllcorner", "inf", 3),
+        ("xllcorner", "180.5", 3),
+        ("yllcorner", "-1e308", 4),
+        ("yllcorner", "nan", 4),
+        ("cellsize", "-1e308", 5),
+        ("cellsize", "0", 5),
+        ("cellsize", "inf", 5),
+    ],
+)
+def test_parse_dem_rejects_bad_header_values_at_their_line(tmp_path, key, value, line):
+    lines = DEM_TEXT.splitlines()
+    lines[line - 1] = f"{key} {value}"
+    path = tmp_path / "dem.asc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        parse_dem(path)
+    assert info.value.line == line
+    assert key in str(info.value)
+
+
+def test_parse_dem_reports_a_bad_header_value_at_the_line_that_holds_it(tmp_path):
+    lines = DEM_TEXT.splitlines()
+    lines[0], lines[4] = lines[4], "ncols 2.5"  # keys may come in any order
+    path = tmp_path / "dem.asc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        parse_dem(path)
+    assert info.value.line == 5

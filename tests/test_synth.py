@@ -179,6 +179,18 @@ def test_ground_truth_matches_independent_recipe_evaluation():
     assert scenario.hourly_truth[t] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("per_hour", [1, 7, 3600])
+def test_td_samples_are_evenly_spaced_whole_seconds_in_each_hour(per_hour):
+    scenario = generate_scenario(tiny_config(duration_hours=3, td_samples_per_hour=per_hour))
+    td = scenario.td_samples
+    assert len(td) == 3 * per_hour
+    seconds = td.micros.reshape(3, per_hour) // 1_000_000
+    starts = np.array([e.hours_since_epoch * 3600 for e in scenario.epochs])
+    step = 3600 // per_hour
+    np.testing.assert_array_equal(seconds, starts[:, None] + step * np.arange(per_hour))
+    assert td[0][0] == scenario.epochs[0].instant
+
+
 def test_hourly_td_matches_aggregated_second_samples():
     scenario = generate_scenario(tiny_config(duration_hours=24))
     hourly = aggregate_hourly(scenario.td_samples, min_samples=1)
@@ -227,6 +239,9 @@ def test_config_json_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(noise_sd_ns=-1.0)
+    for per_hour in (0, 3601, 7200):  # more than one a second would repeat a stamp
+        with pytest.raises(ValueError):
+            tiny_config(td_samples_per_hour=per_hour)
     with pytest.raises(ValueError):
         tiny_config(duration_hours=0)
     with pytest.raises(ValueError):
