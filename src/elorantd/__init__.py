@@ -13,7 +13,8 @@ Library layout:
   the one Gaussian-kernel core (pairwise distances, leave-one-out weights,
   predictions with the nearest-column fallback)
 - baselines: BPNN, GRNN (the tied-bandwidth case of that kernel), and
-  mixture-of-experts reference models
+  mixture-of-experts reference models; one tanh-network trainer and
+  forward serve the MoE and the BPNN, its one-expert ungated case
 - synth: seeded synthetic scenarios and brute-force oracles
 - artifacts / pipeline / cli: serialization, orchestration, command line
 """

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .models import KINDS, Array, EpochTable, Items, Record, Scalar
+from .models import KINDS, Array, EpochTable, Items, ModelKind, Record, Scalar
 from .models import ConstantModel, LookupModel  # noqa: F401  (re-exported)
 from .types import EpochHour, factor_set
 
@@ -81,10 +81,16 @@ def _decode(spec, raw, dims: dict, where: str):
     return spec.type(raw)
 
 
-def model_document(model) -> dict:
+def model_kind(model) -> ModelKind:
+    """The registry entry of a model's class."""
     kind = next((k for k in KINDS.values() if isinstance(model, k.model)), None)
     if kind is None:
         raise ArtifactError(f"cannot serialize model type {type(model).__name__}")
+    return kind
+
+
+def model_document(model) -> dict:
+    kind = model_kind(model)
     return {
         "schema": SCHEMA,
         "kind": kind.name,
@@ -126,10 +132,3 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed {doc['kind']} payload ({exc})") from None
-
-
-def artifact_kind(path) -> str:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ArtifactError(f"{path}: not a model artifact")
-    return str(doc["kind"])

@@ -4,10 +4,12 @@ BPNN: one tanh hidden layer, linear output, full-batch Adam on MSE.
 GRNN: the AGRNN Gaussian kernel of wlr_agrnn with one bandwidth tied
 across every input (Specht 1991), bandwidth by leave-one-out grid
 search; no iterative training, so its trace has exactly one entry.
-MoE: feedforward experts combined through a softmax gate over a linear
-map of the full input, trained jointly.
+MoE: tanh experts, each over a slice of the input, combined through a
+softmax gate over a linear map of the full input, trained jointly.
 
-BPNN and MoE fit in standardized-target space for optimizer
+The BPNN is the one-expert MoE with no gate (a softmax over one logit
+is exactly 1; Jacobs et al. 1991), so one trainer and one forward pass
+serve both.  They fit in standardized-target space for optimizer
 conditioning; predictions are mapped back and the scaling is recorded
 in the artifact.
 """
@@ -33,10 +35,7 @@ GRNN_SIGMA_GRID_POINTS = 30
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    hidden: int = 16
-    experts: int = 4
-    expert_hidden: int = 8
+class _AdamConfig:
     learning_rate: float = 0.001
     max_iterations: int = 2000
     tol: float = 1e-8
@@ -45,7 +44,26 @@ class BaselineConfig:
 
     def __post_init__(self):
         require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
-        require_at_least(self, 1, "hidden", "expert_hidden", "patience")
+        require_at_least(self, 1, "patience")
+
+
+@dataclass(frozen=True)
+class BpnnConfig(_AdamConfig):
+    hidden: int = 16
+
+    def __post_init__(self):
+        super().__post_init__()
+        require_at_least(self, 1, "hidden")
+
+
+@dataclass(frozen=True)
+class MoeConfig(_AdamConfig):
+    experts: int = 4
+    expert_hidden: int = 8
+
+    def __post_init__(self):
+        super().__post_init__()
+        require_at_least(self, 1, "expert_hidden")
         require_at_least(self, 2, "experts")
 
 
@@ -70,6 +88,107 @@ def _check_xy(x, y):
     return x, y
 
 
+# -- tanh mixture: the one trainer and forward of BPNN and MoE ----------------
+
+def _check_slices(group_slices, n_inputs: int, widths) -> None:
+    """Each expert reads a non-empty slice lo:hi of the inputs, as wide as its w1."""
+    for (lo, hi), width in zip(group_slices, widths):
+        if not 0 <= lo < hi <= n_inputs or width != hi - lo:
+            raise ValueError(
+                f"slice ({lo}, {hi}) of {n_inputs} inputs does not fit w1 width {width}")
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _forward(experts, group_slices, gate, z: np.ndarray):
+    """Prediction, expert outputs, tanh activations and gate weights (None
+    for an empty gate) of the mixture on standardized inputs z."""
+    outputs = np.empty((z.shape[0], len(experts)))
+    hiddens = []
+    for k, ((w1, b1, w2, b2), (lo, hi)) in enumerate(zip(experts, group_slices)):
+        hiddens.append(np.tanh(z[:, lo:hi] @ w1.T + b1))
+        outputs[:, k] = hiddens[k] @ w2 + b2
+    if not gate:
+        return outputs[:, 0], outputs, hiddens, None
+    p = _softmax(z @ gate[0].T + gate[1])
+    return np.einsum("tk,tk->t", p, outputs), outputs, hiddens, p
+
+
+def _loss_and_grads(params: list[np.ndarray], group_slices, z: np.ndarray, ys: np.ndarray):
+    """MSE and its gradient (None if the MSE is not finite); params are (w1, b1,
+    w2, b2) per expert, b2 of shape (1,), then the gate's (w, b) if two or more."""
+    k_count = len(group_slices)
+    experts = [params[4 * k: 4 * k + 4] for k in range(k_count)]
+    pred, outputs, hiddens, p = _forward(experts, group_slices, params[4 * k_count:], z)
+    t_count = z.shape[0]
+    err = pred - ys
+    loss = float(np.dot(err, err) / t_count)
+    if not math.isfinite(loss):  # the caller raises; a backward pass would only add warnings
+        return loss, None
+    delta = 2.0 * err / t_count
+    grads: list[np.ndarray] = []
+    for k, ((_, _, w2, _), (lo, hi), h) in enumerate(zip(experts, group_slices, hiddens)):
+        d_out = delta if p is None else delta * p[:, k]
+        back = np.outer(d_out, w2) * (1.0 - h * h)
+        grads += [back.T @ z[:, lo:hi], back.sum(axis=0), h.T @ d_out, np.array([d_out.sum()])]
+    if p is not None:
+        d_logits = p * (delta[:, None] * (outputs - pred[:, None]))
+        grads += [d_logits.T @ z, d_logits.sum(axis=0)]
+    return loss, grads
+
+
+def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: _AdamConfig, name: str):
+    """Adam on the MSE of one tanh expert per input slice, softmax-gated
+    when two or more; returns experts, gate, both scalings and the trace."""
+    _check_slices(group_slices, x.shape[1], [hi - lo for lo, hi in group_slices])
+    standardizer = Standardizer.fit(x)
+    target_scale = ScalarStandardizer.fit(y)
+    z = standardizer.transform(x)
+    ys = target_scale.transform(y)
+    rng = np.random.default_rng(cfg.seed)
+    params: list[np.ndarray] = []
+    for lo, hi in group_slices:
+        lim1 = 1.0 / math.sqrt(hi - lo)
+        lim2 = 1.0 / math.sqrt(hidden)
+        params += [
+            rng.uniform(-lim1, lim1, size=(hidden, hi - lo)),
+            rng.uniform(-lim1, lim1, size=hidden),
+            rng.uniform(-lim2, lim2, size=hidden),
+            np.zeros(1),
+        ]
+    k_count = len(group_slices)
+    if k_count > 1:
+        lim_g = 1.0 / math.sqrt(z.shape[1])
+        params += [rng.uniform(-lim_g, lim_g, size=(k_count, z.shape[1])), np.zeros(k_count)]
+    adam = Adam(lr=cfg.learning_rate)
+    losses: list[float] = []
+    for _ in range(cfg.max_iterations):
+        loss, grads = _loss_and_grads(params, group_slices, z, ys)
+        if not math.isfinite(loss):
+            raise NonFiniteLossError(f"{name} loss became non-finite")
+        losses.append(loss)
+        adam.step(params, grads)
+        if loss_converged(losses, cfg.tol, cfg.patience):
+            break
+    if not losses:
+        losses.append(_loss_and_grads(params, group_slices, z, ys)[0])
+    experts = tuple((*params[4 * k: 4 * k + 3], float(params[4 * k + 3][0]))
+                    for k in range(k_count))
+    trace = TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
+    return experts, tuple(params[4 * k_count:]), standardizer, target_scale, trace
+
+
+def _predict_mixture(model, x, experts, group_slices, gate):
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    z = model.standardizer.transform(x[None, :] if single else x)
+    out = model.target_scale.inverse(_forward(experts, group_slices, gate, z)[0])
+    return float(out[0]) if single else out
+
+
 # -- BPNN ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -85,67 +204,29 @@ class BpnnModel:
     meta: dict = field(default_factory=dict)
 
     def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        z = self.standardizer.transform(x)
-        out = np.tanh(z @ self.w1.T + self.b1) @ self.w2 + self.b2
-        out = self.target_scale.inverse(out)
-        return float(out[0]) if single else out
+        experts = ((self.w1, self.b1, self.w2, self.b2),)
+        return _predict_mixture(self, x, experts, ((0, self.w1.shape[1]),), ())
 
 
 def train_bpnn(
     x: np.ndarray,
     y: np.ndarray,
-    cfg: BaselineConfig = BaselineConfig(),
+    cfg: BpnnConfig = BpnnConfig(),
     factors: FactorSet = (),
     location_mode: str = "receiver_only",
     meta: dict | None = None,
 ) -> tuple[BpnnModel, TrainingTrace]:
+    """The one-expert mixture over all inputs."""
     x, y = _check_xy(x, y)
-    standardizer = Standardizer.fit(x)
-    target_scale = ScalarStandardizer.fit(y)
-    z = standardizer.transform(x)
-    ys = target_scale.transform(y)
-    rng = np.random.default_rng(cfg.seed)
-    n_in = z.shape[1]
-    lim1 = 1.0 / math.sqrt(n_in)
-    lim2 = 1.0 / math.sqrt(cfg.hidden)
-    w1 = rng.uniform(-lim1, lim1, size=(cfg.hidden, n_in))
-    b1 = rng.uniform(-lim1, lim1, size=cfg.hidden)
-    w2 = rng.uniform(-lim2, lim2, size=cfg.hidden)
-    b2 = np.zeros(1)
-    adam = Adam(lr=cfg.learning_rate)
-    t_count = z.shape[0]
-    losses: list[float] = []
-    for _ in range(cfg.max_iterations):
-        hidden = np.tanh(z @ w1.T + b1)
-        pred = hidden @ w2 + b2[0]
-        err = pred - ys
-        loss = float(np.dot(err, err) / t_count)
-        if not math.isfinite(loss):
-            raise NonFiniteLossError("BPNN loss became non-finite")
-        losses.append(loss)
-        delta = 2.0 * err / t_count
-        g_w2 = hidden.T @ delta
-        g_b2 = np.array([delta.sum()])
-        back = np.outer(delta, w2) * (1.0 - hidden * hidden)
-        g_w1 = back.T @ z
-        g_b1 = back.sum(axis=0)
-        adam.step([w1, b1, w2, b2], [g_w1, g_b1, g_w2, g_b2])
-        if loss_converged(losses, cfg.tol, cfg.patience):
-            break
-    if not losses:
-        hidden = np.tanh(z @ w1.T + b1)
-        err = hidden @ w2 + b2[0] - ys
-        losses.append(float(np.dot(err, err) / t_count))
+    ((w1, b1, w2, b2),), _, standardizer, target_scale, trace = _fit_tanh_mixture(
+        x, y, ((0, x.shape[1]),), cfg.hidden, cfg, "BPNN"
+    )
     model = BpnnModel(
-        w1=w1, b1=b1, w2=w2, b2=float(b2[0]),
+        w1=w1, b1=b1, w2=w2, b2=b2,
         standardizer=standardizer, target_scale=target_scale,
         factors=factors, location_mode=location_mode, meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
+    return model, trace
 
 
 # -- GRNN ---------------------------------------------------------------------
@@ -253,33 +334,12 @@ class MoeModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = self.standardizer.mean.size
-        for (w1, *_), (lo, hi) in zip(self.experts, self.group_slices):
-            if not 0 <= lo < hi <= n or w1.shape[1] != hi - lo:
-                raise ValueError(f"slice ({lo}, {hi}) of {n} inputs does not fit w1 {w1.shape}")
+        _check_slices(self.group_slices, self.standardizer.mean.size,
+                      [w1.shape[1] for w1, *_ in self.experts])
 
     def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        z = self.standardizer.transform(x)
-        outputs = _expert_outputs(self.experts, self.group_slices, z)
-        p = _softmax(z @ self.gate_w.T + self.gate_b)
-        out = self.target_scale.inverse(np.einsum("tk,tk->t", p, outputs))
-        return float(out[0]) if single else out
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _expert_outputs(experts, group_slices, z: np.ndarray) -> np.ndarray:
-    outputs = np.empty((z.shape[0], len(experts)))
-    for k, ((w1, b1, w2, b2), (lo, hi)) in enumerate(zip(experts, group_slices)):
-        outputs[:, k] = np.tanh(z[:, lo:hi] @ w1.T + b1) @ w2 + b2
-    return outputs
+        return _predict_mixture(self, x, self.experts, self.group_slices,
+                                (self.gate_w, self.gate_b))
 
 
 def default_group_slices(n_inputs: int, n_experts: int, n_locations: int = 1):
@@ -297,91 +357,25 @@ def default_group_slices(n_inputs: int, n_experts: int, n_locations: int = 1):
 def train_moe(
     x: np.ndarray,
     y: np.ndarray,
-    cfg: BaselineConfig = BaselineConfig(),
+    cfg: MoeConfig = MoeConfig(),
     group_slices=None,
     factors: FactorSet = (),
     location_mode: str = "receiver_only",
     meta: dict | None = None,
 ) -> tuple[MoeModel, TrainingTrace]:
     x, y = _check_xy(x, y)
-    standardizer = Standardizer.fit(x)
-    target_scale = ScalarStandardizer.fit(y)
-    z = standardizer.transform(x)
-    ys = target_scale.transform(y)
-    n_in = z.shape[1]
     if group_slices is None:
-        group_slices = default_group_slices(n_in, cfg.experts)
+        group_slices = default_group_slices(x.shape[1], cfg.experts)
     group_slices = tuple((int(lo), int(hi)) for lo, hi in group_slices)
-    if len(group_slices) != cfg.experts or any(hi <= lo for lo, hi in group_slices):
+    if len(group_slices) != cfg.experts:
         raise ValueError(f"bad group slices {group_slices}")
-    rng = np.random.default_rng(cfg.seed)
-    params: list[np.ndarray] = []
-    layout: list[tuple[int, int]] = []  # (lo, hi) per expert, for rebuild
-    for lo, hi in group_slices:
-        width = hi - lo
-        lim1 = 1.0 / math.sqrt(width)
-        lim2 = 1.0 / math.sqrt(cfg.expert_hidden)
-        params.append(rng.uniform(-lim1, lim1, size=(cfg.expert_hidden, width)))
-        params.append(rng.uniform(-lim1, lim1, size=cfg.expert_hidden))
-        params.append(rng.uniform(-lim2, lim2, size=cfg.expert_hidden))
-        params.append(np.zeros(1))
-        layout.append((lo, hi))
-    lim_g = 1.0 / math.sqrt(n_in)
-    gate_w = rng.uniform(-lim_g, lim_g, size=(cfg.experts, n_in))
-    gate_b = np.zeros(cfg.experts)
-    params += [gate_w, gate_b]
-    adam = Adam(lr=cfg.learning_rate)
-    t_count = z.shape[0]
-    losses: list[float] = []
-    for _ in range(cfg.max_iterations):
-        hiddens = []
-        outputs = np.empty((t_count, cfg.experts))
-        for k, (lo, hi) in enumerate(layout):
-            w1, b1, w2, b2 = params[4 * k: 4 * k + 4]
-            h = np.tanh(z[:, lo:hi] @ w1.T + b1)
-            hiddens.append(h)
-            outputs[:, k] = h @ w2 + b2[0]
-        logits = z @ gate_w.T + gate_b
-        p = _softmax(logits)
-        pred = np.einsum("tk,tk->t", p, outputs)
-        err = pred - ys
-        loss = float(np.dot(err, err) / t_count)
-        if not math.isfinite(loss):
-            raise NonFiniteLossError("MoE loss became non-finite")
-        losses.append(loss)
-        delta = 2.0 * err / t_count
-        grads: list[np.ndarray] = []
-        for k, (lo, hi) in enumerate(layout):
-            w1, b1, w2, b2 = params[4 * k: 4 * k + 4]
-            h = hiddens[k]
-            d_out = delta * p[:, k]
-            g_w2 = h.T @ d_out
-            g_b2 = np.array([d_out.sum()])
-            back = np.outer(d_out, w2) * (1.0 - h * h)
-            grads += [back.T @ z[:, lo:hi], back.sum(axis=0), g_w2, g_b2]
-        d_logits = p * (delta[:, None] * (outputs - pred[:, None]))
-        grads += [d_logits.T @ z, d_logits.sum(axis=0)]
-        adam.step(params, grads)
-        if loss_converged(losses, cfg.tol, cfg.patience):
-            break
-    if not losses:
-        outputs = _expert_outputs(
-            [tuple(params[4 * k: 4 * k + 3]) + (float(params[4 * k + 3][0]),)
-             for k in range(cfg.experts)],
-            layout, z,
-        )
-        p = _softmax(z @ gate_w.T + gate_b)
-        err = np.einsum("tk,tk->t", p, outputs) - ys
-        losses.append(float(np.dot(err, err) / t_count))
-    experts = tuple(
-        (params[4 * k].copy(), params[4 * k + 1].copy(), params[4 * k + 2].copy(),
-         float(params[4 * k + 3][0]))
-        for k in range(cfg.experts)
+    experts, (gate_w, gate_b), standardizer, target_scale, trace = _fit_tanh_mixture(
+        x, y, group_slices, cfg.expert_hidden, cfg, "MoE"
     )
     model = MoeModel(
-        experts=experts, gate_w=gate_w.copy(), gate_b=gate_b.copy(),
-        group_slices=tuple(layout), standardizer=standardizer,
+        experts=experts, gate_w=gate_w, gate_b=gate_b,
+        group_slices=group_slices, standardizer=standardizer,
         target_scale=target_scale, factors=factors,
         location_mode=location_mode, meta=dict(meta or {}),
     )
-    return model, TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
+    return model, trace

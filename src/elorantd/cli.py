@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import lasso, models, synth
-from .artifacts import artifact_kind, load_model, save_model
+from .artifacts import load_model, model_kind, save_model
 from .errors import (
     AxisMismatchError,
     ConfigError,
@@ -462,7 +462,7 @@ def cmd_predict(args) -> int:
     pred = predict_model(model, subset)
     rows = [[e.isoformat(), _fmt(v)] for e, v in zip(subset.epochs, pred)]
     _write_csv(args.out, header, rows)
-    print(f"predicted {len(rows)} epochs with {artifact_kind(args.artifact)} artifact")
+    print(f"predicted {len(rows)} epochs with {model_kind(model).name} artifact")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -170,7 +170,7 @@ KINDS = {kind.name: kind for kind in (
         **_LAYER,
         "standardizer": _STANDARDIZER,
         "target_scale": _TARGET_SCALE,
-    }, baselines.BaselineConfig, _train_bpnn),
+    }, baselines.BpnnConfig, _train_bpnn),
     ModelKind("grnn", baselines.GrnnModel, {
         "bank": Array(("T", "n")),
         "y": Array(("T",)),
@@ -185,7 +185,7 @@ KINDS = {kind.name: kind for kind in (
             _as_tuple, {"lo": Scalar(int), "hi": Scalar(int)}, as_list=True)),
         "standardizer": _STANDARDIZER,
         "target_scale": _TARGET_SCALE,
-    }, baselines.BaselineConfig, _train_moe),
+    }, baselines.MoeConfig, _train_moe),
     ModelKind("constant", ConstantModel, {"value": Scalar(float)}),
     ModelKind("lookup", LookupModel, {"table": EpochTable()}),
 )}

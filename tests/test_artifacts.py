@@ -8,9 +8,9 @@ from elorantd.artifacts import (
     SCHEMA,
     ConstantModel,
     LookupModel,
-    artifact_kind,
     load_model,
     model_document,
+    model_kind,
     save_model,
 )
 from elorantd.errors import ArtifactError
@@ -25,19 +25,9 @@ def toy_data():
     return x, y
 
 
-def baseline_cfg(**overrides):
-    base = dict(
-        hidden=4,
-        experts=2,
-        expert_hidden=3,
-        learning_rate=0.01,
-        max_iterations=5,
-        tol=1e-8,
-        patience=5,
-        seed=0,
-    )
-    base.update(overrides)
-    return baselines.BaselineConfig(**base)
+ADAM = dict(learning_rate=0.01, max_iterations=5, tol=1e-8, patience=5, seed=0)
+BPNN_CFG = baselines.BpnnConfig(hidden=4, **ADAM)
+MOE_CFG = baselines.MoeConfig(experts=2, expert_hidden=3, **ADAM)
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +47,10 @@ def every_model(toy_data):
             tensor, y, elevations, wlr_cfg,
             points=(GeoPoint(36.392, 127.3529),), **common,
         )[0],
-        "bpnn": baselines.train_bpnn(x, y, baseline_cfg(), **common)[0],
+        "bpnn": baselines.train_bpnn(x, y, BPNN_CFG, **common)[0],
         "grnn": baselines.train_grnn(x, y, **common)[0],
         "moe": baselines.train_moe(
-            x, y, baseline_cfg(),
+            x, y, MOE_CFG,
             group_slices=baselines.default_group_slices(3, 2, n_locations=1),
             **common,
         )[0],
@@ -89,8 +79,8 @@ def test_round_trip_preserves_predictions(kind, every_model, toy_data, tmp_path)
     model = every_model[kind]
     path = tmp_path / f"{kind}.json"
     save_model(model, path)
-    assert artifact_kind(path) == kind
     loaded = load_model(path)
+    assert model_kind(loaded).name == kind
     assert type(loaded) is type(model)
     assert tuple(loaded.factors) == tuple(model.factors)
     assert loaded.location_mode == model.location_mode
@@ -116,9 +106,9 @@ def test_save_is_byte_deterministic(kind, every_model, tmp_path):
 def test_retraining_same_seed_gives_identical_artifact(toy_data, tmp_path):
     x, y = toy_data
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(baselines.train_bpnn(x, y, baseline_cfg(), factors=FACTORS_3,
+    save_model(baselines.train_bpnn(x, y, BPNN_CFG, factors=FACTORS_3,
                                     location_mode="receiver_only")[0], a)
-    save_model(baselines.train_bpnn(x, y, baseline_cfg(), factors=FACTORS_3,
+    save_model(baselines.train_bpnn(x, y, BPNN_CFG, factors=FACTORS_3,
                                     location_mode="receiver_only")[0], b)
     assert a.read_bytes() == b.read_bytes()
 
@@ -205,11 +195,12 @@ def test_save_rejects_foreign_objects(tmp_path):
         save_model(object(), tmp_path / "x.json")
 
 
-def test_artifact_kind_rejects_non_artifact(tmp_path):
+@pytest.mark.parametrize("text", [json.dumps([1, 2, 3]), "not json {"])
+def test_load_rejects_non_artifact(tmp_path, text):
     path = tmp_path / "x.json"
-    path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ArtifactError):
-        artifact_kind(path)
+        load_model(path)
 
 
 def _payload_leaves(node, path=()):

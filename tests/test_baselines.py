@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from elorantd.baselines import (
-    BaselineConfig,
+    BpnnConfig,
     BpnnModel,
     GrnnConfig,
     GrnnModel,
+    MoeConfig,
     MoeModel,
+    _loss_and_grads,
     default_group_slices,
     grnn_predict_batch,
     grnn_sigma_grid,
@@ -37,7 +39,7 @@ def test_bpnn_learns_xor_style_target():
     x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]] * 10)
     x += rng.normal(0.0, 0.05, size=x.shape)
     y = np.sign(x[:, 0] * x[:, 1]).astype(float)
-    cfg = BaselineConfig(hidden=16, learning_rate=0.01, max_iterations=5000, seed=1)
+    cfg = BpnnConfig(hidden=16, learning_rate=0.01, max_iterations=5000, seed=1)
     model, trace = train_bpnn(x, y, cfg)
     assert trace.losses[-1] < 1e-2
     assert np.abs(model.predict(x) - y).max() < 0.2
@@ -47,7 +49,7 @@ def test_bpnn_zero_iterations_is_initial_net():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    cfg = BaselineConfig(hidden=4, max_iterations=0, seed=9)
+    cfg = BpnnConfig(hidden=4, max_iterations=0, seed=9)
     model, trace = train_bpnn(x, y, cfg)
     assert len(trace.losses) == 1
     assert not trace.converged
@@ -67,7 +69,7 @@ def test_bpnn_matches_ols_on_linear_target():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 3))
     y = 50.0 + x @ np.array([3.0, -2.0, 1.0]) + rng.normal(0.0, 0.5, size=200)
-    cfg = BaselineConfig(hidden=16, learning_rate=0.01, max_iterations=2000, seed=0)
+    cfg = BpnnConfig(hidden=16, learning_rate=0.01, max_iterations=2000, seed=0)
     model, _ = train_bpnn(x, y, cfg)
     design = np.column_stack([np.ones(200), x])
     beta = ols_oracle(design, y)
@@ -81,7 +83,7 @@ def test_bpnn_rejects_non_finite_inputs():
     x = np.ones((10, 2)) + np.arange(10)[:, None]
     x[3, 1] = np.nan
     with pytest.raises(NonFiniteLossError):
-        train_bpnn(x, np.arange(10.0), BaselineConfig(max_iterations=3))
+        train_bpnn(x, np.arange(10.0), BpnnConfig(max_iterations=3))
 
 
 # -- GRNN ---------------------------------------------------------------------
@@ -268,7 +270,7 @@ def test_moe_gate_weights_sum_to_one():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(50, 3)) * 20.0
     y = rng.normal(size=50)
-    cfg = BaselineConfig(experts=3, expert_hidden=4, max_iterations=20, seed=2)
+    cfg = MoeConfig(experts=3, expert_hidden=4, max_iterations=20, seed=2)
     model, _ = train_moe(x, y, cfg)
     gates = gate_weights(model, rng.normal(size=(40, 3)) * 100.0)
     np.testing.assert_allclose(gates.sum(axis=1), 1.0, atol=1e-12)
@@ -282,24 +284,27 @@ def test_moe_beats_single_bpnn_on_regime_switching_target():
     y += rng.normal(0.0, 0.2, size=240)
     # roughly equal parameter budgets: 2x(8-hidden expert) + gate vs 16-hidden net
     moe, _ = train_moe(
-        x, y, BaselineConfig(experts=2, expert_hidden=8, learning_rate=0.02,
-                             max_iterations=2500, seed=0)
+        x, y, MoeConfig(experts=2, expert_hidden=8, learning_rate=0.02,
+                        max_iterations=2500, seed=0)
     )
     bpnn, _ = train_bpnn(
-        x, y, BaselineConfig(hidden=16, learning_rate=0.02, max_iterations=2500, seed=0)
+        x, y, BpnnConfig(hidden=16, learning_rate=0.02, max_iterations=2500, seed=0)
     )
     assert rmse(y, moe.predict(x)) < rmse(y, bpnn.predict(x))
 
 
+_ADAM_BAD = [dict(patience=0), dict(max_iterations=-1), dict(learning_rate=float("nan")),
+             dict(tol=-1e-9), dict(seed=-1)]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [dict(hidden=0), dict(expert_hidden=0), dict(experts=1), dict(patience=0),
-     dict(max_iterations=-1), dict(learning_rate=float("nan")), dict(tol=-1e-9),
-     dict(seed=-1)],
+    "config,bad",
+    [(BpnnConfig, bad) for bad in [dict(hidden=0), *_ADAM_BAD]]
+    + [(MoeConfig, bad) for bad in [dict(expert_hidden=0), dict(experts=1), *_ADAM_BAD]],
 )
-def test_baseline_config_validation(bad):
+def test_baseline_config_validation(config, bad):
     with pytest.raises(ValueError):
-        BaselineConfig(**bad)
+        config(**bad)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf")])
@@ -313,7 +318,7 @@ def test_moe_requires_two_experts():
     with pytest.raises(ValueError):
         train_moe(
             rng.normal(size=(10, 2)), rng.normal(size=10),
-            BaselineConfig(experts=1, max_iterations=1),
+            MoeConfig(experts=1, max_iterations=1),
         )
 
 
@@ -330,9 +335,83 @@ def test_moe_zero_iterations_trace():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
-    model, trace = train_moe(x, y, BaselineConfig(experts=2, max_iterations=0, seed=5))
+    model, trace = train_moe(x, y, MoeConfig(experts=2, max_iterations=0, seed=5))
     assert len(trace.losses) == 1
     assert isinstance(model, MoeModel)
+
+
+@pytest.mark.parametrize("slices", [((0, 5), (5, 12)), ((-1, 4), (0, 10)), ((0, 10), (4, 4))])
+def test_moe_rejects_slices_outside_the_inputs_before_training(slices):
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match="does not fit"):
+        train_moe(rng.normal(size=(12, 10)), rng.normal(size=12),
+                  MoeConfig(experts=2, max_iterations=1), group_slices=slices)
+
+
+# -- the tanh-mixture trainer's objective and gradients -----------------------
+
+
+def mixture_mse(params, slices, z, ys):
+    """Mean squared error of the tanh mixture, row by row; a softmax gate
+    follows the experts' parameters when there are two or more."""
+    total = 0.0
+    for t in range(z.shape[0]):
+        outs = np.array([
+            np.tanh(w1 @ z[t, lo:hi] + b1) @ w2 + b2[0]
+            for (w1, b1, w2, b2), (lo, hi) in zip(
+                (params[4 * k: 4 * k + 4] for k in range(len(slices))), slices)
+        ])
+        if len(slices) == 1:
+            pred = outs[0]
+        else:
+            logits = params[-2] @ z[t] + params[-1]
+            g = np.exp(logits - logits.max())
+            pred = (g / g.sum()) @ outs
+        total += (pred - ys[t]) ** 2
+    return total / z.shape[0]
+
+
+def check_mixture_gradients(params, slices, z, ys, eps=1e-6):
+    """_loss_and_grads against central differences of the row-by-row loss."""
+    loss, grads = _loss_and_grads(params, slices, z, ys)
+    assert loss == pytest.approx(mixture_mse(params, slices, z, ys), rel=1e-12)
+    assert [g.shape for g in grads] == [p.shape for p in params]
+    fd_all: list[float] = []
+    an_all: list[float] = []
+    for i, arr in enumerate(params):
+        for idx in np.ndindex(arr.shape):
+            p_hi = [p.copy() for p in params]
+            p_lo = [p.copy() for p in params]
+            p_hi[i][idx] += eps
+            p_lo[i][idx] -= eps
+            fd_all.append((mixture_mse(p_hi, slices, z, ys)
+                           - mixture_mse(p_lo, slices, z, ys)) / (2.0 * eps))
+            an_all.append(float(grads[i][idx]))
+    np.testing.assert_allclose(an_all, fd_all, rtol=1e-5, atol=1e-8 * max(1.0, loss))
+
+
+def test_one_expert_gradients_match_finite_differences():
+    """The BPNN case: one expert over every input and no gate."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(7, 4))
+        ys = rng.normal(size=7)
+        params = [*random_expert(rng, 4, 3)[:3], rng.normal(size=1)]
+        check_mixture_gradients(params, ((0, 4),), z, ys)
+
+
+def test_gated_expert_gradients_match_finite_differences():
+    """Three experts on overlapping slices of five inputs, softmax-gated."""
+    slices = ((0, 3), (1, 4), (2, 5))
+    for seed in range(5):
+        rng = np.random.default_rng(100 + seed)
+        z = rng.normal(size=(9, 5))
+        ys = rng.normal(size=9)
+        params = []
+        for lo, hi in slices:
+            params += [*random_expert(rng, hi - lo, 2)[:3], rng.normal(size=1)]
+        params += [rng.normal(size=(3, 5)), rng.normal(size=3)]
+        check_mixture_gradients(params, slices, z, ys)
 
 
 # -- shared contract ----------------------------------------------------------
@@ -342,10 +421,11 @@ def test_all_baselines_return_model_and_trace():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(30, 2)) * [5.0, 2.0]
     y = rng.normal(size=30) * 10.0 + 100.0
-    cfg = BaselineConfig(max_iterations=10, seed=0)
-    bp, t1 = train_bpnn(x, y, cfg, factors=FACTORS_3, location_mode="receiver_only")
+    bp, t1 = train_bpnn(x, y, BpnnConfig(max_iterations=10, seed=0), factors=FACTORS_3,
+                        location_mode="receiver_only")
     gr, t2 = train_grnn(x, y, factors=FACTORS_3, location_mode="receiver_only")
-    mo, t3 = train_moe(x, y, cfg, factors=FACTORS_3, location_mode="receiver_only")
+    mo, t3 = train_moe(x, y, MoeConfig(max_iterations=10, seed=0), factors=FACTORS_3,
+                       location_mode="receiver_only")
     for model, trace in ((bp, t1), (gr, t2), (mo, t3)):
         assert model.factors == FACTORS_3
         assert model.location_mode == "receiver_only"
@@ -361,13 +441,12 @@ def test_baseline_models_are_deterministic():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(25, 3))
     y = rng.normal(size=25)
-    cfg = BaselineConfig(max_iterations=30, seed=11)
-    a, _ = train_bpnn(x, y, cfg)
-    b, _ = train_bpnn(x, y, cfg)
+    a, _ = train_bpnn(x, y, BpnnConfig(max_iterations=30, seed=11))
+    b, _ = train_bpnn(x, y, BpnnConfig(max_iterations=30, seed=11))
     np.testing.assert_array_equal(a.w1, b.w1)
     np.testing.assert_array_equal(a.w2, b.w2)
-    m1, _ = train_moe(x, y, cfg)
-    m2, _ = train_moe(x, y, cfg)
+    m1, _ = train_moe(x, y, MoeConfig(max_iterations=30, seed=11))
+    m2, _ = train_moe(x, y, MoeConfig(max_iterations=30, seed=11))
     np.testing.assert_array_equal(m1.gate_w, m2.gate_w)
     for e1, e2 in zip(m1.experts, m2.experts):
         np.testing.assert_array_equal(e1[0], e2[0])

@@ -214,6 +214,10 @@ RX_ONLY = "location_mode = receiver_only\n"
         ("", RX_ONLY, "name = wlr_agrnn\nhidden = 0\n"),
         ("", RX_ONLY, "name = grnn\nsigma = 0\n"),
         ("", RX_ONLY, "name = moe\nexperts = 1\n"),
+        # a width option of the other tanh kind is unknown, not ignored
+        ("", RX_ONLY, "name = bpnn\nexperts = 3\n"),
+        ("", RX_ONLY, "name = bpnn\nexpert_hidden = 2\n"),
+        ("", RX_ONLY, "name = moe\nhidden = 99\n"),
         ("", RX_ONLY, "name = lasso_mpr\ndegree = 0\n"),
         ("", RX_ONLY, "name = lasso_mpr\nalpha = -1\n"),
         ("", RX_ONLY, "name = wlr_agrnn\nelevation_mode = bogus\n"),

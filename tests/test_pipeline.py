@@ -252,8 +252,7 @@ def test_train_model_unknown_name(rx_bundle):
         train_model("forest", sub_bundle(rx_bundle, 30))
 
 
-_BASELINE_DEFAULTS = dict(hidden=16, experts=4, expert_hidden=8, learning_rate=0.001,
-                         max_iterations=2000, tol=1e-8, patience=5, seed=0)
+_ADAM_DEFAULTS = dict(learning_rate=0.001, max_iterations=2000, tol=1e-8, patience=5, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -263,8 +262,8 @@ _BASELINE_DEFAULTS = dict(hidden=16, experts=4, expert_hidden=8, learning_rate=0
         ("wlr_agrnn", dict(hidden=8, learning_rate=0.001, max_iterations=200, tol=1e-6,
                            patience=5, elevation_mode="floored_normalized",
                            weight_scheme="uniform", sigma_tol=0.02, seed=0)),
-        ("bpnn", _BASELINE_DEFAULTS),
-        ("moe", _BASELINE_DEFAULTS),
+        ("bpnn", dict(hidden=16, **_ADAM_DEFAULTS)),
+        ("moe", dict(experts=4, expert_hidden=8, **_ADAM_DEFAULTS)),
         ("grnn", dict(sigma=None, seed=0)),
     ],
 )
