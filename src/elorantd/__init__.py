@@ -15,8 +15,10 @@ Library layout:
 - baselines: BPNN, GRNN (the tied-bandwidth case of that kernel), and
   mixture-of-experts reference models; one tanh-network trainer and
   forward serve the MoE and the BPNN, its one-expert ungated case
-- synth: seeded synthetic scenarios and brute-force oracles
-- artifacts / pipeline / cli: serialization, orchestration, command line
+- synth: seeded synthetic scenarios, their scenario.meta layout, oracles
+- models / artifacts: model registry and JSON field kinds; the one JSON
+  codec, for model artifacts and scenario.meta alike
+- pipeline / cli: orchestration, command line
 """
 
 from .errors import ElorantdError

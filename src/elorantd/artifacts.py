@@ -14,28 +14,30 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .models import KINDS, Array, EpochTable, Items, ModelKind, Record, Scalar
+from .models import KINDS, Array, Items, ModelKind, Record, Table, Text
 from .models import ConstantModel, LookupModel  # noqa: F401  (re-exported)
-from .types import EpochHour, factor_set
+from .types import factor_set
 
 SCHEMA = "elorantd.model/1"
 
 
-def _encode(spec, value):
-    """Model value -> JSON value, as the declared field lays it out."""
+def encode(spec, value):
+    """Value -> JSON value, as the declared field lays it out."""
     if value is None:
         return None
     if isinstance(spec, Record):
         parts = value if isinstance(value, tuple) else [getattr(value, k) for k in spec.fields]
-        out = [_encode(s, v) for s, v in zip(spec.fields.values(), parts)]
+        out = [encode(s, v) for s, v in zip(spec.fields.values(), parts)]
         return out if spec.as_list else dict(zip(spec.fields, out))
     if isinstance(spec, Items):
-        return [_encode(spec.item, v) for v in value]
+        return [encode(spec.item, v) for v in value]
     if isinstance(spec, Array):
         return np.asarray(value).tolist()
-    if isinstance(spec, EpochTable):
-        return {e.isoformat(): float(v) for e, v in value.items()}
-    return value
+    if isinstance(spec, Text):
+        return spec.format(value)
+    if isinstance(spec, Table):
+        return {spec.key.format(k): encode(spec.item, v) for k, v in value.items()}
+    return spec.type(value)
 
 
 def _bind(dims: dict, axis: str, size: int, where: str) -> None:
@@ -43,14 +45,29 @@ def _bind(dims: dict, axis: str, size: int, where: str) -> None:
         raise ValueError(f"{where}: axis {axis} is {size} here, {dims[axis]} elsewhere")
 
 
-def _decode(spec, raw, dims: dict, where: str):
-    """JSON value -> model value; checks type, finiteness and axes (dims: sizes seen)."""
+_SCALAR_NAMES = {float: "finite number", int: "64-bit integer", str: "string",
+                 bool: "boolean (true or false)"}
+
+
+def decode(spec, raw, dims: dict, where: str):
+    """JSON value -> value; checks types, finiteness and axes (dims: sizes
+    seen) and raises ValueError naming the path (where) of a bad value.
+    Keys a Record does not declare are ignored."""
     if isinstance(spec, Record):
-        if spec.as_list and isinstance(raw, list) and len(raw) == len(spec.fields):
+        if spec.as_list:
+            if not (isinstance(raw, list) and len(raw) == len(spec.fields)):
+                raise ValueError(f"{where}: expected a list of {len(spec.fields)} entries")
             raw = dict(zip(spec.fields, raw))
-        return spec.make(
-            **{k: _decode(s, raw[k], dims, f"{where}.{k}") for k, s in spec.fields.items()}
-        )
+        elif not isinstance(raw, dict):
+            raise ValueError(f"{where}: expected an object")
+        missing = [k for k in spec.fields if k not in raw]
+        if missing:
+            raise ValueError(f"{where}: missing {missing[0]!r}")
+        parts = {k: decode(s, raw[k], dims, f"{where}.{k}") for k, s in spec.fields.items()}
+        try:
+            return spec.make(**parts)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if isinstance(spec, Items):
         if raw is None and spec.optional:
             return None
@@ -58,7 +75,7 @@ def _decode(spec, raw, dims: dict, where: str):
             raise ValueError(f"{where}: expected a list")
         _bind(dims, spec.axis, len(raw), where)
         return tuple(
-            _decode(spec.item, v, {}, f"{where}[{i}]") for i, v in enumerate(raw)
+            decode(spec.item, v, {}, f"{where}[{i}]") for i, v in enumerate(raw)
         )
     if isinstance(spec, Array):
         value = np.asarray(raw, dtype=float)
@@ -69,16 +86,29 @@ def _decode(spec, raw, dims: dict, where: str):
         if not np.isfinite(value).all() or (spec.positive and not (value > 0).all()):
             raise ValueError(f"{where}: non-finite{' or non-positive' * spec.positive} value")
         return value
-    if isinstance(spec, EpochTable):
+    if isinstance(spec, Text):
+        if not isinstance(raw, str):
+            raise ValueError(f"{where}: expected a string")
+        try:
+            return spec.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    if isinstance(spec, Table):
         if not isinstance(raw, dict):
             raise ValueError(f"{where}: expected an object")
-        return {
-            EpochHour.parse(k): _decode(Scalar(float), v, dims, f"{where}.{k}")
-            for k, v in raw.items()
-        }
-    if spec.type is float and not (math.isfinite(raw) and (raw > 0 or not spec.positive)):
-        raise ValueError(f"{where}: {raw!r} is not a finite{' positive' * spec.positive} number")
-    return spec.type(raw)
+        out = {decode(spec.key, k, dims, f"{where}.{k}"):
+               decode(spec.item, v, dims, f"{where}.{k}") for k, v in raw.items()}
+        if len(out) != len(raw):
+            raise ValueError(f"{where}: two keys name one entry")
+        return out
+    if spec.type is float and type(raw) is int and abs(raw) < 1e308:
+        raw = float(raw)  # JSON has one number type
+    if (type(raw) is not spec.type or (spec.type is float and not math.isfinite(raw))
+            or (spec.type is int and not -2 ** 63 <= raw < 2 ** 63)
+            or (spec.positive and not raw > 0)):
+        raise ValueError(f"{where}: {raw!r} is not a{' positive' * spec.positive} "
+                         f"{_SCALAR_NAMES[spec.type]}")
+    return raw
 
 
 def model_kind(model) -> ModelKind:
@@ -97,7 +127,7 @@ def model_document(model) -> dict:
         "factors": [f.column for f in model.factors],
         "location_mode": model.location_mode,
         "meta": dict(model.meta),
-        "payload": _encode(Record(dict, kind.payload), model),
+        "payload": encode(Record(dict, kind.payload), model),
     }
 
 
@@ -125,7 +155,7 @@ def load_model(path):
         raise ArtifactError(f"{path}: unknown artifact kind {doc['kind']!r}")
     try:
         return kind.model(
-            **_decode(Record(dict, kind.payload), doc["payload"], {}, "payload"),
+            **decode(Record(dict, kind.payload), doc["payload"], {}, "payload"),
             factors=factor_set(doc["factors"]) if doc["factors"] else (),
             location_mode=doc["location_mode"],
             meta=dict(doc["meta"]),

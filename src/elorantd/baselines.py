@@ -119,25 +119,28 @@ def _forward(experts, group_slices, gate, z: np.ndarray):
 
 def _loss_and_grads(params: list[np.ndarray], group_slices, z: np.ndarray, ys: np.ndarray):
     """MSE and its gradient (None if the MSE is not finite); params are (w1, b1,
-    w2, b2) per expert, b2 of shape (1,), then the gate's (w, b) if two or more."""
-    k_count = len(group_slices)
-    experts = [params[4 * k: 4 * k + 4] for k in range(k_count)]
-    pred, outputs, hiddens, p = _forward(experts, group_slices, params[4 * k_count:], z)
-    t_count = z.shape[0]
-    err = pred - ys
-    loss = float(np.dot(err, err) / t_count)
-    if not math.isfinite(loss):  # the caller raises; a backward pass would only add warnings
-        return loss, None
-    delta = 2.0 * err / t_count
-    grads: list[np.ndarray] = []
-    for k, ((_, _, w2, _), (lo, hi), h) in enumerate(zip(experts, group_slices, hiddens)):
-        d_out = delta if p is None else delta * p[:, k]
-        back = np.outer(d_out, w2) * (1.0 - h * h)
-        grads += [back.T @ z[:, lo:hi], back.sum(axis=0), h.T @ d_out, np.array([d_out.sum()])]
-    if p is not None:
-        d_logits = p * (delta[:, None] * (outputs - pred[:, None]))
-        grads += [d_logits.T @ z, d_logits.sum(axis=0)]
-    return loss, grads
+    w2, b2) per expert, b2 of shape (1,), then the gate's (w, b) if two or more.
+    A diverging run overflows here; the caller reports it, so numpy does not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_count = len(group_slices)
+        experts = [params[4 * k: 4 * k + 4] for k in range(k_count)]
+        pred, outputs, hiddens, p = _forward(experts, group_slices, params[4 * k_count:], z)
+        t_count = z.shape[0]
+        err = pred - ys
+        loss = float(np.dot(err, err) / t_count)
+        if not math.isfinite(loss):
+            return loss, None
+        delta = 2.0 * err / t_count
+        grads: list[np.ndarray] = []
+        for k, ((_, _, w2, _), (lo, hi), h) in enumerate(zip(experts, group_slices, hiddens)):
+            d_out = delta if p is None else delta * p[:, k]
+            back = np.outer(d_out, w2) * (1.0 - h * h)
+            grads += [back.T @ z[:, lo:hi], back.sum(axis=0), h.T @ d_out,
+                      np.array([d_out.sum()])]
+        if p is not None:
+            d_logits = p * (delta[:, None] * (outputs - pred[:, None]))
+            grads += [d_logits.T @ z, d_logits.sum(axis=0)]
+        return loss, grads
 
 
 def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: _AdamConfig, name: str):
@@ -175,18 +178,17 @@ def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: _AdamConfig, name: s
             break
     if not losses:
         losses.append(_loss_and_grads(params, group_slices, z, ys)[0])
+    if not all(np.isfinite(p).all() for p in params):  # a saturated tanh hides it from the loss
+        raise NonFiniteLossError(f"{name} weights became non-finite")
     experts = tuple((*params[4 * k: 4 * k + 3], float(params[4 * k + 3][0]))
                     for k in range(k_count))
     trace = TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
     return experts, tuple(params[4 * k_count:]), standardizer, target_scale, trace
 
 
-def _predict_mixture(model, x, experts, group_slices, gate):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    z = model.standardizer.transform(x[None, :] if single else x)
-    out = model.target_scale.inverse(_forward(experts, group_slices, gate, z)[0])
-    return float(out[0]) if single else out
+def _predict_mixture(model, x, experts, group_slices, gate) -> np.ndarray:
+    z = model.standardizer.transform(x)
+    return model.target_scale.inverse(_forward(experts, group_slices, gate, z)[0])
 
 
 # -- BPNN ---------------------------------------------------------------------
@@ -203,7 +205,8 @@ class BpnnModel:
     location_mode: str
     meta: dict = field(default_factory=dict)
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """(M, n) raw inputs -> (M,) predictions."""
         experts = ((self.w1, self.b1, self.w2, self.b2),)
         return _predict_mixture(self, x, experts, ((0, self.w1.shape[1]),), ())
 
@@ -241,13 +244,9 @@ class GrnnModel:
     location_mode: str
     meta: dict = field(default_factory=dict)
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        out = grnn_predict_batch(self.standardizer.transform(x), self.bank, self.y, self.sigma)
-        return float(out[0]) if single else out
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """(M, n) raw inputs -> (M,) predictions."""
+        return grnn_predict_batch(self.standardizer.transform(x), self.bank, self.y, self.sigma)
 
 
 def grnn_predict_batch(
@@ -337,7 +336,8 @@ class MoeModel:
         _check_slices(self.group_slices, self.standardizer.mean.size,
                       [w1.shape[1] for w1, *_ in self.experts])
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """(M, n) raw inputs -> (M,) predictions."""
         return _predict_mixture(self, x, self.experts, self.group_slices,
                                 (self.gate_w, self.gate_b))
 

@@ -22,6 +22,7 @@ from .artifacts import load_model, model_kind, save_model
 from .errors import (
     AxisMismatchError,
     ConfigError,
+    DataError,
     ElorantdError,
     NonFiniteLossError,
 )
@@ -215,8 +216,8 @@ def _resolve_tx_rx(corpus: Corpus, s: RunSettings) -> tuple[GeoPoint, GeoPoint]:
 def _resolve_min_samples(corpus: Corpus, s: RunSettings) -> int:
     if s.min_samples is not None:
         return s.min_samples
-    if corpus.meta and "td_samples_per_hour" in corpus.meta:
-        return min(DEFAULT_MIN_SAMPLES_PER_HOUR, int(corpus.meta["td_samples_per_hour"]))
+    if corpus.scenario is not None:
+        return min(DEFAULT_MIN_SAMPLES_PER_HOUR, corpus.scenario.td_samples_per_hour)
     return DEFAULT_MIN_SAMPLES_PER_HOUR
 
 
@@ -302,27 +303,19 @@ def cmd_synth(args) -> int:
     elif scenario_name == "cubic":
         cfg = synth.cubic_scenario_config()
     else:
-        meta_path = Path(scenario_name)
-        if not meta_path.is_file():
-            raise ConfigError(f"synth.scenario: no such file {meta_path}")
         try:
-            cfg = synth.load_scenario_config(meta_path)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"synth.scenario: {meta_path}: {exc}") from None
+            cfg = synth.load_scenario_config(scenario_name)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"synth.scenario: {scenario_name}: {exc}") from None
     # precedence: --seed flag, then [synth] seed, then the seed embedded
     # in the scenario (so regenerating from a meta file reproduces it)
     seed = args.seed if args.seed is not None else s.synth_seed
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = int(seed)
-    if s.noise_sd_ns is not None:
-        overrides["noise_sd_ns"] = s.noise_sd_ns
-    if overrides:
-        try:  # ScenarioConfig range-checks the seed and the noise
-            cfg = replace(cfg, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"synth: {exc}") from None
-    scenario = synth.generate_scenario(cfg)
+    overrides = {"seed": seed, "noise_sd_ns": s.noise_sd_ns}
+    try:  # ScenarioConfig range-checks cfg, and generation has no other input
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        scenario = synth.generate_scenario(cfg)
+    except (DataError, ValueError) as exc:
+        raise ConfigError(f"synth: {exc}") from None
     paths = synth.write_corpus(scenario, args.out)
     print(f"scenario: {scenario_name} (seed {cfg.seed})")
     print(f"stations: {len(scenario.registry.entries)}")

@@ -141,18 +141,8 @@ class LassoMprModel:
             object.__setattr__(self, "index", PolyTermIndex.build(self.n_inputs, self.degree))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predict TD for one input row or a matrix of rows."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.n_inputs:
-            raise DimensionMismatchError(
-                f"expected {self.n_inputs} inputs, got {x.shape[1]}"
-            )
-        design = poly_expand(self.standardizer.transform(x), self.index)
-        out = design @ self.beta
-        return float(out[0]) if single else out
+        """(M, n_inputs) raw inputs -> (M,) predictions."""
+        return poly_expand(self.standardizer.transform(x), self.index) @ self.beta
 
 
 def train(

@@ -12,8 +12,6 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-import numpy as np
-
 from . import baselines, lasso, wlr_agrnn
 from .errors import ArtifactError
 from .features import ScalarStandardizer, Standardizer
@@ -28,12 +26,6 @@ class ConstantModel:
     factors: tuple = ()
     location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
-
-    def predict(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1 and self.location_mode != "path":
-            return float(self.value)
-        return np.full(x.shape[0], float(self.value))
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,7 @@ class LookupModel:
 
 @dataclass(frozen=True)
 class Scalar:
-    """A JSON number or string."""
+    """A JSON number, string or boolean of exactly this type (an int is a float)."""
 
     type: type
     positive: bool = False
@@ -91,11 +83,22 @@ class Items:
 
 
 @dataclass(frozen=True)
-class EpochTable:
-    """A dict from EpochHour to a finite float, keyed by ISO hour."""
+class Text:
+    """A JSON string read by parse (ValueError if malformed), written by format."""
+
+    parse: Callable
+    format: Callable
 
 
-def _as_tuple(**parts):
+@dataclass(frozen=True)
+class Table:
+    """A dict as a JSON object: Text keys, like entries."""
+
+    key: Text
+    item: object
+
+
+def as_tuple(**parts):
     return tuple(parts.values())
 
 
@@ -141,7 +144,7 @@ def _train_moe(cfg, bundle, **labels):
 class ModelKind:
     name: str
     model: type
-    payload: dict  # JSON key -> Scalar | Array | Record | Items | EpochTable
+    payload: dict  # JSON key -> Scalar | Array | Record | Items | Text | Table
     config: type | None = None  # None: built by hand, never trained by name
     train: Callable | None = None
 
@@ -178,16 +181,18 @@ KINDS = {kind.name: kind for kind in (
         "standardizer": _STANDARDIZER,
     }, baselines.GrnnConfig, _train_grnn),
     ModelKind("moe", baselines.MoeModel, {
-        "experts": Items("experts", Record(_as_tuple, _LAYER)),  # n: its group's width
+        "experts": Items("experts", Record(as_tuple, _LAYER)),  # n: its group's width
         "gate_w": Array(("experts", "n")),
         "gate_b": Array(("experts",)),
         "group_slices": Items("experts", Record(
-            _as_tuple, {"lo": Scalar(int), "hi": Scalar(int)}, as_list=True)),
+            as_tuple, {"lo": Scalar(int), "hi": Scalar(int)}, as_list=True)),
         "standardizer": _STANDARDIZER,
         "target_scale": _TARGET_SCALE,
     }, baselines.MoeConfig, _train_moe),
     ModelKind("constant", ConstantModel, {"value": Scalar(float)}),
-    ModelKind("lookup", LookupModel, {"table": EpochTable()}),
+    ModelKind("lookup", LookupModel, {
+        "table": Table(Text(EpochHour.parse, EpochHour.isoformat), Scalar(float)),
+    }),
 )}
 
 MODEL_NAMES = tuple(name for name, kind in KINDS.items() if kind.config is not None)

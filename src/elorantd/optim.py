@@ -58,7 +58,7 @@ class Adam:
         self._v: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update params in place."""
+        """Update params in place; an overflow leaves inf or nan for the trainer to report."""
         if self._m is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
@@ -67,9 +67,10 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, g, m, v in zip(params, grads, self._m, self._v):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+                p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -6,7 +6,6 @@ byte-compared across runs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .ingest import (
     parse_weather_csv,
 )
 from .stats import anova_oneway, mae, rmse
+from .synth import ScenarioConfig, load_scenario_config
 from .types import EpochHour, FactorSet, GeoPoint, factor_set
 
 LOCATION_MODES = ("receiver_only", "stations", "path")
@@ -49,38 +49,39 @@ class Corpus:
     weather: WeatherSeries
     td_samples: TdSamples
     dem: ElevationGrid
-    meta: dict | None = None
+    scenario: ScenarioConfig | None = None  # decoded scenario.meta, if present
 
     def tx_rx(self) -> tuple[GeoPoint, GeoPoint]:
-        if not self.meta or "tx" not in self.meta or "rx" not in self.meta:
+        if self.scenario is None:
             raise ConfigError(
-                "corpus metadata lacks tx/rx; pass transmitter and receiver "
-                "coordinates in the run config"
+                "corpus has no scenario.meta to take tx/rx from; pass transmitter "
+                "and receiver coordinates in the run config"
             )
-        return GeoPoint(*self.meta["tx"]), GeoPoint(*self.meta["rx"])
+        return self.scenario.tx, self.scenario.rx
 
 
 def load_corpus(directory) -> Corpus:
-    """Parse stations.csv, weather.csv, td.csv, dem.asc (+ scenario.meta)."""
+    """Parse stations.csv, weather.csv, td.csv, dem.asc (+ scenario.meta,
+    decoded first so that a malformed one fails before the large files)."""
     root = Path(directory)
     for fname in ("stations.csv", "weather.csv", "td.csv", "dem.asc"):
         if not (root / fname).is_file():
             raise DataError(f"corpus {root} is missing {fname}")
-    registry = parse_station_registry(root / "stations.csv")
-    weather = parse_weather_csv(root / "weather.csv", registry)
-    td_samples = parse_td_csv(root / "td.csv")
-    dem = parse_dem(root / "dem.asc")
-    meta = None
+    scenario = None
     meta_path = root / "scenario.meta"
     if meta_path.is_file():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            scenario = load_scenario_config(meta_path)
+        except ValueError as exc:
+            raise DataError(f"{meta_path}: {exc}") from None
+    registry = parse_station_registry(root / "stations.csv")
     return Corpus(
         directory=root,
         registry=registry,
-        weather=weather,
-        td_samples=td_samples,
-        dem=dem,
-        meta=meta,
+        weather=parse_weather_csv(root / "weather.csv", registry),
+        td_samples=parse_td_csv(root / "td.csv"),
+        dem=parse_dem(root / "dem.asc"),
+        scenario=scenario,
     )
 
 
@@ -290,8 +291,7 @@ def predict_model(model, bundle: FeatureBundle) -> np.ndarray:
         _check_axes(model, bundle, expect_tensor=True)
         return model.predict_batch(bundle.tensor)
     _check_axes(model, bundle, expect_tensor=False)
-    out = model.predict(bundle.flat)
-    return np.asarray(out, dtype=float).reshape(-1)
+    return model.predict(bundle.flat)
 
 
 def _check_axes(model, bundle: FeatureBundle, expect_tensor: bool) -> None:

@@ -17,10 +17,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import decode, encode
 from .errors import RankDeficientError
 from .gridmap import (
     GridSpec,
@@ -41,6 +43,7 @@ from .ingest import (
     write_td_csv,
     write_weather_csv,
 )
+from .models import Items, Record, Scalar, Table, Text, as_tuple
 from .optim import require_at_least
 from .types import (
     ALL_FACTORS,
@@ -54,6 +57,9 @@ from .types import (
 from .wlr_agrnn import transform_elevation
 
 SPATIAL_DECAY_KM = 50.0
+# float64 cells (2 GiB) in any one generated array, as lasso.MAX_DESIGN_CELLS
+MAX_SCENARIO_CELLS = 2 ** 28
+SCENARIO_SCHEMA = "elorantd.scenario/1"
 
 # fitted so the synthetic TX-RX separation reproduces the declared
 # 179.28 km baseline within a kilometer
@@ -71,6 +77,10 @@ class WeatherParams:
     ar_sd: float
     ar_rho: float
     seasonal_phase: float = 0.0
+
+    def __post_init__(self):
+        if not -1.0 < self.ar_rho < 1.0:  # else the AR(1) series explodes
+            raise ValueError(f"ar_rho must lie in (-1, 1), got {self.ar_rho!r}")
 
 
 DEFAULT_WEATHER: dict[MetFactor, WeatherParams] = {
@@ -107,6 +117,11 @@ class GroundTruthRecipe:
     receiver_only: bool = False
     diurnal_amp_ns: float = 0.0
     seasonal_amp_ns: float = 0.0
+
+    def __post_init__(self):
+        require_at_least(self, 0, "elevation_gain")  # keeps every location weight > 0
+        if not all(0 < v < math.inf for v in self.scales.values()):
+            raise ValueError("recipe scales must be finite and > 0")
 
     def used_factors(self) -> FactorSet:
         used = set(self.linear_ns)
@@ -164,6 +179,14 @@ class DemConfig:
     amp_range: tuple[float, float] = (50.0, 450.0)
     width_range: tuple[float, float] = (0.05, 0.3)
 
+    def __post_init__(self):
+        require_at_least(self, 0, "cellsize", strict=True)
+        require_at_least(self, 0, "padding", "hills")
+        for name, low in (("amp_range", -math.inf), ("width_range", 0.0)):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(hi) and low < lo <= hi):
+                raise ValueError(f"{name} must be finite with {low} < lo <= hi, got {(lo, hi)}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -188,17 +211,37 @@ class ScenarioConfig:
     )
 
     def __post_init__(self):
-        require_at_least(self, 0, "seed", "noise_sd_ns")
-        if self.duration_hours < 1 or self.station_count < 1 or self.l < 2:
-            raise ValueError("bad scenario dimensions")
+        object.__setattr__(self, "factors", factor_set(self.factors))
+        require_at_least(self, 0, "seed", "station_jitter_deg", "grid_padding",
+                         "td_jitter_ns", "noise_sd_ns")
+        require_at_least(self, 1, "duration_hours", "station_count")
+        require_at_least(self, 2, "l")
+        require_at_least(self, 0, "grid_cellsize", strict=True)
         if not 1 <= self.td_samples_per_hour <= 3600:
             raise ValueError("need 1 to 3600 TD samples per hour (at most one a second)")
-        missing = [f for f in self.recipe.used_factors() if f not in self.factors]
+        if self.tx == self.rx:
+            raise ValueError("tx and rx coincide")
+        if not self.factors:
+            raise ValueError("a scenario needs at least one factor")
+        missing = [f.column for f in self.recipe.used_factors() if f not in self.factors]
         if missing:
-            raise ValueError(
-                f"recipe uses factors outside the scenario factor set: "
-                f"{[f.column for f in missing]}"
-            )
+            raise ValueError(f"recipe uses factors outside the scenario factor set: {missing}")
+        uncovered = [f.column for f in self.factors if f not in self.weather]
+        if uncovered:
+            raise ValueError(f"weather has no parameters for factors {uncovered}")
+        # refuse before generating anything: the TD log, the weather cube, the
+        # path tensor, the station distances, the DEM raster (once per hill)
+        t, s, spec, dem = self.duration_hours, self.station_count, self.grid_spec(), self.dem
+        raster = ((spec.lat_max - spec.lat_min + 2 * dem.padding) / dem.cellsize
+                  * (spec.lon_max - spec.lon_min + 2 * dem.padding) / dem.cellsize)
+        if max(t * self.td_samples_per_hour, t * s * len(ALL_FACTORS), s * s,
+               t * self.l * len(self.factors), raster * max(1, dem.hills)) > MAX_SCENARIO_CELLS:
+            raise ValueError(f"the scenario's largest array would exceed {MAX_SCENARIO_CELLS} "
+                             "cells; shorten it or use fewer stations, path points or DEM cells")
+        try:
+            EpochHour.from_hours(self.start.hours_since_epoch + self.duration_hours - 1)
+        except (OverflowError, OSError, ValueError):
+            raise ValueError("the scenario ends past the last representable hour") from None
 
     def grid_spec(self) -> GridSpec:
         return GridSpec.around(self.tx, self.rx, self.grid_padding, self.grid_cellsize)
@@ -298,7 +341,6 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     root = np.random.SeedSequence(cfg.seed)
     keys = ("stations", "dem", "td_noise", *[f.column for f in ALL_FACTORS])
     children = dict(zip(keys, root.spawn(len(keys))))
-    factors = factor_set(cfg.factors)
 
     station_rng = np.random.default_rng(children["stations"])
     positions = _station_positions(cfg, station_rng)
@@ -321,15 +363,15 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     corr = np.exp(-dists / SPATIAL_DECAY_KM)
     chol = np.linalg.cholesky(corr + 1e-10 * np.eye(len(positions)))
 
-    station_values = np.empty((cfg.duration_hours, len(positions), len(factors)))
-    for i, f in enumerate(factors):
+    station_values = np.empty((cfg.duration_hours, len(positions), len(cfg.factors)))
+    for i, f in enumerate(cfg.factors):
         rng = np.random.default_rng(children[f.column])
         raw = _generate_factor_matrix(
             cfg.weather[f], hours_abs, hours_of_day, chol, rng, len(positions)
         )
         station_values[:, :, i] = _clip_factor(f, raw)
 
-    columns = [ALL_FACTORS.index(f) for f in factors]
+    columns = [ALL_FACTORS.index(f) for f in cfg.factors]
     cube = np.full((len(epochs), len(positions), len(ALL_FACTORS)), np.nan)
     cube[:, :, columns] = station_values
     present = np.zeros(cube.shape, dtype=bool)
@@ -337,7 +379,7 @@ def generate_scenario(cfg: ScenarioConfig) -> SyntheticScenario:
     weather = WeatherSeries(hours_abs.astype(np.int64), registry.ids, cube, present)
 
     tensor = path_tensor_from_arrays(
-        station_values, epochs, factors, positions, cfg.grid_spec(), path
+        station_values, epochs, cfg.factors, positions, cfg.grid_spec(), path
     )
     h_tilde = transform_elevation(profile)
     truth = cfg.recipe.evaluate(tensor, h_tilde, hours_of_day, hours_abs)
@@ -417,121 +459,34 @@ def cubic_scenario_config(seed: int = 42, noise_sd_ns: float = 10.0) -> Scenario
     return ScenarioConfig(seed=seed, noise_sd_ns=noise_sd_ns, recipe=cubic_recipe())
 
 
-# -- config (de)serialization --------------------------------------------------
+# -- scenario.meta: the config as the artifact codec lays it out ----------------
 
-def _recipe_to_json(r: GroundTruthRecipe) -> dict:
-    return {
-        "base_ns": r.base_ns,
-        "linear_ns": {f.column: v for f, v in sorted(r.linear_ns.items(), key=lambda kv: kv[0].column)},
-        "centers": {f.column: v for f, v in sorted(r.centers.items(), key=lambda kv: kv[0].column)},
-        "scales": {f.column: v for f, v in sorted(r.scales.items(), key=lambda kv: kv[0].column)},
-        "interactions": [
-            {"factors": [f.column for f in term], "coef_ns": coef}
-            for term, coef in r.interactions
-        ],
-        "elevation_gain": r.elevation_gain,
-        "receiver_only": r.receiver_only,
-        "diurnal_amp_ns": r.diurnal_amp_ns,
-        "seasonal_amp_ns": r.seasonal_amp_ns,
-    }
+def _floats(names: str) -> dict:
+    return {name: Scalar(float) for name in names.split()}
 
 
-def _recipe_from_json(d: dict) -> GroundTruthRecipe:
-    return GroundTruthRecipe(
-        base_ns=float(d["base_ns"]),
-        linear_ns={MetFactor.from_column(k): float(v) for k, v in d["linear_ns"].items()},
-        centers={MetFactor.from_column(k): float(v) for k, v in d["centers"].items()},
-        scales={MetFactor.from_column(k): float(v) for k, v in d["scales"].items()},
-        interactions=tuple(
-            (tuple(MetFactor.from_column(f) for f in item["factors"]), float(item["coef_ns"]))
-            for item in d["interactions"]
-        ),
-        elevation_gain=float(d["elevation_gain"]),
-        receiver_only=bool(d["receiver_only"]),
-        diurnal_amp_ns=float(d["diurnal_amp_ns"]),
-        seasonal_amp_ns=float(d["seasonal_amp_ns"]),
-    )
-
-
-def config_to_json(cfg: ScenarioConfig) -> dict:
-    return {
-        "schema": "elorantd.scenario/1",
-        "seed": cfg.seed,
-        "start": cfg.start.isoformat(),
-        "duration_hours": cfg.duration_hours,
-        "tx": [cfg.tx.lat, cfg.tx.lon],
-        "rx": [cfg.rx.lat, cfg.rx.lon],
-        "station_count": cfg.station_count,
-        "station_jitter_deg": cfg.station_jitter_deg,
-        "l": cfg.l,
-        "factors": [f.column for f in cfg.factors],
-        "grid_cellsize": cfg.grid_cellsize,
-        "grid_padding": cfg.grid_padding,
-        "td_samples_per_hour": cfg.td_samples_per_hour,
-        "td_jitter_ns": cfg.td_jitter_ns,
-        "noise_sd_ns": cfg.noise_sd_ns,
-        "recipe": _recipe_to_json(cfg.recipe),
-        "dem": {
-            "cellsize": cfg.dem.cellsize,
-            "padding": cfg.dem.padding,
-            "base_m": cfg.dem.base_m,
-            "hills": cfg.dem.hills,
-            "amp_range": list(cfg.dem.amp_range),
-            "width_range": list(cfg.dem.width_range),
-        },
-        "weather": {
-            f.column: {
-                "mean": p.mean,
-                "seasonal_amp": p.seasonal_amp,
-                "diurnal_amp": p.diurnal_amp,
-                "ar_sd": p.ar_sd,
-                "ar_rho": p.ar_rho,
-                "seasonal_phase": p.seasonal_phase,
-            }
-            for f, p in sorted(cfg.weather.items(), key=lambda kv: kv[0].column)
-        },
-    }
-
-
-def config_from_json(d: dict) -> ScenarioConfig:
-    if d.get("schema") != "elorantd.scenario/1":
-        raise ValueError(f"unknown scenario schema {d.get('schema')!r}")
-    return ScenarioConfig(
-        seed=int(d["seed"]),
-        start=EpochHour.parse(d["start"]),
-        duration_hours=int(d["duration_hours"]),
-        tx=GeoPoint(*d["tx"]),
-        rx=GeoPoint(*d["rx"]),
-        station_count=int(d["station_count"]),
-        station_jitter_deg=float(d["station_jitter_deg"]),
-        l=int(d["l"]),
-        factors=factor_set(d["factors"]),
-        grid_cellsize=float(d["grid_cellsize"]),
-        grid_padding=float(d["grid_padding"]),
-        td_samples_per_hour=int(d["td_samples_per_hour"]),
-        td_jitter_ns=float(d["td_jitter_ns"]),
-        noise_sd_ns=float(d["noise_sd_ns"]),
-        recipe=_recipe_from_json(d["recipe"]),
-        dem=DemConfig(
-            cellsize=float(d["dem"]["cellsize"]),
-            padding=float(d["dem"]["padding"]),
-            base_m=float(d["dem"]["base_m"]),
-            hills=int(d["dem"]["hills"]),
-            amp_range=tuple(float(v) for v in d["dem"]["amp_range"]),
-            width_range=tuple(float(v) for v in d["dem"]["width_range"]),
-        ),
-        weather={
-            MetFactor.from_column(k): WeatherParams(
-                mean=float(p["mean"]),
-                seasonal_amp=float(p["seasonal_amp"]),
-                diurnal_amp=float(p["diurnal_amp"]),
-                ar_sd=float(p["ar_sd"]),
-                ar_rho=float(p["ar_rho"]),
-                seasonal_phase=float(p["seasonal_phase"]),
-            )
-            for k, p in d["weather"].items()
-        },
-    )
+_FACTOR = Text(MetFactor.from_column, attrgetter("column"))
+_POINT = Record(GeoPoint, _floats("lat lon"), as_list=True)
+_RANGE = Record(as_tuple, _floats("lo hi"), as_list=True)
+_BY_FACTOR = Table(_FACTOR, Scalar(float))
+SCENARIO_LAYOUT = Record(ScenarioConfig, {
+    **dict.fromkeys(("seed", "duration_hours", "station_count", "l", "td_samples_per_hour"),
+                    Scalar(int)),
+    **_floats("station_jitter_deg grid_cellsize grid_padding td_jitter_ns noise_sd_ns"),
+    "start": Text(EpochHour.parse, EpochHour.isoformat), "tx": _POINT, "rx": _POINT,
+    "factors": Items("factors", _FACTOR),
+    "recipe": Record(GroundTruthRecipe, {
+        **_floats("base_ns elevation_gain diurnal_amp_ns seasonal_amp_ns"),
+        "linear_ns": _BY_FACTOR, "centers": _BY_FACTOR, "scales": _BY_FACTOR,
+        "interactions": Items("terms", Record(as_tuple, {
+            "factors": Items("order", _FACTOR), "coef_ns": Scalar(float)})),
+        "receiver_only": Scalar(bool),
+    }),
+    "dem": Record(DemConfig, {**_floats("cellsize padding base_m"), "hills": Scalar(int),
+                              "amp_range": _RANGE, "width_range": _RANGE}),
+    "weather": Table(_FACTOR, Record(WeatherParams, _floats(
+        "mean seasonal_amp diurnal_amp ar_sd ar_rho seasonal_phase"))),
+})
 
 
 def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
@@ -549,8 +504,8 @@ def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
     write_weather_csv(scenario.weather, paths["weather"], scenario.config.factors)
     write_td_csv(scenario.td_samples, paths["td"])
     write_dem(scenario.dem, paths["dem"])
-    meta = config_to_json(scenario.config)
-    meta["path_length_km"] = scenario.path_length_km
+    meta = {"schema": SCENARIO_SCHEMA, "path_length_km": scenario.path_length_km,
+            **encode(SCENARIO_LAYOUT, scenario.config)}
     paths["meta"].write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -558,9 +513,13 @@ def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    d.pop("path_length_km", None)
-    return config_from_json(d)
+    """Decode a scenario.meta; ValueError, naming the bad value's path, if
+    it is not JSON, not this schema, or holds a malformed or out-of-range value."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    schema = raw.get("schema") if isinstance(raw, dict) else None
+    if schema != SCENARIO_SCHEMA:
+        raise ValueError(f"scenario.schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
+    return decode(SCENARIO_LAYOUT, raw, {}, "scenario")
 
 
 # -- brute-force oracles --------------------------------------------------------

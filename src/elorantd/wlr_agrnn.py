@@ -46,6 +46,8 @@ ELEVATION_FLOOR_M = 1.0
 # every WEIGHT_EVERY iterations
 WEIGHT_EPS = 1.0
 WEIGHT_EVERY = 50
+# a bank row's sd squares its entries, so larger outputs overflow the search
+BANK_LIMIT = 1e150
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -378,10 +380,6 @@ class WlrAgrnnModel:
     def n_locations(self) -> int:
         return self.bank.shape[0]
 
-    def predict(self, x_row: np.ndarray) -> float:
-        """x_row is (l, n) raw factor values for one epoch."""
-        return float(self.predict_batch(np.asarray(x_row, dtype=float)[None])[0])
-
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """x is the raw (M, l, n) tensor; returns (M,) predictions."""
         x = np.asarray(x, dtype=float)
@@ -393,6 +391,16 @@ class WlrAgrnnModel:
         z = self.standardizer.transform(x.reshape(-1, n)).reshape(x.shape)
         queries = elevation_weight(_forward_all(self.params, z), self.h_tilde).T
         return agrnn_predict_batch(queries, self.bank, self.y, self.sigmas)
+
+
+def _bank(params: WlrParams, z: np.ndarray, h_tilde: np.ndarray) -> np.ndarray:
+    """The (l, T) bank of standardized inputs z.  The loss ignores the scale of v,
+    so a diverging Adam inflates it: outputs past BANK_LIMIT are reported."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bank = elevation_weight(_forward_all(params, z), h_tilde).T
+        if not np.abs(bank).max() < BANK_LIMIT:
+            raise NonFiniteLossError("expert outputs diverged past the bank limit")
+    return bank
 
 
 def train(
@@ -431,7 +439,7 @@ def train(
     losses: list[float] = []
     scales: list[float] = []
     for it in range(cfg.max_iterations):
-        bank = elevation_weight(_forward_all(params, z), h_tilde).T
+        bank = _bank(params, z, h_tilde)
         search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
         reweight = (cfg.weight_scheme == "inverse_residual" and it > 0
                     and it % WEIGHT_EVERY == 0)
@@ -446,7 +454,7 @@ def train(
         if loss_converged(losses, cfg.tol, cfg.patience):
             break
     # final bank/sigmas consistent with the final parameters
-    bank = elevation_weight(_forward_all(params, z), h_tilde).T
+    bank = _bank(params, z, h_tilde)
     search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
     if not losses:
         losses.append(wrss_and_grads(params, z, y, h_tilde, bank, search, w)[0])

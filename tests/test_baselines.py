@@ -430,11 +430,14 @@ def test_all_baselines_return_model_and_trace():
         assert model.factors == FACTORS_3
         assert model.location_mode == "receiver_only"
         assert len(trace.losses) >= 1
-        single = model.predict(x[0])
-        assert isinstance(single, float)
         batch = model.predict(x)
         assert batch.shape == (30,)
-        assert batch[0] == pytest.approx(single, rel=1e-12)
+        one_row = model.predict(x[3:4])
+        assert one_row.shape == (1,)
+        assert one_row[0] == pytest.approx(batch[3], rel=1e-12)
+        for bad in (x[0], x[:, :1], np.hstack((x, x))):
+            with pytest.raises(DimensionMismatchError):
+                model.predict(bad)
 
 
 def test_baseline_models_are_deterministic():

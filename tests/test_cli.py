@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import elorantd
 from elorantd import synth
-from elorantd.artifacts import ConstantModel, LookupModel, load_model, save_model
+from elorantd.artifacts import ConstantModel, LookupModel, encode, load_model, save_model
 from elorantd.cli import main
 from elorantd.ingest import aggregate_hourly, parse_td_csv
 from elorantd.types import EpochHour, MetFactor
@@ -103,6 +105,186 @@ def test_synth_out_of_range_scenario_file_exit_2(tmp_path, small_corpus_dir, cap
         assert main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- scenario.meta mutations ------------------------------------------------------
+
+HUGE = 10 ** 12
+MISSING = object()
+# Values each field's documented range rejects; every other 0, -1 or huge
+# value is a valid scenario.  "*" matches one key.
+OUT_OF_RANGE = {
+    "seed": (-1,),
+    "duration_hours": (0, -1, HUGE),
+    "station_count": (0, -1, HUGE),
+    "l": (0, 1, -1, HUGE),
+    "td_samples_per_hour": (0, -1, 3601, HUGE),
+    "station_jitter_deg": (-1,),
+    "grid_cellsize": (0, -1),
+    "grid_padding": (-1, HUGE),
+    "td_jitter_ns": (-1,),
+    "noise_sd_ns": (-1,),
+    "start": ("9999-12-31T23:00:00Z", "2024-10-01T00:30:00Z", "2024-10-01T00:00:00+09:00"),
+    "tx[0]": (-HUGE, HUGE),
+    "rx[1]": (HUGE,),
+    "recipe.elevation_gain": (-1,),
+    "recipe.scales.*": (0, -1),
+    "dem.cellsize": (0, -1, 1 / HUGE),
+    "dem.padding": (-1, HUGE),
+    "dem.hills": (-1, HUGE),
+    "dem.amp_range[0]": (HUGE,),
+    "dem.amp_range[1]": (-1,),
+    "dem.width_range[0]": (0, -1, HUGE),
+    "dem.width_range[1]": (0, -1),
+    "weather.*.ar_rho": (-1, 1, HUGE),
+}
+TABLES = ("recipe.linear_ns", "recipe.centers", "recipe.scales", "weather")
+FIXED_LISTS = ("tx", "rx", "dem.amp_range", "dem.width_range")
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _pattern(path) -> str:
+    """A Table entry's key matches "*"."""
+    parts = [k if isinstance(k, int) or _dotted(path[:i]) not in TABLES else "*"
+             for i, k in enumerate(path)]
+    return _dotted(parts)
+
+
+def scenario_meta_mutations(doc: dict, factors) -> list[tuple[str, object]]:
+    """(label, mutated document) for every field of a scenario.meta: each
+    value swapped for a wrong JSON type, null, a string, +-inf and nan, and,
+    where it is not a number, 0 and -1; each declared key dropped; each
+    fixed-length list one entry longer and shorter; each table given an
+    unknown factor key; and each value of OUT_OF_RANGE.  Each one is
+    malformed.  The wrong-type stand-ins are drawn from a seeded generator."""
+    rng = random.Random(2024)
+    wrong_types = ([1.5], {"v": 1}, True, [])
+    cases: list[tuple[str, object]] = []
+
+    def put(label, path, value):
+        mutated = json.loads(json.dumps(doc))
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        if value is MISSING:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        cases.append((f"{_dotted(path)}: {label}", mutated))
+
+    def walk(path, value):
+        dotted, pattern = _dotted(path), _pattern(path)
+        if path == ("path_length_km",):  # written for readers, never read
+            return
+        stand_in = rng.choice([w for w in wrong_types if type(w) is not type(value)])
+        for label, bad in (("wrong type", stand_in), ("null", None),
+                           ("string", "abc"), ("inf", math.inf), ("-inf", -math.inf),
+                           ("nan", math.nan)) if path else ():
+            put(label, path, bad)
+        parent = _dotted(path[:-1])
+        if path and not isinstance(path[-1], int) and (
+                parent not in TABLES or (parent == "weather" and path[-1] in factors)):
+            put("missing key", path, MISSING)
+        values = OUT_OF_RANGE.get(pattern, ())
+        if path and type(value) not in (int, float):
+            values += (0, -1)
+        for bad in values:
+            put(f"value {bad!r}", path, bad)
+        if dotted in FIXED_LISTS:
+            put("one entry too many", path, value + value[-1:])
+            put("one entry too few", path, value[:-1])
+        if dotted == "factors":
+            put("repeated factor", path, value + value[:1])
+            put("a factor the recipe uses dropped", path, value[:-1])
+        if dotted in TABLES:
+            put("unknown factor key", path, {**value, "warp_field": value[next(iter(value))]})
+        children = (value.items() if isinstance(value, dict)
+                    else enumerate(value) if isinstance(value, list) else ())
+        for key, child in children:
+            walk(path + (key,), child)
+
+    walk((), doc)  # the whole-file cases are the test's own
+    return cases
+
+
+def _scenario_meta_base() -> tuple[dict, tuple]:
+    """The small corpus's scenario with the cubic recipe, so that centers,
+    scales and interaction terms have fields too."""
+    cfg = dataclasses.replace(small_scenario_config(), recipe=synth.cubic_recipe())
+    doc = {"schema": synth.SCENARIO_SCHEMA, "path_length_km": 179.28,
+           **encode(synth.SCENARIO_LAYOUT, cfg)}
+    return doc, tuple(f.column for f in cfg.factors)
+
+
+def test_scenario_meta_mutations_cover_every_field():
+    doc, factors = _scenario_meta_base()
+    labels = [label for label, _ in scenario_meta_mutations(doc, factors)]
+    assert len(labels) == len(set(labels))
+    fields = {label.split(":")[0] for label in labels}
+    for field in ("seed", "start", "tx[1]", "factors[2]", "recipe.interactions[0].factors[2]",
+                  "recipe.receiver_only", "recipe.scales.temperature_c", "dem.hills",
+                  "dem.width_range[1]", "weather.wind_speed_ms.seasonal_phase"):
+        assert field in fields
+    assert {"dem.cellsize: value 0", "weather.temperature_c: missing key",
+            "dem.amp_range: one entry too many", "recipe.receiver_only: string",
+            "recipe.receiver_only: value 0", "seed: null", "tx: string", "dem: wrong type",
+            "duration_hours: value 1000000000000", "factors: repeated factor"} <= set(labels)
+
+
+def test_every_scenario_meta_mutation_exits_2_from_synth_and_3_from_train(
+    tmp_path, small_corpus_dir, capsys
+):
+    doc, factors = _scenario_meta_base()
+    meta = tmp_path / "scenario.meta"
+    meta.write_text(json.dumps(doc))
+    assert synth.load_scenario_config(meta) == dataclasses.replace(
+        small_scenario_config(), recipe=synth.cubic_recipe())
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("stations.csv", "weather.csv", "td.csv", "dem.asc"):
+        (corpus / name).write_bytes((small_corpus_dir / name).read_bytes())
+    ini = write_ini(tmp_path / "run.ini", base_ini(corpus, f"[split]\ntrain = {TRAIN_RANGE}\n"))
+    whole_file = [("not JSON", "{\"seed\": 7,"), ("a list", "[]"), ("a number", "7"),
+                  ("null", "null"), ("empty object", "{}"),
+                  ("no schema", json.dumps({k: v for k, v in doc.items() if k != "schema"})),
+                  ("other schema", json.dumps({**doc, "schema": "elorantd.scenario/9"})),
+                  ("dem as a list", json.dumps({**doc, "dem": []})),
+                  ("duration_hours 1e12", json.dumps(doc).replace('"duration_hours": 480',
+                                                                  '"duration_hours": 1e12'))]
+    cases = whole_file + [(label, json.dumps(bad))
+                          for label, bad in scenario_meta_mutations(doc, factors)]
+    for label, text in cases:
+        meta.write_text(text)
+        (corpus / "scenario.meta").write_text(text)
+        assert main(["synth", "--scenario", str(meta), "--out", str(tmp_path / "out")]) == 2, label
+        assert main(["train", "--config", ini, "--corpus", str(corpus), "--model", "grnn",
+                     "--out", str(tmp_path / "m.json")]) == 3, label
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, label
+        assert err.count("config error: synth.scenario:") == 1, (label, err)
+        assert err.count("data error:") == 1 and "scenario.meta" in err, (label, err)
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [('"duration_hours": 480', '"duration_hours": 1e12'),
+     ('"receiver_only": true', '"receiver_only": "no"'),
+     ('"cellsize": 0.02', '"cellsize": 0')],
+)
+def test_scenario_meta_mutation_console_exit_2_without_traceback(tmp_path, old, new):
+    doc, _ = _scenario_meta_base()
+    text = json.dumps(doc)
+    assert old in text
+    bad = tmp_path / "bad.meta"
+    bad.write_text(text.replace(old, new))
+    out = tmp_path / "corpus"
+    assert_exit_2_without_traceback(["synth", "--scenario", str(bad), "--out", str(out)])
+    assert not out.exists()
 
 
 # -- ingest ----------------------------------------------------------------------
@@ -444,12 +626,18 @@ def test_train_empty_range_exit_3(tmp_path, ini, capsys, test_split):
     assert "no aligned epoch falls in the train ranges" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_numeric_blowup_exit_4(tmp_path, ini, capsys):
-    cfg = ini(f"[split]\ntrain = {TRAIN_RANGE}\n"
-              "[model]\nname = bpnn\nlearning_rate = 1e200\nmax_iterations = 5\n")
+@pytest.mark.parametrize("learning_rate", ["1e200", "1e300"])
+@pytest.mark.parametrize("name", ["bpnn", "moe", "wlr_agrnn"])
+def test_train_divergence_exit_4_without_numpy_warnings(tmp_path, ini, capsys, name,
+                                                       learning_rate):
+    """The suite turns RuntimeWarning into an error, so an overflow that
+    numpy reports instead of the trainer fails here."""
+    cfg = ini(f"[split]\ntrain = {TRAIN_RANGE}\n[model]\nname = {name}\n"
+              f"learning_rate = {learning_rate}\nmax_iterations = 5\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 4
-    assert "numeric error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "Warning" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 # -- predict ---------------------------------------------------------------------

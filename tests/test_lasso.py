@@ -217,7 +217,7 @@ def test_predict_intercept_only_model():
         index=index,
         beta=beta,
     )
-    assert model.predict(np.array([100.0, -3.0])) == 42.5
+    np.testing.assert_array_equal(model.predict(np.array([[100.0, -3.0]])), [42.5])
     np.testing.assert_array_equal(model.predict(x), 42.5)
 
 
@@ -226,7 +226,11 @@ def test_predict_wrong_width():
     x, y = random_regression(rng, 30, 3)
     model, _ = train(x, y, FACTORS_3, degree=1, alpha=0.1)
     with pytest.raises(DimensionMismatchError):
-        model.predict(np.ones(4))
+        model.predict(np.ones((2, 4)))
+    with pytest.raises(DimensionMismatchError):
+        model.predict(np.ones(3))  # one row must still be a (1, n) batch
+    one_row = model.predict(x[5:6])
+    assert one_row.shape == (1,) and one_row[0] == pytest.approx(model.predict(x)[5], rel=1e-12)
 
 
 def test_train_warns_when_underdetermined():

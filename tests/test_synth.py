@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from elorantd.artifacts import decode, encode
 from elorantd.errors import RankDeficientError
 from elorantd.ingest import (
     aggregate_hourly,
@@ -14,11 +17,12 @@ from elorantd.ingest import (
 )
 from elorantd.stats import pearson
 from elorantd.synth import (
+    MAX_SCENARIO_CELLS,
+    SCENARIO_LAYOUT,
     DemConfig,
     GroundTruthRecipe,
     ScenarioConfig,
-    config_from_json,
-    config_to_json,
+    WeatherParams,
     cubic_scenario_config,
     default_scenario_config,
     generate_scenario,
@@ -29,6 +33,7 @@ from elorantd.synth import (
 from elorantd.types import (
     ALL_FACTORS,
     FACTORS_3,
+    EpochHour,
     MetFactor,
     factor_set,
     validate_factor_value,
@@ -232,8 +237,10 @@ def test_write_corpus_is_byte_deterministic(tmp_path):
 
 def test_config_json_round_trip():
     for cfg in (tiny_config(), default_scenario_config(), cubic_scenario_config(seed=7)):
-        again = config_from_json(config_to_json(cfg))
+        text = json.dumps(encode(SCENARIO_LAYOUT, cfg), sort_keys=True)
+        again = decode(SCENARIO_LAYOUT, json.loads(text), {}, "scenario")
         assert again == cfg
+        assert json.dumps(encode(SCENARIO_LAYOUT, again), sort_keys=True) == text
 
 
 def test_config_validation():
@@ -249,6 +256,53 @@ def test_config_validation():
         tiny_config(
             recipe=GroundTruthRecipe(linear_ns={MetFactor.SUNSHINE: 1.0}),
         )
+
+
+@pytest.mark.parametrize("fields", [
+    {"cellsize": 0.0}, {"cellsize": math.inf}, {"cellsize": -0.02}, {"padding": -0.1},
+    {"hills": -1}, {"amp_range": (450.0, 50.0)},
+    {"width_range": (0.0, 0.3)}, {"width_range": (0.3, 0.05)}, {"amp_range": (1.0, math.inf)},
+])
+def test_dem_config_range_checks(fields):
+    with pytest.raises(ValueError):
+        DemConfig(**fields)
+
+
+def test_scenario_config_range_checks():
+    weather = dict(default_scenario_config().weather)
+    del weather[MetFactor.TEMPERATURE]
+    for fields in ({"weather": weather}, {"factors": ()},
+                   {"factors": (MetFactor.PRESSURE, MetFactor.PRESSURE)},
+                   {"rx": default_scenario_config().tx}, {"station_jitter_deg": -0.1},
+                   {"grid_cellsize": 0.0}, {"td_jitter_ns": math.nan}, {"l": 1},
+                   {"start": EpochHour.of(9999, 12, 31)}):
+        with pytest.raises(ValueError):
+            tiny_config(**fields)
+    with pytest.raises(ValueError, match="elevation_gain"):
+        GroundTruthRecipe(elevation_gain=-1.0)
+    with pytest.raises(ValueError, match="scales"):
+        GroundTruthRecipe(scales={MetFactor.PRESSURE: 0.0})
+    with pytest.raises(ValueError, match="ar_rho"):
+        WeatherParams(1.0, 0.0, 0.0, 1.0, 1.0)
+    # factors are canonicalised, so a reordered set is the same scenario
+    assert tiny_config(factors=FACTORS_3[::-1]) == tiny_config()
+
+
+@pytest.mark.parametrize("fields", [
+    {"duration_hours": 10 ** 9}, {"station_count": 2 ** 15}, {"l": 2 ** 27},
+    {"td_samples_per_hour": 3600, "duration_hours": 2 ** 17},
+    {"dem": DemConfig(cellsize=1e-6)}, {"dem": DemConfig(hills=10 ** 9)},
+    {"grid_padding": 1e300},
+])
+def test_scenario_over_the_cell_bound_is_refused_before_generating(fields):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_SCENARIO_CELLS)):
+            tiny_config(**fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scenario_path_length_matches_declared_geometry():

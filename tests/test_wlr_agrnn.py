@@ -338,7 +338,7 @@ def test_predict_batch_matches_per_epoch_oracle():
         query = [wlr_forward(model.params, z[j]) * model.h_tilde[j] for j in range(3)]
         expect.append(kernel_oracle(query, model.bank, model.y, model.sigmas))
     np.testing.assert_allclose(model.predict_batch(probe), expect, rtol=1e-10)
-    assert model.predict(probe[2]) == pytest.approx(expect[2], rel=1e-10)
+    assert model.predict_batch(probe[2:3])[0] == pytest.approx(expect[2], rel=1e-10)
     for bad in (probe[0], probe[:, :2], probe[..., :1]):
         with pytest.raises(DimensionMismatchError):
             model.predict_batch(bad)
