@@ -14,11 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .models import KINDS, Array, Items, ModelKind, Record, Table, Text
+from .models import FACTOR, KINDS, Array, Items, ModelKind, Record, Scalar, Table, Text
 from .models import ConstantModel, LookupModel  # noqa: F401  (re-exported)
-from .types import factor_set
+from .types import factor_set, parse_location_mode
 
 SCHEMA = "elorantd.model/1"
+# the fields every kind shares; its payload is declared in models.KINDS
+HEADER = Record(dict, {
+    "factors": Items("factors", FACTOR),
+    "location_mode": Text(parse_location_mode, str),
+    "meta": Scalar(dict),
+})
 
 
 def encode(spec, value):
@@ -46,7 +52,7 @@ def _bind(dims: dict, axis: str, size: int, where: str) -> None:
 
 
 _SCALAR_NAMES = {float: "finite number", int: "64-bit integer", str: "string",
-                 bool: "boolean (true or false)"}
+                 bool: "boolean (true or false)", dict: "JSON object"}
 
 
 def decode(spec, raw, dims: dict, where: str):
@@ -124,9 +130,7 @@ def model_document(model) -> dict:
     return {
         "schema": SCHEMA,
         "kind": kind.name,
-        "factors": [f.column for f in model.factors],
-        "location_mode": model.location_mode,
-        "meta": dict(model.meta),
+        **encode(HEADER, model),
         "payload": encode(Record(dict, kind.payload), model),
     }
 
@@ -147,18 +151,20 @@ def load_model(path):
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise ArtifactError(f"{path}: unknown artifact schema {schema!r}")
-    for key in ("kind", "factors", "location_mode", "meta", "payload"):
+    for key in ("kind", "payload"):  # the header's fields are HEADER's
         if key not in doc:
             raise ArtifactError(f"{path}: artifact missing field {key!r}")
     kind = KINDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
     if kind is None:
         raise ArtifactError(f"{path}: unknown artifact kind {doc['kind']!r}")
     try:
+        header = decode(HEADER, doc, {}, "artifact")
+        header["factors"] = factor_set(header["factors"])
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: malformed artifact header ({exc})") from None
+    try:
         return kind.model(
-            **decode(Record(dict, kind.payload), doc["payload"], {}, "payload"),
-            factors=factor_set(doc["factors"]) if doc["factors"] else (),
-            location_mode=doc["location_mode"],
-            meta=dict(doc["meta"]),
+            **decode(Record(dict, kind.payload), doc["payload"], {}, "payload"), **header
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"{path}: malformed {doc['kind']} payload ({exc})") from None

@@ -76,8 +76,11 @@ class GrnnConfig:
 
     def __post_init__(self):
         require_at_least(self, 0, "seed")
-        if self.sigma is not None:
-            require_at_least(self, 0, "sigma", strict=True)
+        # the kernel scale 0.5 / sigma^2 must be finite and positive
+        sigma = self.sigma
+        if sigma is not None and not (sigma > 0 and 0 < sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be positive with a finite, non-zero square, "
+                             f"got {sigma!r}")
 
 
 def _check_xy(x, y):

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: synth | ingest | gridmap | correlate | train | predict |
-evaluate | sweep.  Configuration is an INI file with fixed sections;
-unknown sections or keys are hard errors so a typo in a hyperparameter
-name can never silently fall back to a default.
+evaluate | sweep.  Configuration is an INI file with fixed sections, each
+declared once as a frozen dataclass (``SECTIONS``; ``[model]`` by its
+kind's config in ``models.KINDS``).  Every command reads and checks the
+whole file first: unknown sections or keys, unparsable values and values
+out of range are config errors, so a typo in a hyperparameter name can
+never silently fall back to a default.
 
 Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 compatibility.
 """
@@ -26,13 +29,21 @@ from .errors import (
     ElorantdError,
     NonFiniteLossError,
 )
-from .gridmap import GridSpec, assign_observations, export_gridmap_csv, idw_fill
+from .gridmap import (
+    DEFAULT_BOX_PADDING_DEG,
+    DEFAULT_CELLSIZE_DEG,
+    DEFAULT_PATH_POINTS,
+    assign_observations,
+    export_gridmap_csv,
+    idw_fill,
+)
 from .ingest import DEFAULT_MIN_SAMPLES_PER_HOUR, aggregate_hourly, align_epochs
-from .optim import require_at_least
+from .optim import MAX_ARRAY_CELLS, require_at_least
 from .pipeline import (
     Corpus,
     build_features,
     evaluate_models,
+    grid_around,
     holdout_split,
     load_corpus,
     mask_for_ranges,
@@ -52,6 +63,7 @@ from .types import (
     GeoPoint,
     MetFactor,
     factor_set,
+    parse_location_mode,
 )
 
 EXIT_OK = 0
@@ -59,44 +71,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
-
-_CONFIG_SCHEMA = {
-    "corpus": {"dir", "min_samples_per_hour", "tx_lat", "tx_lon", "rx_lat", "rx_lon"},
-    "features": {"factors", "location_mode", "l", "grid_cellsize", "grid_padding"},
-    "split": {"train", "test"},
-    "model": {"name"}.union(*(models.option_types(models.KINDS[m].config)
-                              for m in models.MODEL_NAMES)),
-    "synth": {"scenario", "seed", "noise_sd_ns"},
-    "correlate": {"r_min", "p_max"},
-    "sweep": {"kind", "holdout_fraction"},
-}
-
-
-@dataclass
-class RunSettings:
-    """Merged configuration: defaults < config file < command-line flags."""
-
-    corpus_dir: Path | None = None
-    min_samples: int | None = None
-    tx: GeoPoint | None = None
-    rx: GeoPoint | None = None
-    factors: FactorSet = ALL_FACTORS
-    location_mode: str = "path"
-    l: int = 198
-    grid_cellsize: float = 0.01
-    grid_padding: float = 0.05
-    train_ranges: tuple | None = None
-    test_ranges: tuple | None = None
-    model_name: str = "wlr_agrnn"
-    model_options: dict = field(default_factory=dict)
-    scenario: str = "default"
-    synth_seed: int | None = None
-    noise_sd_ns: float | None = None
-    r_min: float = 0.5
-    p_max: float = 0.05
-    sweep_kind: str = "alpha"
-    holdout_fraction: float = 0.25
-
 
 def _parse_factors(text: str) -> FactorSet:
     text = text.strip()
@@ -106,100 +80,177 @@ def _parse_factors(text: str) -> FactorSet:
         return ALL_FACTORS
     columns = [c.strip() for c in text.split(",") if c.strip()]
     if not columns:
-        raise ConfigError("features.factors: at least one factor is required")
-    try:
-        return factor_set(MetFactor.from_column(c) for c in columns)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"features.factors: {exc}") from None
+        raise ValueError("at least one factor is required")
+    return factor_set(MetFactor.from_column(c) for c in columns)
+
+
+# -- INI sections: each key is a field, typed by models.section_config ----------
+
+@dataclass(frozen=True)
+class CorpusSection:
+    dir: str | None = None
+    min_samples_per_hour: int | None = None
+    tx_lat: float | None = None
+    tx_lon: float | None = None
+    rx_lat: float | None = None
+    rx_lon: float | None = None
+
+    def __post_init__(self):
+        if self.dir == "":
+            raise ValueError("dir is empty")
+        if self.min_samples_per_hour is not None:
+            require_at_least(self, 1, "min_samples_per_hour")
+        tx, rx = self._point("tx"), self._point("rx")
+        if tx is not None and tx == rx:
+            raise ValueError("transmitter and receiver coincide")
+
+    def _point(self, end: str) -> GeoPoint | None:
+        lat, lon = getattr(self, f"{end}_lat"), getattr(self, f"{end}_lon")
+        if (lat is None) != (lon is None):
+            raise ValueError(f"{end}_lat and {end}_lon are given together or not at all")
+        return None if lat is None else GeoPoint(lat, lon)
+
+    def tx_rx(self, corpus: Corpus) -> tuple[GeoPoint, GeoPoint]:
+        """These tx and rx when both are given, else the corpus's scenario.meta's."""
+        tx, rx = self._point("tx"), self._point("rx")
+        return (tx, rx) if tx is not None and rx is not None else corpus.tx_rx()
+
+    def min_samples(self, corpus: Corpus) -> int:
+        """min_samples_per_hour if given, else the default capped at the corpus's rate."""
+        if self.min_samples_per_hour is not None:
+            return self.min_samples_per_hour
+        rate = corpus.scenario.td_samples_per_hour if corpus.scenario else math.inf
+        return min(DEFAULT_MIN_SAMPLES_PER_HOUR, rate)
+
+
+@dataclass(frozen=True)
+class FeaturesSection:
+    factors: str | FactorSet = ALL_FACTORS  # a preset, all, or a comma list; held canonical
+    location_mode: str = "path"
+    l: int = DEFAULT_PATH_POINTS
+    grid_cellsize: float = DEFAULT_CELLSIZE_DEG
+    grid_padding: float = DEFAULT_BOX_PADDING_DEG
+
+    def __post_init__(self):
+        factors = self.factors
+        object.__setattr__(self, "factors", _parse_factors(factors)
+                           if isinstance(factors, str) else factor_set(factors))
+        parse_location_mode(self.location_mode)
+        if not 2 <= self.l <= MAX_ARRAY_CELLS:  # path points
+            raise ValueError(f"l must lie in [2, {MAX_ARRAY_CELLS}], got {self.l!r}")
+        require_at_least(self, 0, "grid_padding")
+        require_at_least(self, 0, "grid_cellsize", strict=True)
+
+
+@dataclass(frozen=True)
+class SplitSection:
+    train: str | tuple | None = None  # comma lists of START..END, held parsed
+    test: str | tuple | None = None
+
+    def __post_init__(self):
+        for side in ("train", "test"):
+            if isinstance(getattr(self, side), str):
+                object.__setattr__(self, side, parse_range_list(getattr(self, side)))
+
+    def select(self, bundle, side: str, use: str):
+        """The bundle's epochs in the train or test ranges (side), which use
+        requires; given both sides, they must not overlap and neither may be empty."""
+        if getattr(self, side) is None:
+            raise ConfigError(f"split.{side} is required for {use}")
+        if self.train is not None and self.test is not None:
+            return split_bundle(bundle, self.train, self.test)[side == "test"]
+        return subset_in_ranges(bundle, getattr(self, side), side)
+
+
+@dataclass(frozen=True)
+class SynthSection:
+    scenario: str = "default"  # default | cubic | path to a scenario.meta
+    seed: int | None = None
+    noise_sd_ns: float | None = None
+
+    def __post_init__(self):
+        if not self.scenario:
+            raise ValueError("scenario is empty")
+        require_at_least(self, 0, *(k for k in ("seed", "noise_sd_ns")
+                                    if getattr(self, k) is not None))
+
+
+@dataclass(frozen=True)
+class CorrelateSection:
+    r_min: float = 0.5
+    p_max: float = 0.05
+
+    def __post_init__(self):  # each test is written so that NaN fails it
+        if not 0.0 <= self.r_min <= 1.0:
+            raise ValueError(f"r_min must lie in [0, 1], got {self.r_min!r}")
+        if not 0.0 < self.p_max <= 1.0:
+            raise ValueError(f"p_max must lie in (0, 1], got {self.p_max!r}")
+
+
+@dataclass(frozen=True)
+class SweepSection:
+    kind: str = "alpha"
+    holdout_fraction: float = 0.25
+
+    def __post_init__(self):
+        if self.kind not in ("alpha", "degree"):
+            raise ValueError(f"kind must be alpha or degree, got {self.kind!r}")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction!r}")
+
+
+SECTIONS = {"corpus": CorpusSection, "features": FeaturesSection, "split": SplitSection,
+            "synth": SynthSection, "correlate": CorrelateSection, "sweep": SweepSection}
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The checked config file: one field per section, and [model]'s name and
+    its options typed against it; flags override these in the commands."""
+
+    corpus: CorpusSection = CorpusSection()
+    features: FeaturesSection = FeaturesSection()
+    split: SplitSection = SplitSection()
+    synth: SynthSection = SynthSection()
+    correlate: CorrelateSection = CorrelateSection()
+    sweep: SweepSection = SweepSection()
+    model_name: str = "wlr_agrnn"
+    model_options: dict = field(default_factory=dict)
 
 
 def load_settings(config_path: str | None) -> RunSettings:
-    s = RunSettings()
+    """Read and check every section of the config file (defaults without one)."""
     if config_path is None:
-        return s
+        return RunSettings()
     path = Path(config_path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no DEFAULT section: its keys would reach every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        allowed = _CONFIG_SCHEMA[section]
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
-    get = parser.get
-
-    def has(section, key):
-        return parser.has_option(section, key)
-
+    raw = {section: dict(parser[section]) for section in parser.sections()}
+    unknown = [section for section in raw if section not in SECTIONS and section != "model"]
+    if unknown:
+        raise ConfigError(f"{path}: unknown section [{unknown[0]}]")
+    options = raw.get("model", {})
+    name = options.pop("name", RunSettings.model_name)
     try:
-        if has("corpus", "dir"):
-            s.corpus_dir = Path(get("corpus", "dir"))
-        if has("corpus", "min_samples_per_hour"):
-            s.min_samples = int(get("corpus", "min_samples_per_hour"))
-        if has("corpus", "tx_lat") or has("corpus", "tx_lon"):
-            s.tx = GeoPoint(float(get("corpus", "tx_lat")), float(get("corpus", "tx_lon")))
-        if has("corpus", "rx_lat") or has("corpus", "rx_lon"):
-            s.rx = GeoPoint(float(get("corpus", "rx_lat")), float(get("corpus", "rx_lon")))
-        if has("features", "factors"):
-            s.factors = _parse_factors(get("features", "factors"))
-        if has("features", "location_mode"):
-            s.location_mode = get("features", "location_mode").strip()
-        if has("features", "l"):
-            s.l = int(get("features", "l"))
-        if has("features", "grid_cellsize"):
-            s.grid_cellsize = float(get("features", "grid_cellsize"))
-        if has("features", "grid_padding"):
-            s.grid_padding = float(get("features", "grid_padding"))
-        if has("split", "train"):
-            s.train_ranges = parse_range_list(get("split", "train"))
-        if has("split", "test"):
-            s.test_ranges = parse_range_list(get("split", "test"))
-        if parser.has_section("model"):  # options are typed by pipeline.model_config
-            s.model_options = dict(parser["model"])
-            s.model_name = s.model_options.pop("name", s.model_name).strip()
-        if has("synth", "scenario"):
-            s.scenario = get("synth", "scenario").strip()
-        if has("synth", "seed"):
-            s.synth_seed = int(get("synth", "seed"))
-        if has("synth", "noise_sd_ns"):
-            s.noise_sd_ns = float(get("synth", "noise_sd_ns"))
-        if has("correlate", "r_min"):
-            s.r_min = float(get("correlate", "r_min"))
-        if has("correlate", "p_max"):
-            s.p_max = float(get("correlate", "p_max"))
-        if has("sweep", "kind"):
-            s.sweep_kind = get("sweep", "kind").strip()
-        if has("sweep", "holdout_fraction"):
-            s.holdout_fraction = float(get("sweep", "holdout_fraction"))
-        require_at_least(s, 2, "l")  # path points
-        if s.min_samples is not None and s.min_samples < 1:
-            raise ValueError(
-                f"corpus.min_samples_per_hour must be >= 1, got {s.min_samples}"
-            )
-        require_at_least(s, 0, "grid_padding")
-        require_at_least(s, 0, "grid_cellsize", strict=True)
-        # each test is written so that NaN fails it
-        if not 0.0 < s.holdout_fraction < 1.0:
-            raise ValueError(
-                f"sweep.holdout_fraction must lie in (0, 1), got {s.holdout_fraction!r}"
-            )
-        if not 0.0 <= s.r_min <= 1.0:
-            raise ValueError(f"correlate.r_min must lie in [0, 1], got {s.r_min!r}")
-        if not 0.0 < s.p_max <= 1.0:
-            raise ValueError(f"correlate.p_max must lie in (0, 1], got {s.p_max!r}")
-    except (ValueError, configparser.Error) as exc:
+        model = model_config(name, options)
+        return RunSettings(
+            **{section: models.section_config(config, section, raw.get(section, {}))
+               for section, config in SECTIONS.items()},
+            model_name=name,
+            model_options={key: getattr(model, key) for key in options},
+        )
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return s
 
 
 def _resolve_corpus(args, s: RunSettings) -> Corpus:
-    directory = getattr(args, "corpus", None) or s.corpus_dir
+    directory = getattr(args, "corpus", None) or s.corpus.dir
     if directory is None:
         raise ConfigError("no corpus directory (use --corpus or corpus.dir)")
     if not Path(directory).is_dir():
@@ -207,35 +258,14 @@ def _resolve_corpus(args, s: RunSettings) -> Corpus:
     return load_corpus(directory)
 
 
-def _resolve_tx_rx(corpus: Corpus, s: RunSettings) -> tuple[GeoPoint, GeoPoint]:
-    if s.tx is not None and s.rx is not None:
-        return s.tx, s.rx
-    return corpus.tx_rx()
-
-
-def _resolve_min_samples(corpus: Corpus, s: RunSettings) -> int:
-    if s.min_samples is not None:
-        return s.min_samples
-    if corpus.scenario is not None:
-        return min(DEFAULT_MIN_SAMPLES_PER_HOUR, corpus.scenario.td_samples_per_hour)
-    return DEFAULT_MIN_SAMPLES_PER_HOUR
-
-
-def _bundle(args, s: RunSettings, factors: FactorSet | None = None):
+def _bundle(args, s: RunSettings):
     corpus = _resolve_corpus(args, s)
-    tx, rx = _resolve_tx_rx(corpus, s)
-    bundle = build_features(
-        corpus,
-        factors if factors is not None else s.factors,
-        s.location_mode,
-        tx,
-        rx,
-        l=s.l,
-        min_samples=_resolve_min_samples(corpus, s),
-        cellsize=s.grid_cellsize,
-        padding=s.grid_padding,
+    f = s.features
+    return corpus, build_features(
+        corpus, f.factors, f.location_mode, *s.corpus.tx_rx(corpus), l=f.l,
+        min_samples=s.corpus.min_samples(corpus), cellsize=f.grid_cellsize,
+        padding=f.grid_padding,
     )
-    return corpus, bundle
 
 
 def _write_csv(path, header, rows) -> None:
@@ -295,9 +325,8 @@ def write_svg_line_chart(path, xs, ys, title, x_label, y_label, log_x=False) -> 
 
 # -- subcommand handlers -------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    s = load_settings(args.config)
-    scenario_name = args.scenario or s.scenario
+def cmd_synth(args, s: RunSettings) -> int:
+    scenario_name = args.scenario or s.synth.scenario
     if scenario_name == "default":
         cfg = synth.default_scenario_config()
     elif scenario_name == "cubic":
@@ -309,8 +338,8 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"synth.scenario: {scenario_name}: {exc}") from None
     # precedence: --seed flag, then [synth] seed, then the seed embedded
     # in the scenario (so regenerating from a meta file reproduces it)
-    seed = args.seed if args.seed is not None else s.synth_seed
-    overrides = {"seed": seed, "noise_sd_ns": s.noise_sd_ns}
+    seed = args.seed if args.seed is not None else s.synth.seed
+    overrides = {"seed": seed, "noise_sd_ns": s.synth.noise_sd_ns}
     try:  # ScenarioConfig range-checks cfg, and generation has no other input
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         scenario = synth.generate_scenario(cfg)
@@ -327,12 +356,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
-    s = load_settings(args.config)
+def cmd_ingest(args, s: RunSettings) -> int:
     corpus = _resolve_corpus(args, s)
-    min_samples = _resolve_min_samples(corpus, s)
+    min_samples = s.corpus.min_samples(corpus)
     hourly = aggregate_hourly(corpus.td_samples, min_samples)
-    aligned = align_epochs(corpus.weather, hourly, s.factors, corpus.registry)
+    aligned = align_epochs(corpus.weather, hourly, s.features.factors, corpus.registry)
     print(f"stations:       {len(corpus.registry.entries)}")
     print(f"td samples:     {len(corpus.td_samples)}")
     print(f"td hours kept:  {len(hourly.epochs)} (>= {min_samples} samples each)")
@@ -354,10 +382,9 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_gridmap(args) -> int:
-    s = load_settings(args.config)
+def cmd_gridmap(args, s: RunSettings) -> int:
     corpus = _resolve_corpus(args, s)
-    tx, rx = _resolve_tx_rx(corpus, s)
+    tx, rx = s.corpus.tx_rx(corpus)
     try:
         factor = MetFactor.from_column(args.factor)
     except (KeyError, ValueError) as exc:
@@ -366,7 +393,7 @@ def cmd_gridmap(args) -> int:
         epoch = EpochHour.parse(args.epoch)
     except ValueError as exc:
         raise ConfigError(f"--epoch: {exc}") from None
-    spec = GridSpec.around(tx, rx, s.grid_padding, s.grid_cellsize)
+    spec = grid_around(tx, rx, s.features.grid_padding, s.features.grid_cellsize)
     partial = assign_observations(spec, corpus.registry, corpus.weather, epoch, factor)
     complete = idw_fill(partial)
     export_gridmap_csv(complete, args.out)
@@ -377,8 +404,7 @@ def cmd_gridmap(args) -> int:
     return EXIT_OK
 
 
-def cmd_correlate(args) -> int:
-    s = load_settings(args.config)
+def cmd_correlate(args, s: RunSettings) -> int:
     corpus, bundle = _bundle(args, s)
     # receiver-site series: correlation screening mirrors a single
     # observation point, so collapse the location axis by its last entry
@@ -387,7 +413,7 @@ def cmd_correlate(args) -> int:
     correlations = []
     for i, f in enumerate(bundle.factors):
         correlations.append(pearson(series[:, i], bundle.td, factor=f))
-    selected = select_factors(correlations, r_min=s.r_min, p_max=s.p_max)
+    selected = select_factors(correlations, r_min=s.correlate.r_min, p_max=s.correlate.p_max)
     rows = []
     for c in correlations:
         rows.append(
@@ -397,26 +423,19 @@ def cmd_correlate(args) -> int:
               f"{'selected' if c.factor in selected else '-'}")
     _write_csv(args.out, ["factor", "r", "p", "selected"], rows)
     print(f"selected {len(selected)} of {len(correlations)} factors "
-          f"(|r| >= {s.r_min}, p <= {s.p_max})")
+          f"(|r| >= {s.correlate.r_min}, p <= {s.correlate.p_max})")
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    s = load_settings(args.config)
+def cmd_train(args, s: RunSettings) -> int:
     name = args.model or s.model_name
     options = dict(s.model_options)
     if args.seed is not None:
         options["seed"] = args.seed
     model_config(name, options)  # reject bad options before loading the corpus
     corpus, bundle = _bundle(args, s)
-    if s.train_ranges is None:
-        raise ConfigError("split.train is required for training")
-    if s.test_ranges is not None:
-        # enforce overlap hygiene even though only the train side is used
-        train, _ = split_bundle(bundle, s.train_ranges, s.test_ranges)
-    else:
-        train = subset_in_ranges(bundle, s.train_ranges, "train")
+    train = s.split.select(bundle, "train", "training")
     model, trace = train_model(name, train, options)
     save_model(model, args.out)
     trace_path = args.trace or (str(args.out) + ".trace.csv")
@@ -434,14 +453,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    s = load_settings(args.config)
+def cmd_predict(args, s: RunSettings) -> int:
     model = load_model(args.artifact)
     corpus, bundle = _bundle(args, s)
     if args.range:
         ranges = parse_range_list(args.range)
-    elif s.test_ranges is not None:
-        ranges = s.test_ranges
+    elif s.split.test is not None:
+        ranges = s.split.test
     else:
         raise ConfigError("no prediction range (use --range or split.test)")
     mask = mask_for_ranges(bundle.epochs, ranges)
@@ -460,18 +478,12 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    s = load_settings(args.config)
+def cmd_evaluate(args, s: RunSettings) -> int:
     named = []
     for path in args.artifacts:
         named.append((Path(path).stem, load_model(path)))
     corpus, bundle = _bundle(args, s)
-    if s.test_ranges is None:
-        raise ConfigError("split.test is required for evaluation")
-    if s.train_ranges is not None:
-        _, test = split_bundle(bundle, s.train_ranges, s.test_ranges)
-    else:
-        test = subset_in_ranges(bundle, s.test_ranges, "test")
+    test = s.split.select(bundle, "test", "evaluation")
     report = evaluate_models(named, test)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -502,18 +514,15 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    s = load_settings(args.config)
-    kind = args.kind or s.sweep_kind
-    if kind not in ("alpha", "degree"):
-        raise ConfigError(f"sweep kind must be alpha or degree, got {kind!r}")
+def cmd_sweep(args, s: RunSettings) -> int:
+    kind = args.kind or s.sweep.kind
     if s.model_name != "lasso_mpr":
         raise ConfigError("sweeps require model.name = lasso_mpr")
     cfg = model_config(s.model_name, s.model_options)
     corpus, bundle = _bundle(args, s)
-    if s.train_ranges is not None:
-        bundle = subset_in_ranges(bundle, s.train_ranges, "train")
-    fit, val = holdout_split(bundle, s.holdout_fraction)
+    if s.split.train is not None:
+        bundle = subset_in_ranges(bundle, s.split.train, "train")
+    fit, val = holdout_split(bundle, s.sweep.holdout_fraction)
     if kind == "alpha":
         table = lasso.sweep_alpha(
             fit.flat, fit.td, val.flat, val.td, bundle.factors,
@@ -624,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # every command reads and checks the whole config file first
+        return args.func(args, load_settings(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegeneratePathError,
     NoElevationDataError,
     NoObservationsError,
     OutOfExtentError,
 )
 from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries
+from .optim import MAX_ARRAY_CELLS
 from .types import (
     ALL_FACTORS,
     EARTH_RADIUS_KM,
@@ -59,10 +61,21 @@ class GridSpec:
     cellsize: float = DEFAULT_CELLSIZE_DEG
 
     def __post_init__(self):
-        if self.cellsize <= 0:
-            raise ValueError("cellsize must be positive")
+        box = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
+        if not (all(map(math.isfinite, box)) and 0 < self.cellsize < math.inf):
+            raise ValueError(f"grid box {box} and cellsize {self.cellsize!r} must be finite, "
+                             "cellsize positive")
         if self.lat_min >= self.lat_max or self.lon_min >= self.lon_max:
             raise ValueError("bounding box is empty")
+        # bound each ratio before nrows and ncols round it to an int
+        rows = (self.lat_max - self.lat_min) / self.cellsize
+        cols = (self.lon_max - self.lon_min) / self.cellsize
+        if max(rows, cols) > MAX_ARRAY_CELLS or self.nrows * self.ncols > MAX_ARRAY_CELLS:
+            raise ValueError(f"a {rows:.4g} x {cols:.4g} cell grid would exceed "
+                             f"{MAX_ARRAY_CELLS} cells")
+        if not (-90 <= self.lat_min and self.lat_max <= 90 and -180 <= self.lon_min
+                and self.lon_max <= 180):
+            raise ValueError(f"grid box {box} leaves the valid coordinates")
 
     @classmethod
     def around(
@@ -170,6 +183,10 @@ def assign_observations(
         counts[cell] = counts.get(cell, 0) + 1
     if not sums:
         raise NoObservationsError(f"no station reports {factor} at {epoch.isoformat()}")
+    filled, assigned = spec.nrows * spec.ncols - len(sums), len(sums)
+    if filled * assigned > MAX_ARRAY_CELLS:  # idw_fill's weights; refuse before the raster
+        raise ConfigError(f"IDW weights of {filled} cells from {assigned} assigned cells would "
+                          f"exceed {MAX_ARRAY_CELLS} cells; use a coarser grid_cellsize")
     values = np.full((spec.nrows, spec.ncols), np.nan)
     mask = np.zeros((spec.nrows, spec.ncols), dtype=bool)
     for cell, total in sums.items():

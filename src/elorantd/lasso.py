@@ -22,12 +22,11 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDesignError, DimensionMismatchError
 from .features import PolyTermIndex, Standardizer, poly_expand, term_count
-from .optim import TrainingTrace, require_at_least
+from .optim import MAX_ARRAY_CELLS, TrainingTrace, require_at_least
 from .stats import rmse
 from .types import FactorSet
 
 DEGREE_GRID = (1, 2, 3, 4, 5)
-MAX_DESIGN_CELLS = 2 ** 28  # float64 cells (2 GiB) in one design or Gram matrix
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,11 @@ def train(
     n_inputs = x.shape[1]
     p_terms = term_count(n_inputs, degree)
     # refuse before allocating the T x (p+1) design or its (p+1) x (p+1) Gram matrix
-    if max(x.shape[0], p_terms + 1) * (p_terms + 1) > MAX_DESIGN_CELLS:
+    if max(x.shape[0], p_terms + 1) * (p_terms + 1) > MAX_ARRAY_CELLS:
         raise ConfigError(
             f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {p_terms + 1} design "
             f"columns x {x.shape[0]} epochs and a {p_terms + 1} x {p_terms + 1} Gram matrix, "
-            f"over {MAX_DESIGN_CELLS} cells in one of them; lower the degree or use fewer "
+            f"over {MAX_ARRAY_CELLS} cells in one of them; lower the degree or use fewer "
             "inputs (e.g. location_mode = receiver_only)"
         )
     if x.shape[0] < p_terms + 1:

@@ -8,14 +8,16 @@ a module attribute (as a profiler does) reaches them.
 """
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Callable
 
 from . import baselines, lasso, wlr_agrnn
-from .errors import ArtifactError
+from .errors import ArtifactError, ConfigError
 from .features import ScalarStandardizer, Standardizer
-from .types import EpochHour, GeoPoint
+from .types import EpochHour, GeoPoint, MetFactor
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class LookupModel:
 
 @dataclass(frozen=True)
 class Scalar:
-    """A JSON number, string or boolean of exactly this type (an int is a float)."""
+    """A JSON number, string, boolean or object (kept as read) of exactly this
+    type (an int is a float)."""
 
     type: type
     positive: bool = False
@@ -100,6 +103,9 @@ class Table:
 
 def as_tuple(**parts):
     return tuple(parts.values())
+
+
+FACTOR = Text(MetFactor.from_column, attrgetter("column"))
 
 
 _STANDARDIZER = Record(Standardizer, {"mean": Array(("n",)), "sd": Array(("n",))})
@@ -198,10 +204,33 @@ KINDS = {kind.name: kind for kind in (
 MODEL_NAMES = tuple(name for name, kind in KINDS.items() if kind.config is not None)
 
 
+@functools.cache
 def option_types(config: type) -> dict[str, type]:
-    """The [model] keys a config accepts, each with its field's type (X for X | None)."""
+    """The INI keys a config accepts, each with its field's type (the first
+    member of a union: X for X | None, str for str | FactorSet)."""
     hints = typing.get_type_hints(config)
     return {
         f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
         for f in fields(config)
     }
+
+
+def section_config(config: type, section: str, options: dict, label: str | None = None):
+    """config from one INI section's options, each an INI string or a value,
+    typed by its field (an int must fit 64 bits); an unknown key, an
+    unparsable value or a value config rejects is a ConfigError naming the
+    section, or label (a model kind) if given."""
+    types, typed = option_types(config), {}
+    for key, value in options.items():
+        if key not in types:
+            raise ConfigError(f"unknown {label or section} option {section}.{key}")
+        try:
+            typed[key] = value if value is None else types[key](value)
+            if types[key] is int and not -2 ** 63 <= typed[key] < 2 ** 63:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"{section}.{key}: cannot parse {value!r}") from None
+    try:
+        return config(**typed)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{label or section}: {exc}") from None

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# float64 cells (2 GiB) in any one array built from settings: a design or Gram
+# matrix, a generated scenario array, a grid raster, its IDW weights, a path tensor
+MAX_ARRAY_CELLS = 2 ** 28
+
 
 def require_at_least(cfg, low: float, *names: str, strict: bool = False) -> None:
     """Raise ValueError unless each named field is finite and >= low (> when strict)."""

@@ -32,11 +32,11 @@ from .ingest import (
     parse_td_csv,
     parse_weather_csv,
 )
+from .optim import MAX_ARRAY_CELLS
 from .stats import anova_oneway, mae, rmse
 from .synth import ScenarioConfig, load_scenario_config
 from .types import EpochHour, FactorSet, GeoPoint, factor_set
 
-LOCATION_MODES = ("receiver_only", "stations", "path")
 HOURS_PER_FOLD = 168  # contiguous weekly folds for the ANOVA comparison
 
 
@@ -151,9 +151,15 @@ def build_features(
 ) -> FeatureBundle:
     """Aggregate, align, grid-map, and sample a corpus into model inputs."""
     factors = factor_set(factors)
+    spec = grid_around(tx, rx, padding, cellsize)
     hourly = aggregate_hourly(corpus.td_samples, min_samples)
     aligned = align_epochs(corpus.weather, hourly, factors, corpus.registry)
-    spec = GridSpec.around(tx, rx, padding, cellsize)
+    cells = len(aligned.epochs) * l * len(factors)
+    if location_mode == "path" and cells > MAX_ARRAY_CELLS:  # refuse before sampling the path
+        raise ConfigError(
+            f"a path tensor of {len(aligned.epochs)} epochs x {l} points x {len(factors)} "
+            f"factors would exceed {MAX_ARRAY_CELLS} cells; use fewer path points (l)"
+        )
     points = location_points(location_mode, corpus, l, tx, rx)
     tensor = build_path_tensor(aligned, corpus.registry, spec, points)
     elevations = elevation_profile(corpus.dem, points)
@@ -166,6 +172,15 @@ def build_features(
         tensor=tensor.values,
         td=aligned.td,
     )
+
+
+def grid_around(tx: GeoPoint, rx: GeoPoint, padding: float, cellsize: float) -> GridSpec:
+    """The feature grid around tx and rx; a box or raster size GridSpec
+    refuses is a config error."""
+    try:
+        return GridSpec.around(tx, rx, padding, cellsize)
+    except ValueError as exc:
+        raise ConfigError(f"features.grid_cellsize/grid_padding: {exc}") from None
 
 
 # -- date-range splits ---------------------------------------------------------
@@ -250,20 +265,7 @@ def model_config(name: str, options: dict | None = None):
     kind = models.KINDS.get(name)
     if kind is None or kind.config is None:
         raise ConfigError(f"unknown model {name!r}; expected one of {models.MODEL_NAMES}")
-    options = dict(options or {})
-    types = models.option_types(kind.config)
-    unknown = sorted(set(options) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown {name} option(s): {', '.join(unknown)}")
-    for key, value in options.items():
-        try:
-            options[key] = value if value is None else types[key](value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"model.{key}: cannot parse {value!r}") from None
-    try:
-        return kind.config(**options)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    return models.section_config(kind.config, "model", options or {}, label=name)
 
 
 def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +42,11 @@ from .ingest import (
     write_td_csv,
     write_weather_csv,
 )
-from .models import Items, Record, Scalar, Table, Text, as_tuple
-from .optim import require_at_least
+from .models import FACTOR, Items, Record, Scalar, Table, Text, as_tuple
+from .optim import MAX_ARRAY_CELLS, require_at_least
 from .types import (
     ALL_FACTORS,
+    TD_SANITY_BOUND_NS,
     EpochHour,
     FactorSet,
     GeoPoint,
@@ -57,8 +57,6 @@ from .types import (
 from .wlr_agrnn import transform_elevation
 
 SPATIAL_DECAY_KM = 50.0
-# float64 cells (2 GiB) in any one generated array, as lasso.MAX_DESIGN_CELLS
-MAX_SCENARIO_CELLS = 2 ** 28
 SCENARIO_SCHEMA = "elorantd.scenario/1"
 
 # fitted so the synthetic TX-RX separation reproduces the declared
@@ -155,8 +153,8 @@ class GroundTruthRecipe:
             raise ValueError(f"tensor lacks recipe factors {missing}")
         agg = {f: tensor.values[:, :, col[f]] @ w for f in self.used_factors()}
         g = np.full(len(tensor.epochs), self.base_ns)
-        for f, coef in self.linear_ns.items():
-            g += coef * agg[f]
+        for f in factor_set(self.linear_ns):  # canonical order: a decoded recipe sums alike
+            g += self.linear_ns[f] * agg[f]
         for term, coef in self.interactions:
             prod = np.full(len(tensor.epochs), coef)
             for f in term:
@@ -216,7 +214,11 @@ class ScenarioConfig:
                          "td_jitter_ns", "noise_sd_ns")
         require_at_least(self, 1, "duration_hours", "station_count")
         require_at_least(self, 2, "l")
-        require_at_least(self, 0, "grid_cellsize", strict=True)
+        if self.seed >= 2 ** 63:  # scenario.meta holds 64-bit integers
+            raise ValueError(f"seed must be below 2**63, got {self.seed!r}")
+        for name in ("td_jitter_ns", "noise_sd_ns"):  # a TD this far off fails validate_td_ns
+            if not getattr(self, name) < TD_SANITY_BOUND_NS:
+                raise ValueError(f"{name} must be below {TD_SANITY_BOUND_NS:g} ns")
         if not 1 <= self.td_samples_per_hour <= 3600:
             raise ValueError("need 1 to 3600 TD samples per hour (at most one a second)")
         if self.tx == self.rx:
@@ -235,8 +237,8 @@ class ScenarioConfig:
         raster = ((spec.lat_max - spec.lat_min + 2 * dem.padding) / dem.cellsize
                   * (spec.lon_max - spec.lon_min + 2 * dem.padding) / dem.cellsize)
         if max(t * self.td_samples_per_hour, t * s * len(ALL_FACTORS), s * s,
-               t * self.l * len(self.factors), raster * max(1, dem.hills)) > MAX_SCENARIO_CELLS:
-            raise ValueError(f"the scenario's largest array would exceed {MAX_SCENARIO_CELLS} "
+               t * self.l * len(self.factors), raster * max(1, dem.hills)) > MAX_ARRAY_CELLS:
+            raise ValueError(f"the scenario's largest array would exceed {MAX_ARRAY_CELLS} "
                              "cells; shorten it or use fewer stations, path points or DEM cells")
         try:
             EpochHour.from_hours(self.start.hours_since_epoch + self.duration_hours - 1)
@@ -465,26 +467,25 @@ def _floats(names: str) -> dict:
     return {name: Scalar(float) for name in names.split()}
 
 
-_FACTOR = Text(MetFactor.from_column, attrgetter("column"))
 _POINT = Record(GeoPoint, _floats("lat lon"), as_list=True)
 _RANGE = Record(as_tuple, _floats("lo hi"), as_list=True)
-_BY_FACTOR = Table(_FACTOR, Scalar(float))
+_BY_FACTOR = Table(FACTOR, Scalar(float))
 SCENARIO_LAYOUT = Record(ScenarioConfig, {
     **dict.fromkeys(("seed", "duration_hours", "station_count", "l", "td_samples_per_hour"),
                     Scalar(int)),
     **_floats("station_jitter_deg grid_cellsize grid_padding td_jitter_ns noise_sd_ns"),
     "start": Text(EpochHour.parse, EpochHour.isoformat), "tx": _POINT, "rx": _POINT,
-    "factors": Items("factors", _FACTOR),
+    "factors": Items("factors", FACTOR),
     "recipe": Record(GroundTruthRecipe, {
         **_floats("base_ns elevation_gain diurnal_amp_ns seasonal_amp_ns"),
         "linear_ns": _BY_FACTOR, "centers": _BY_FACTOR, "scales": _BY_FACTOR,
         "interactions": Items("terms", Record(as_tuple, {
-            "factors": Items("order", _FACTOR), "coef_ns": Scalar(float)})),
+            "factors": Items("order", FACTOR), "coef_ns": Scalar(float)})),
         "receiver_only": Scalar(bool),
     }),
     "dem": Record(DemConfig, {**_floats("cellsize padding base_m"), "hills": Scalar(int),
                               "amp_range": _RANGE, "width_range": _RANGE}),
-    "weather": Table(_FACTOR, Record(WeatherParams, _floats(
+    "weather": Table(FACTOR, Record(WeatherParams, _floats(
         "mean seasonal_amp diurnal_amp ar_sd ar_rho seasonal_phase"))),
 })
 

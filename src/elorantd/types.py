@@ -19,6 +19,9 @@ EARTH_RADIUS_KM = 6371.0088
 
 TD_SANITY_BOUND_NS = 1e9  # PPS offsets are sub-second by construction
 
+# where model inputs are taken: the receiver, every station, or l path points
+LOCATION_MODES = ("receiver_only", "stations", "path")
+
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -180,6 +183,13 @@ FACTORS_7 = factor_set(
 )
 
 FACTOR_PRESETS = {"3": FACTORS_3, "5": FACTORS_5, "7": FACTORS_7}
+
+
+def parse_location_mode(text: str) -> str:
+    """text if it names one of LOCATION_MODES; ValueError otherwise."""
+    if text not in LOCATION_MODES:
+        raise ValueError(f"unknown location mode {text!r}; expected one of {LOCATION_MODES}")
+    return text
 
 
 def validate_factor_value(factor: MetFactor, values) -> np.ndarray:

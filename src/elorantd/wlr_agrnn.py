@@ -253,6 +253,8 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
+    # an interval a few ulps wide stops shrinking, so no tol below that is reached
+    tol = max(tol, 16 * math.ulp(max(abs(a), abs(b))))
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc

@@ -186,6 +186,27 @@ def test_load_rejects_malformed_payload(every_model, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "kind",
+    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
+)
+@pytest.mark.parametrize(
+    "key,value",
+    [("location_mode", 5), ("location_mode", "bogus"), ("location_mode", None),
+     ("meta", [["x", 1]]), ("meta", "n_train"), ("factors", ["warp_field"]),
+     ("factors", "pressure_hpa"), ("factors", [1.5]),
+     ("factors", ["pressure_hpa", "pressure_hpa"])],
+)
+def test_load_rejects_malformed_header(kind, every_model, tmp_path, key, value):
+    path = tmp_path / "header.json"
+    save_model(every_model[kind], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ArtifactError, match="malformed artifact header"):
+        load_model(path)
+
+
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(ArtifactError, match="cannot serialize"):
         save_model(object(), tmp_path / "x.json")

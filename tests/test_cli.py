@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 import elorantd
-from elorantd import synth
+from elorantd import cli, models, synth
 from elorantd.artifacts import ConstantModel, LookupModel, encode, load_model, save_model
 from elorantd.cli import main
 from elorantd.ingest import aggregate_hourly, parse_td_csv
+from elorantd.models import option_types
 from elorantd.types import EpochHour, MetFactor
 from tests.conftest import small_scenario_config
 
@@ -477,6 +479,7 @@ def test_invalid_sweep_and_correlate_settings_exit_2_without_traceback(
         ("noise_sd_ns = inf\n", []),
         ("seed = -5\n", []),
         ("", ["--seed", "-5"]),
+        ("", ["--seed", "1" + "0" * 29]),  # scenario.meta could not hold it
     ],
 )
 def test_invalid_synth_settings_exit_2_without_traceback(tmp_path, section, flags):
@@ -484,6 +487,195 @@ def test_invalid_synth_settings_exit_2_without_traceback(tmp_path, section, flag
     out = tmp_path / "corpus"
     assert_exit_2_without_traceback(["synth", "--config", cfg, *flags, "--out", str(out)])
     assert not out.exists()
+
+
+# -- INI mutations -----------------------------------------------------------------
+
+INI_VALUES = ("", "nan", "inf", "-inf", "1e308", "1e-320", "-1", "0", "2.5", "warp_field",
+              "1" + "0" * 29)
+# [model] options that keep each kind's fit small, so a mutation it accepts trains quickly
+MODEL_BASE = {"lasso_mpr": {"degree": "1", "max_sweeps": "50"},
+              "wlr_agrnn": {"hidden": "2", "max_iterations": "2"},
+              "bpnn": {"hidden": "2", "max_iterations": "2"},
+              "moe": {"experts": "2", "expert_hidden": "2", "max_iterations": "2"}}
+# settings faults that once passed the reader or broke a command after it:
+# (command, section, keys set in it; a [model] name starts that section afresh)
+INI_PROBES = [
+    ("ingest", "features", {"location_mode": "bogus"}),
+    ("ingest", "model", {"name": "forest"}),
+    ("ingest", "model", {"name": "grnn", "sigma": "banana"}),
+    ("train", "sweep", {"kind": "bogus"}),
+    ("train", "features", {"grid_cellsize": "1e-320"}),
+    ("train", "features", {"grid_padding": "1e300"}),
+    ("train", "features", {"grid_padding": "1e308"}),
+    ("gridmap", "features", {"grid_cellsize": "1e-7"}),
+    ("gridmap", "features", {"grid_padding": "1e300"}),
+    ("ingest", "corpus", {"dir": ""}),
+    ("train", "corpus", {"tx_lat": str(synth.DEFAULT_RX.lat),
+                         "tx_lon": str(synth.DEFAULT_RX.lon)}),
+    ("ingest", "features", {"l": "1000000000"}),
+]
+
+
+@pytest.fixture(scope="module")
+def ini_corpus_dir(tmp_path_factory):
+    """The small scenario shortened to four days, so that the many runs a
+    valid mutation makes stay cheap; synth regenerates it from its meta."""
+    out = tmp_path_factory.mktemp("ini_corpus")
+    cfg = dataclasses.replace(small_scenario_config(), duration_hours=96)
+    synth.write_corpus(synth.generate_scenario(cfg), out)
+    return out
+
+
+def ini_text(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+def ini_base(corpus_dir) -> dict:
+    """A valid run config that gives every declared key a value."""
+    cfg = small_scenario_config()
+    return {
+        "corpus": {"dir": str(corpus_dir), "min_samples_per_hour": "12",
+                   "tx_lat": str(cfg.tx.lat), "tx_lon": str(cfg.tx.lon),
+                   "rx_lat": str(cfg.rx.lat), "rx_lon": str(cfg.rx.lon)},
+        "features": {"factors": "3", "location_mode": "receiver_only", "l": "16",
+                     "grid_cellsize": "0.25", "grid_padding": "0.05"},
+        "split": {"train": "2024-10-01..2024-10-03", "test": "2024-10-03..2024-10-05"},
+        "model": {"name": "lasso_mpr", **MODEL_BASE["lasso_mpr"]},
+        "synth": {"scenario": str(corpus_dir / "scenario.meta"), "seed": "7",
+                  "noise_sd_ns": "5.0"},
+        "correlate": {"r_min": "0.5", "p_max": "0.05"},
+        "sweep": {"kind": "alpha", "holdout_fraction": "0.25"},
+    }
+
+
+def ini_mutations(base: dict) -> list[tuple[str, dict]]:
+    """(label, sections) for each declared key set to each INI_VALUES entry: the
+    keys of cli.SECTIONS, [model] name, and each kind's options under its name."""
+    cases = []
+
+    def put(section, key, value, model=None):
+        sections = {name: dict(keys) for name, keys in base.items()}
+        if model is not None:
+            sections["model"] = {"name": model, **MODEL_BASE.get(model, {})}
+        sections[section][key] = value
+        cases.append((f"{section}.{key} = {value!r}" + (f" ({model})" if model else ""),
+                      sections))
+
+    for value in INI_VALUES:
+        for section, config in cli.SECTIONS.items():
+            for key in option_types(config):
+                put(section, key, value)
+        put("model", "name", value)
+        for name in models.MODEL_NAMES:
+            for key in option_types(models.KINDS[name].config):
+                put("model", key, value, model=name)
+    return cases
+
+
+def ini_commands(tmp_path, config, artifact) -> dict:
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    return {
+        "synth": ["synth", "--config", config, *out("synth")],
+        "ingest": ["ingest", "--config", config],
+        "gridmap": ["gridmap", "--config", config, "--factor", "temperature_c",
+                    "--epoch", "2024-10-02T00:00:00Z", *out("grid.csv")],
+        "correlate": ["correlate", "--config", config, *out("corr.csv")],
+        "train": ["train", "--config", config, *out("m.json")],
+        "predict": ["predict", "--config", config, "--artifact", artifact, *out("p.csv")],
+        "evaluate": ["evaluate", "--config", config, "--artifacts", artifact, *out("e.csv")],
+        "sweep": ["sweep", "--config", config, *out("sweep.csv")],
+    }
+
+
+def ini_probe_sections(base, section, keys) -> dict:
+    sections = {name: dict(values) for name, values in base.items()}
+    sections[section] = keys if "name" in keys else {**sections[section], **keys}
+    return sections
+
+
+def ini_file_cases(base) -> list[tuple[str, bytes]]:
+    text = ini_text(base)
+    return [
+        ("repeated key", text.replace("[sweep]\n", "[sweep]\nkind = degree\n").encode()),
+        ("repeated section", (text + "[sweep]\nkind = alpha\n").encode()),
+        ("unknown section", (text + "[extras]\nx = 1\n").encode()),
+        ("DEFAULT section", (text + "[DEFAULT]\nx = 1\n").encode()),
+        ("key before any section", ("kind = alpha\n" + text).encode()),
+        ("non-UTF-8 byte", text.encode() + b"# \xff\n"),
+    ]
+
+
+def test_ini_mutations_cover_every_key(ini_corpus_dir):
+    base = ini_base(ini_corpus_dir)
+    assert {section: set(keys) for section, keys in base.items() if section != "model"} == {
+        section: set(option_types(config)) for section, config in cli.SECTIONS.items()}
+    labels = [label for label, _ in ini_mutations(base)]
+    assert len(labels) == len(set(labels))
+    declared = {f"{section}.{key}" for section, config in cli.SECTIONS.items()
+                for key in option_types(config)}
+    declared |= {"model.name"} | {f"model.{key}" for name in models.MODEL_NAMES
+                                  for key in option_types(models.KINDS[name].config)}
+    assert {label.split(" = ")[0] for label in labels} == declared
+
+
+def test_every_ini_mutation_ends_in_a_documented_exit_from_every_command(
+    tmp_path, ini_corpus_dir, monkeypatch, capsys
+):
+    """Each case runs in process through every command; the corpus, which
+    no case changes, is parsed once, and the argument parser built once."""
+    monkeypatch.setattr(cli, "load_corpus", functools.cache(cli.load_corpus))
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    base = ini_base(ini_corpus_dir)
+    config = tmp_path / "run.ini"
+    artifact = str(tmp_path / "grnn.json")
+    config.write_text(ini_text({**base, "model": {"name": "grnn"}}), encoding="utf-8")
+    assert main(["train", "--config", str(config), "--out", artifact]) == 0
+    config.write_text(ini_text(base), encoding="utf-8")
+    commands = ini_commands(tmp_path, str(config), artifact)
+    for command, argv in commands.items():  # the base config is valid everywhere
+        assert main(argv) == 0, (command, capsys.readouterr().err)
+
+    def run(label, command, expect=None):
+        # 4: a learning rate so large that the fit diverges is a numeric failure
+        expect = expect or ((0, 2, 3, 4) if command == "train" else (0, 2, 3))
+        try:
+            code = main(commands[command])
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            pytest.fail(f"{label}: {command} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in expect and "Traceback" not in err, (label, command, code, err)
+
+    for label, sections in ini_mutations(base):
+        config.write_text(ini_text(sections), encoding="utf-8")
+        for command in commands:
+            run(label, command)
+    for command, section, keys in INI_PROBES:
+        config.write_text(ini_text(ini_probe_sections(base, section, keys)), encoding="utf-8")
+        run(f"[{section}] {keys}", command, expect=(2,))
+    for label, raw in ini_file_cases(base):
+        config.write_bytes(raw)
+        for command in commands:
+            run(label, command, expect=(2,))
+
+
+# a bad location mode, the two tracebacks of an overflowing grid, and a huge l
+@pytest.mark.parametrize("command,section,keys", [INI_PROBES[i] for i in (0, 5, 7, 11)])
+def test_ini_probe_console_exit_2_without_traceback(
+    tmp_path, ini_corpus_dir, command, section, keys
+):
+    sections = ini_probe_sections(ini_base(ini_corpus_dir), section, keys)
+    config = write_ini(tmp_path / "run.ini", ini_text(sections))
+    assert_exit_2_without_traceback(ini_commands(tmp_path, config, "none.json")[command])
+
+
+def test_non_utf8_config_console_exit_2_without_traceback(tmp_path, ini_corpus_dir):
+    config = tmp_path / "run.ini"
+    config.write_bytes(dict(ini_file_cases(ini_base(ini_corpus_dir)))["non-UTF-8 byte"])
+    assert_exit_2_without_traceback(["ingest", "--config", str(config)])
 
 
 # -- gridmap ---------------------------------------------------------------------
@@ -683,6 +875,21 @@ def test_predict_factor_mismatch_exit_5(tmp_path, small_corpus_dir, grnn_artifac
     assert main(["predict", "--config", cfg, "--artifact", str(grnn_artifact),
                  "--range", TRAIN_RANGE, "--out", str(tmp_path / "p.csv")]) == 5
     assert "compatibility error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value", [("location_mode", 5), ("location_mode", "bogus"), ("meta", [["x", 1]])]
+)
+def test_predict_malformed_artifact_header_exit_3(tmp_path, ini, grnn_artifact, capsys,
+                                                  key, value):
+    doc = json.loads(grnn_artifact.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+    assert main(["predict", "--config", ini(), "--artifact", str(bad),
+                 "--range", TRAIN_RANGE, "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and f"artifact.{key}" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_without_range_exit_2(tmp_path, ini, grnn_artifact):

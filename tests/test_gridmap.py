@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elorantd.errors import (
+    ConfigError,
     DegeneratePathError,
     NoElevationDataError,
     NoObservationsError,
@@ -21,6 +25,7 @@ from elorantd.gridmap import (
     sample_path,
 )
 from elorantd.ingest import ElevationGrid, StationRegistry
+from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.synth import DEFAULT_RX, DEFAULT_TX
 from tests.oracles import idw_combine, weather_from_cells
 from elorantd.types import EpochHour, GeoPoint, MetFactor, haversine_km
@@ -390,6 +395,45 @@ def test_grid_spec_around_contains_endpoints():
     # padding leaves a margin strictly beyond both endpoints
     assert spec.lat_min < min(DEFAULT_TX.lat, DEFAULT_RX.lat)
     assert spec.lon_max > max(DEFAULT_TX.lon, DEFAULT_RX.lon)
+
+
+def peak_bytes(call) -> int:
+    """The Python-heap peak while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "padding,cellsize,reason",
+    [(0.05, 1e-320, str(MAX_ARRAY_CELLS)), (0.05, 1e-7, str(MAX_ARRAY_CELLS)),
+     (1e300, 0.01, str(MAX_ARRAY_CELLS)), (1e308, 0.01, str(MAX_ARRAY_CELLS)),
+     (0.05, math.inf, "finite"), (math.nan, 0.01, "finite"),
+     (60.0, 0.01, "valid coordinates")],
+)
+def test_grid_spec_refuses_a_box_it_cannot_raster_before_allocating(padding, cellsize, reason):
+    def refuse():
+        with pytest.raises(ValueError, match=reason):
+            GridSpec.around(DEFAULT_TX, DEFAULT_RX, padding, cellsize)
+
+    assert peak_bytes(refuse) < 1 << 20
+
+
+def test_grid_map_over_the_cell_bound_is_refused_before_allocating(small_scenario):
+    """A 1e-4 degree raster fits the bound, but its IDW weights against the
+    five assigned stations would not."""
+    spec = GridSpec.around(DEFAULT_TX, DEFAULT_RX, 0.05, 1e-4)
+    assert spec.nrows * spec.ncols <= MAX_ARRAY_CELLS < 5 * spec.nrows * spec.ncols
+
+    def refuse():
+        with pytest.raises(ConfigError, match=f"IDW weights .* {MAX_ARRAY_CELLS} cells"):
+            assign_observations(spec, small_scenario.registry, small_scenario.weather,
+                                small_scenario.epochs[0], MetFactor.TEMPERATURE)
+
+    assert peak_bytes(refuse) < 1 << 20
 
 
 def test_haversine_arrays_match_scalar():

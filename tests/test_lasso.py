@@ -3,8 +3,8 @@ import pytest
 
 from elorantd.errors import ConfigError, DegenerateDesignError, DimensionMismatchError
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
+from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.lasso import (
-    MAX_DESIGN_CELLS,
     LassoMprModel,
     argmin_table,
     coordinate_descent,
@@ -249,7 +249,7 @@ def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
         classmethod(lambda cls, *args: pytest.fail("design index was built")),
     )
     x = np.zeros((10, 11))
-    assert 10 * (term_count(11, 7) + 1) <= MAX_DESIGN_CELLS < (term_count(11, 7) + 1) ** 2
+    assert 10 * (term_count(11, 7) + 1) <= MAX_ARRAY_CELLS < (term_count(11, 7) + 1) ** 2
     with pytest.raises(ConfigError, match=r"31824 x 31824 Gram matrix"):
         train(x, np.zeros(10), FACTORS_3, degree=7)
 

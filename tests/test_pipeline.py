@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from elorantd import baselines
+from elorantd import baselines, pipeline
 from elorantd.artifacts import ConstantModel, LookupModel
 from elorantd.errors import (
     AxisMismatchError,
@@ -28,8 +29,10 @@ from elorantd.pipeline import (
     weekly_folds,
 )
 from elorantd.features import PolyTermIndex
-from elorantd.models import option_types
-from elorantd.types import FACTORS_7, EpochHour, GeoPoint, MetFactor, factor_set
+from elorantd.cli import SECTIONS, load_settings
+from elorantd.models import option_types, section_config
+from elorantd.optim import MAX_ARRAY_CELLS
+from elorantd.types import ALL_FACTORS, FACTORS_7, EpochHour, GeoPoint, MetFactor, factor_set
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +279,62 @@ def test_model_options_and_defaults(name, defaults):
     typed = model_config(name, {key: str(value) for key, value in defaults.items()
                                 if value is not None})
     assert typed == cfg
+
+
+@pytest.mark.parametrize(
+    "section,defaults",
+    [
+        ("corpus", dict(dir=None, min_samples_per_hour=None, tx_lat=None, tx_lon=None,
+                        rx_lat=None, rx_lon=None)),
+        ("features", dict(factors=ALL_FACTORS, location_mode="path", l=198,
+                          grid_cellsize=0.01, grid_padding=0.05)),
+        ("split", dict(train=None, test=None)),
+        ("synth", dict(scenario="default", seed=None, noise_sd_ns=None)),
+        ("correlate", dict(r_min=0.5, p_max=0.05)),
+        ("sweep", dict(kind="alpha", holdout_fraction=0.25)),
+    ],
+)
+def test_section_keys_and_defaults(section, defaults):
+    """Each other INI section's keys and their defaults, as the CLI documents
+    them; with the [model] name (default wlr_agrnn) every section is covered."""
+    assert set(SECTIONS) == {"corpus", "features", "split", "synth", "correlate", "sweep"}
+    config = SECTIONS[section]
+    assert list(option_types(config)) == list(defaults)
+    settings = load_settings(None)
+    assert getattr(settings, section) == config() == config(**defaults)
+    assert settings.model_name == "wlr_agrnn" and settings.model_options == {}
+    # INI strings take the field types
+    given = {key: str(value) for key, value in defaults.items() if value is not None}
+    if "factors" in given:
+        given["factors"] = "all"
+    assert section_config(config, section, given) == config()
+
+
+def test_path_tensor_over_the_cell_bound_is_refused_before_sampling(corpus, small_scenario,
+                                                                    monkeypatch):
+    """480 epochs x 10**6 points x 3 factors is over the cell bound."""
+    monkeypatch.setattr(pipeline, "sample_path",
+                        lambda *args: pytest.fail("the path was sampled"))
+    cfg = small_scenario.config
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"480 epochs x 1000000 points .* {MAX_ARRAY_CELLS}"):
+            build_features(corpus, cfg.factors, "path", cfg.tx, cfg.rx, l=10 ** 6, min_samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the other modes do not sample the path, so l does not bound them
+    build_features(corpus, cfg.factors, "receiver_only", cfg.tx, cfg.rx, l=10 ** 6, min_samples=1)
+
+
+@pytest.mark.parametrize("padding,cellsize", [(0.05, 1e-320), (1e300, 0.01), (1e308, 0.01)])
+def test_grid_settings_over_the_cell_bound_are_config_errors(corpus, small_scenario,
+                                                             padding, cellsize):
+    cfg = small_scenario.config
+    with pytest.raises(ConfigError, match="features.grid_cellsize/grid_padding"):
+        build_features(corpus, cfg.factors, "receiver_only", cfg.tx, cfg.rx,
+                       min_samples=1, cellsize=cellsize, padding=padding)
 
 
 def test_lasso_design_size_guard_refuses_before_allocating(monkeypatch):

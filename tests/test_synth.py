@@ -16,8 +16,8 @@ from elorantd.ingest import (
     parse_weather_csv,
 )
 from elorantd.stats import pearson
+from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.synth import (
-    MAX_SCENARIO_CELLS,
     SCENARIO_LAYOUT,
     DemConfig,
     GroundTruthRecipe,
@@ -235,6 +235,15 @@ def test_write_corpus_is_byte_deterministic(tmp_path):
         assert p1[key].read_bytes() == p2[key].read_bytes(), key
 
 
+def test_corpus_regenerates_byte_for_byte_from_its_meta(tmp_path):
+    """tiny_config declares temperature before pressure; its meta stores the
+    recipe sorted by column, so the sum must not follow the dict order."""
+    first = write_corpus(generate_scenario(tiny_config()), tmp_path / "a")
+    again = write_corpus(generate_scenario(load_scenario_config(first["meta"])), tmp_path / "b")
+    for key in first:
+        assert first[key].read_bytes() == again[key].read_bytes(), key
+
+
 def test_config_json_round_trip():
     for cfg in (tiny_config(), default_scenario_config(), cubic_scenario_config(seed=7)):
         text = json.dumps(encode(SCENARIO_LAYOUT, cfg), sort_keys=True)
@@ -297,7 +306,7 @@ def test_scenario_config_range_checks():
 def test_scenario_over_the_cell_bound_is_refused_before_generating(fields):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=str(MAX_SCENARIO_CELLS)):
+        with pytest.raises(ValueError, match=str(MAX_ARRAY_CELLS)):
             tiny_config(**fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
