@@ -12,6 +12,10 @@ is exactly 1; Jacobs et al. 1991), so one trainer and one forward pass
 serve both.  They fit in standardized-target space for optimizer
 conditioning; predictions are mapped back and the scaling is recorded
 in the artifact.
+
+Each trainer takes (x, y, cfg), its settings as one config dataclass
+(MoE also takes its group slices).  The models' factors, location mode
+and meta keep their defaults here; pipeline.train_model sets them.
 """
 from __future__ import annotations
 
@@ -204,8 +208,8 @@ class BpnnModel:
     b2: float
     standardizer: Standardizer
     target_scale: ScalarStandardizer
-    factors: FactorSet
-    location_mode: str
+    factors: FactorSet = ()
+    location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -215,23 +219,15 @@ class BpnnModel:
 
 
 def train_bpnn(
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: BpnnConfig = BpnnConfig(),
-    factors: FactorSet = (),
-    location_mode: str = "receiver_only",
-    meta: dict | None = None,
+    x: np.ndarray, y: np.ndarray, cfg: BpnnConfig = BpnnConfig()
 ) -> tuple[BpnnModel, TrainingTrace]:
     """The one-expert mixture over all inputs."""
     x, y = _check_xy(x, y)
     ((w1, b1, w2, b2),), _, standardizer, target_scale, trace = _fit_tanh_mixture(
         x, y, ((0, x.shape[1]),), cfg.hidden, cfg, "BPNN"
     )
-    model = BpnnModel(
-        w1=w1, b1=b1, w2=w2, b2=b2,
-        standardizer=standardizer, target_scale=target_scale,
-        factors=factors, location_mode=location_mode, meta=dict(meta or {}),
-    )
+    model = BpnnModel(w1=w1, b1=b1, w2=w2, b2=b2,
+                      standardizer=standardizer, target_scale=target_scale)
     return model, trace
 
 
@@ -243,8 +239,8 @@ class GrnnModel:
     y: np.ndarray
     sigma: float
     standardizer: Standardizer
-    factors: FactorSet
-    location_mode: str
+    factors: FactorSet = ()
+    location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -284,17 +280,13 @@ def grnn_sigma_grid(n_dims: int) -> tuple[float, ...]:
 
 
 def train_grnn(
-    x: np.ndarray,
-    y: np.ndarray,
-    sigma: float | None = None,
-    factors: FactorSet = (),
-    location_mode: str = "receiver_only",
-    meta: dict | None = None,
+    x: np.ndarray, y: np.ndarray, cfg: GrnnConfig = GrnnConfig()
 ) -> tuple[GrnnModel, TrainingTrace]:
-    """Store the bank; pick sigma by leave-one-out RSS unless given."""
+    """Store the bank; pick sigma by leave-one-out RSS unless cfg gives it."""
     x, y = _check_xy(x, y)
     standardizer = Standardizer.fit(x)
     bank = standardizer.transform(x)
+    sigma = cfg.sigma
     if sigma is None:
         if bank.shape[0] < 2:
             raise EmptyBankError("need at least 2 rows to select sigma")
@@ -307,16 +299,10 @@ def train_grnn(
             key=lambda pair: pair[1],
         )
     else:
-        if sigma <= 0:
-            raise ValueError("sigma must be strictly positive")
         final_rss = (
             _loo_rss(loo_shift(pairwise_sq_dists(bank.T)), y, sigma) if bank.shape[0] >= 2 else 0.0
         )
-    model = GrnnModel(
-        bank=bank, y=y.copy(), sigma=float(sigma),
-        standardizer=standardizer, factors=factors,
-        location_mode=location_mode, meta=dict(meta or {}),
-    )
+    model = GrnnModel(bank=bank, y=y.copy(), sigma=float(sigma), standardizer=standardizer)
     return model, TrainingTrace((final_rss,), True)
 
 
@@ -331,8 +317,8 @@ class MoeModel:
     group_slices: tuple[tuple[int, int], ...]
     standardizer: Standardizer
     target_scale: ScalarStandardizer
-    factors: FactorSet
-    location_mode: str
+    factors: FactorSet = ()
+    location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -358,13 +344,7 @@ def default_group_slices(n_inputs: int, n_experts: int, n_locations: int = 1):
 
 
 def train_moe(
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: MoeConfig = MoeConfig(),
-    group_slices=None,
-    factors: FactorSet = (),
-    location_mode: str = "receiver_only",
-    meta: dict | None = None,
+    x: np.ndarray, y: np.ndarray, cfg: MoeConfig = MoeConfig(), group_slices=None
 ) -> tuple[MoeModel, TrainingTrace]:
     x, y = _check_xy(x, y)
     if group_slices is None:
@@ -376,9 +356,7 @@ def train_moe(
         x, y, group_slices, cfg.expert_hidden, cfg, "MoE"
     )
     model = MoeModel(
-        experts=experts, gate_w=gate_w, gate_b=gate_b,
-        group_slices=group_slices, standardizer=standardizer,
-        target_scale=target_scale, factors=factors,
-        location_mode=location_mode, meta=dict(meta or {}),
+        experts=experts, gate_w=gate_w, gate_b=gate_b, group_slices=group_slices,
+        standardizer=standardizer, target_scale=target_scale,
     )
     return model, trace

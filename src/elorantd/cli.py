@@ -514,8 +514,17 @@ def cmd_evaluate(args, s: RunSettings) -> int:
     return EXIT_OK
 
 
+# [sweep] kind -> (grid of the LassoConfig field it varies, CSV format of a
+# grid value, chart x label, log x axis)
+SWEEP_AXES = {
+    "alpha": (lasso.default_alpha_grid(), _fmt, "alpha (log scale)", True),
+    "degree": (lasso.DEGREE_GRID, str, "polynomial degree m", False),
+}
+
+
 def cmd_sweep(args, s: RunSettings) -> int:
     kind = args.kind or s.sweep.kind
+    grid, fmt, x_label, log_x = SWEEP_AXES[kind]
     if s.model_name != "lasso_mpr":
         raise ConfigError("sweeps require model.name = lasso_mpr")
     cfg = model_config(s.model_name, s.model_options)
@@ -523,41 +532,23 @@ def cmd_sweep(args, s: RunSettings) -> int:
     if s.split.train is not None:
         bundle = subset_in_ranges(bundle, s.split.train, "train")
     fit, val = holdout_split(bundle, s.sweep.holdout_fraction)
-    if kind == "alpha":
-        table = lasso.sweep_alpha(
-            fit.flat, fit.td, val.flat, val.td, bundle.factors,
-            degree=cfg.degree, location_mode=bundle.location_mode,
-            tol=cfg.tol, max_sweeps=cfg.max_sweeps,
-        )
-        header = ["alpha", "rmse_ns"]
-        log_x = True
-        x_label = "alpha (log scale)"
-    else:
-        table = lasso.sweep_degree(
-            fit.flat, fit.td, val.flat, val.td, bundle.factors,
-            alpha=cfg.alpha, location_mode=bundle.location_mode,
-            tol=cfg.tol, max_sweeps=cfg.max_sweeps,
-        )
-        header = ["degree", "rmse_ns"]
-        log_x = False
-        x_label = "polynomial degree m"
+    table = lasso.sweep(fit.flat, fit.td, val.flat, val.td, cfg, kind, grid)
     best = lasso.argmin_table(table)
-    rows = [[_fmt(k) if kind == "alpha" else str(k), _fmt(v)] for k, v in table]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, [kind, "rmse_ns"], [[fmt(k), _fmt(v)] for k, v in table])
     if args.svg:
         write_svg_line_chart(
             args.svg,
             [k for k, _ in table],
             [v for _, v in table],
-            title=f"validation RMSE vs {header[0]}",
+            title=f"validation RMSE vs {kind}",
             x_label=x_label,
             y_label="RMSE (ns)",
             log_x=log_x,
         )
         print(f"wrote {args.svg}")
-    print(f"swept {len(table)} {header[0]} values on "
+    print(f"swept {len(table)} {kind} values on "
           f"{len(fit.epochs)}/{len(val.epochs)} fit/validation epochs")
-    print(f"best {header[0]}: {best[0]} (rmse {best[1]:.4f} ns)")
+    print(f"best {kind}: {best[0]} (rmse {best[1]:.4f} ns)")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -623,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="hyperparameter sweep for lasso_mpr")
     common(p)
-    p.add_argument("--kind", choices=("alpha", "degree"), help="sweep axis")
+    p.add_argument("--kind", choices=tuple(SWEEP_AXES), help="sweep axis")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--svg", help="optional SVG line chart")
     p.set_defaults(func=cmd_sweep)

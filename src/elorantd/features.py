@@ -76,15 +76,15 @@ def poly_expand(x: np.ndarray, index: PolyTermIndex) -> np.ndarray:
 class Standardizer:
     """Per-column mean/sd transform fitted on training data.
 
-    Sample (n-1) standard deviation.  Fitting rejects constant columns
-    instead of silently dividing by zero.
+    Sample (n-1) standard deviation.  Fitting rejects constant columns,
+    named by index, instead of silently dividing by zero.
     """
 
     mean: np.ndarray
     sd: np.ndarray
 
     @classmethod
-    def fit(cls, x: np.ndarray, columns: list[str] | None = None) -> "Standardizer":
+    def fit(cls, x: np.ndarray) -> "Standardizer":
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
             raise DimensionMismatchError(f"need a 2-d matrix with >= 2 rows, got {x.shape}")
@@ -92,9 +92,7 @@ class Standardizer:
         sd = x.std(axis=0, ddof=1)
         bad = np.flatnonzero(sd == 0.0)
         if bad.size:
-            j = int(bad[0])
-            label = columns[j] if columns is not None else str(j)
-            raise ConstantColumnError(label)
+            raise ConstantColumnError(str(int(bad[0])))
         return cls(mean=mean, sd=sd)
 
     def transform(self, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -288,9 +289,14 @@ def write_station_registry(registry: StationRegistry, path) -> None:
 # -- weather ------------------------------------------------------------------
 
 def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
-    """Rows are checked one by one, then each factor column at once."""
+    """Rows are checked one by one, then each factor column at once.  Rows are
+    kept in flat typed columns, in file order: one int key per row, hour
+    times the station count plus the station's index, and the row's values
+    and presence flags."""
     station_index = {sid: s for s, sid in enumerate(registry.ids)}
-    rows: dict[tuple[int, int], tuple[list[float], list[bool]]] = {}
+    n_stations = len(registry)
+    keys, seen = array("q"), set()
+    cell_values, cell_present = array("d"), bytearray()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -318,26 +324,28 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
                 hour = EpochHour.parse(row[1]).hours_since_epoch
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from None
-            key = (hour, station_index[sid])
-            if key in rows:
+            key = hour * n_stations + station_index[sid]
+            if key in seen:
                 raise ParseError(path, lineno, f"second row for {sid} at {row[1].strip()}")
-            cells = [cell.strip() for cell in row[2:]]
-            values = []
-            for cell in cells:
+            seen.add(key)
+            for cell in row[2:]:
+                cell = cell.strip()
                 try:
-                    values.append(float(cell) if cell else math.nan)
+                    cell_values.append(float(cell) if cell else math.nan)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad number {cell!r}") from None
-            rows[key] = values, [bool(cell) for cell in cells]
+                cell_present.append(bool(cell))
+            keys.append(key)
 
-    keys = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
-    row_values = np.array([v for v, _ in rows.values()], dtype=float).reshape(-1, len(columns))
-    row_present = np.array([p for _, p in rows.values()], dtype=bool).reshape(row_values.shape)
+    row_hours, row_stations = np.divmod(np.frombuffer(keys, dtype=np.int64), n_stations)
+    row_values = np.frombuffer(cell_values, dtype=float).reshape(-1, len(columns))
+    row_present = np.frombuffer(cell_present, dtype=bool).reshape(row_values.shape)
     reported = row_present.any(axis=1)
-    hours, hour_rows = np.unique(keys[reported, 0], return_inverse=True)
-    shape = (len(hours), len(registry), len(ALL_FACTORS))
+    hours, hour_rows = np.unique(row_hours[reported], return_inverse=True)
+    shape = (len(hours), n_stations, len(ALL_FACTORS))
     values, present = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
-    index = (hour_rows[:, None], keys[reported, 1, None], [ALL_FACTORS.index(f) for f in columns])
+    index = (hour_rows[:, None], row_stations[reported, None],
+             [ALL_FACTORS.index(f) for f in columns])
     values[index] = row_values[reported]
     present[index] = row_present[reported]
     return WeatherSeries(hours, registry.ids, values, present)
@@ -367,7 +375,10 @@ _TD_HEADER = (b"timestamp,td_ns\n", b"timestamp,td_ns\r\n")
 # digit, then the NUL that pads a 20-byte stamp in a 21-byte field
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
 _STAMP_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
-_FIRST_TIME = np.datetime64("0001-01-01T00:00:00", "s")  # datetime has no year 0; numpy does
+# byte ranges of year, month, day, hour, minute and second in the stamp
+_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_STAMP_CHUNK = 1 << 15  # stamps converted per step, so temporaries stay small
 
 
 def parse_td_csv(path) -> TdSamples:
@@ -396,15 +407,45 @@ def _read_td_fixed(path) -> TdSamples | None:
         # column by column, so that no temporary is the size of the stamps
         if any((raw[:, j] - _STAMP[j]).max() > _STAMP_SLACK[j] for j in range(len(_STAMP))):
             return None
-        stamps = np.ndarray(len(rows), dtype="S19", buffer=rows, strides=(rows.itemsize,))
-        times = stamps.astype("datetime64[s]")  # rejects e.g. Feb 30 and hour 24
-        if np.any(times < _FIRST_TIME):
-            return None
-        micros = times.view(np.int64)
-        micros *= MICROS_PER_SECOND
+        micros = np.empty(len(rows), dtype=np.int64)
+        for start in range(0, len(rows), _STAMP_CHUNK):
+            part = _stamp_micros(raw[start:start + _STAMP_CHUNK])
+            if part is None:
+                return None
+            micros[start:start + len(part)] = part
         return TdSamples(micros, np.ascontiguousarray(rows["td"]))
     except (ValueError, OutOfRangeError, Warning):
         return None
+
+
+def _stamp_field(raw: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The decimal number in bytes lo:hi of each stamp."""
+    out = np.zeros(len(raw), dtype=np.int32)
+    for j in range(lo, hi):
+        out = out * 10 + (raw[:, j] - ord("0"))
+    return out
+
+
+def _stamp_micros(raw: np.ndarray) -> np.ndarray | None:
+    """Microseconds since the Unix epoch of digit-checked stamps, one row of
+    bytes each; None if one is not a real time from year 1 on (datetime has
+    no year 0).  Computed from the digits, because numpy's string to
+    datetime64 cast can crash the process on an invalid date in a large
+    array (numpy 2.4: SIGSEGV on "2024-02-30T25:00:00" among 1,000 stamps)."""
+    year, month, day, hour, minute, second = (
+        _stamp_field(raw, lo, hi) for lo, hi in _STAMP_FIELDS
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
+    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                  & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)):
+        return None
+    # days since 1970-01-01 in the proleptic Gregorian calendar, counting
+    # the year from March (Hinnant, "chrono-Compatible Low-Level Date Algorithms")
+    y = year - (month <= 2)
+    days = (y * 365 + y // 4 - y // 100 + y // 400
+            + (153 * ((month + 9) % 12) + 2) // 5 + day - 1 - 719468).astype(np.int64)
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * MICROS_PER_SECOND
 
 
 def _read_td_rows(path) -> TdSamples:
@@ -549,6 +590,7 @@ def parse_dem(path) -> ElevationGrid:
             raise ParseError(path, header_line[key], f"{key} must be {rule}, got {header[key]!r}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     nodata = header["nodata_value"]
+    row_lines: list[int] = []
     for lineno, line in enumerate(lines[6:], start=7):
         if not line.strip():
             continue
@@ -556,6 +598,7 @@ def parse_dem(path) -> ElevationGrid:
             rows.append([float(v) for v in line.split()])
         except ValueError:
             raise ParseError(path, lineno, "bad elevation value") from None
+        row_lines.append(lineno)
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise InconsistentDimensionsError(
             f"{path}: declared {nrows}x{ncols}, found "
@@ -563,8 +606,9 @@ def parse_dem(path) -> ElevationGrid:
         )
     values = np.array(rows, dtype=float)
     values[values == nodata] = np.nan
-    if not np.all(np.isfinite(values) | np.isnan(values)):
-        raise ParseError(path, 7, "non-finite elevation value")
+    bad = np.isinf(values).any(axis=1)
+    if bad.any():
+        raise ParseError(path, row_lines[int(np.argmax(bad))], "non-finite elevation value")
     return ElevationGrid(
         origin=GeoPoint(header["yllcorner"], header["xllcorner"]),
         cellsize=header["cellsize"],

@@ -1,10 +1,15 @@
 """LASSO-regularized multivariate polynomial regression.
 
 Training minimizes the raw sum of squared errors plus alpha times the L1
-norm of the polynomial coefficients (the intercept is unpenalized) by
-cyclic coordinate descent with exact soft-threshold updates.  Because the
-loss uses the raw sum rather than the mean, alpha values are tied to the
-training-set size.
+norm of the polynomial coefficients (column 0, the intercept, is
+unpenalized) by cyclic coordinate descent with exact soft-threshold
+updates.  Because the loss uses the raw sum rather than the mean, alpha
+values are tied to the training-set size.
+
+train(x, y, cfg) takes its settings as one LassoConfig; sweep() scores a
+grid of values of one of its fields on a validation set.  The model's
+factors, location mode and meta are left at their defaults: the caller
+that knows them (pipeline.train_model) sets them.
 
 The descent runs in covariance form (Friedman, Hastie & Tibshirani 2010,
 "Regularization Paths for Generalized Linear Models via Coordinate
@@ -15,8 +20,9 @@ only at sweep boundaries, for the recorded objective.
 """
 from __future__ import annotations
 
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,14 +69,13 @@ def coordinate_descent(
     design: np.ndarray,
     y: np.ndarray,
     alpha: float,
-    penalize: np.ndarray | None = None,
     tol: float = LassoConfig.tol,
     max_sweeps: int = LassoConfig.max_sweeps,
 ) -> tuple[np.ndarray, TrainingTrace]:
-    """Cyclic coordinate descent on ||y - Xb||^2 + alpha * sum |b_penalized|.
+    """Cyclic coordinate descent on ||y - Xb||^2 + alpha * sum_{p >= 1} |b_p|.
 
-    penalize defaults to every column except the first (the intercept).
-    Returns the coefficient vector and the per-sweep objective trace.
+    Column 0 (the intercept) is unpenalized.  Returns the coefficient
+    vector and the per-sweep objective trace.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -79,9 +84,6 @@ def coordinate_descent(
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     n_cols = x.shape[1]
-    if penalize is None:
-        penalize = np.ones(n_cols, dtype=bool)
-        penalize[0] = False
     col_sq = np.einsum("tp,tp->p", x, x)
     if np.any(col_sq == 0.0):
         raise DegenerateDesignError(
@@ -90,7 +92,6 @@ def coordinate_descent(
     gram_rows = list(x.T @ x)
     xty = (x.T @ y).tolist()
     sq = col_sq.tolist()
-    pen = penalize.tolist()
     gamma = alpha / 2.0
     beta = np.zeros(n_cols)
     losses: list[float] = []
@@ -101,16 +102,13 @@ def coordinate_descent(
             old = float(beta[p])
             # x_p . (y - X beta) + |x_p|^2 beta_p, the partial-residual correlation
             c_p = xty[p] - float(np.dot(gram_rows[p], beta)) + sq[p] * old
-            if pen[p]:
-                new = soft_threshold(c_p, gamma) / sq[p]
-            else:
-                new = c_p / sq[p]
+            new = (soft_threshold(c_p, gamma) if p else c_p) / sq[p]
             if new != old:
                 beta[p] = new
                 max_delta = max(max_delta, abs(new - old))
         residual = y - x @ beta
         sse = float(np.dot(residual, residual))
-        losses.append(sse + alpha * float(np.sum(np.abs(beta[penalize]))))
+        losses.append(sse + alpha * float(np.sum(np.abs(beta[1:]))))
         if max_delta < tol:
             converged = True
             break
@@ -121,14 +119,14 @@ def coordinate_descent(
 class LassoMprModel:
     """Trained polynomial regressor over standardized raw inputs."""
 
-    factors: FactorSet
-    location_mode: str
     n_inputs: int
     degree: int
     alpha: float
     standardizer: Standardizer
     beta: np.ndarray
     index: PolyTermIndex | None = None  # None: built from n_inputs and degree
+    factors: FactorSet = ()
+    location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -145,21 +143,13 @@ class LassoMprModel:
 
 
 def train(
-    x: np.ndarray,
-    y: np.ndarray,
-    factors: FactorSet,
-    degree: int = LassoConfig.degree,
-    alpha: float = LassoConfig.alpha,
-    tol: float = LassoConfig.tol,
-    max_sweeps: int = LassoConfig.max_sweeps,
-    location_mode: str = "receiver_only",
-    meta: dict | None = None,
+    x: np.ndarray, y: np.ndarray, cfg: LassoConfig = LassoConfig()
 ) -> tuple[LassoMprModel, TrainingTrace]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
-    n_inputs = x.shape[1]
+    n_inputs, degree = x.shape[1], cfg.degree
     p_terms = term_count(n_inputs, degree)
     # refuse before allocating the T x (p+1) design or its (p+1) x (p+1) Gram matrix
     if max(x.shape[0], p_terms + 1) * (p_terms + 1) > MAX_ARRAY_CELLS:
@@ -178,69 +168,34 @@ def train(
     standardizer = Standardizer.fit(x)
     index = PolyTermIndex.build(n_inputs, degree)
     design = poly_expand(standardizer.transform(x), index)
-    beta, trace = coordinate_descent(design, y, alpha, tol=tol, max_sweeps=max_sweeps)
-    model = LassoMprModel(
-        factors=factors,
-        location_mode=location_mode,
-        n_inputs=n_inputs,
-        degree=degree,
-        alpha=alpha,
-        standardizer=standardizer,
-        index=index,
-        beta=beta,
-        meta=dict(meta or {}),
-    )
+    beta, trace = coordinate_descent(design, y, cfg.alpha, tol=cfg.tol,
+                                     max_sweeps=cfg.max_sweeps)
+    model = LassoMprModel(n_inputs=n_inputs, degree=degree, alpha=cfg.alpha,
+                          standardizer=standardizer, index=index, beta=beta)
     return model, trace
 
 
-def sweep_alpha(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
+def sweep(
+    x_fit: np.ndarray,
+    y_fit: np.ndarray,
     x_val: np.ndarray,
     y_val: np.ndarray,
-    factors: FactorSet,
-    degree: int = LassoConfig.degree,
-    alphas=None,
-    location_mode: str = "receiver_only",
-    tol: float = LassoConfig.tol,
-    max_sweeps: int = LassoConfig.max_sweeps,
-) -> list[tuple[float, float]]:
-    """(alpha, validation RMSE) per grid point, grid order preserved."""
-    if alphas is None:
-        alphas = default_alpha_grid()
-    alphas = [float(a) for a in alphas]
-    if any(a <= 0 for a in alphas) or sorted(alphas) != alphas:
+    cfg: LassoConfig,
+    key: str,
+    values,
+) -> list[tuple]:
+    """(value, validation RMSE) per grid value of the LassoConfig field key,
+    grid order kept: each row trains replace(cfg, key=value) on the fit set.
+    Values are cast to the field's type; an alpha grid must be positive
+    and sorted."""
+    cast = typing.get_type_hints(LassoConfig)[key]
+    values = [cast(v) for v in values]
+    if key == "alpha" and (any(a <= 0 for a in values) or sorted(values) != values):
         raise ValueError("alpha grid must be positive and sorted")
-    table: list[tuple[float, float]] = []
-    for a in alphas:
-        model, _ = train(
-            x_train, y_train, factors, degree=degree, alpha=a, tol=tol,
-            max_sweeps=max_sweeps, location_mode=location_mode,
-        )
-        table.append((a, rmse(y_val, model.predict(x_val))))
-    return table
-
-
-def sweep_degree(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    factors: FactorSet,
-    alpha: float = LassoConfig.alpha,
-    degrees=DEGREE_GRID,
-    location_mode: str = "receiver_only",
-    tol: float = LassoConfig.tol,
-    max_sweeps: int = LassoConfig.max_sweeps,
-) -> list[tuple[int, float]]:
-    """(degree, validation RMSE) per degree."""
-    table: list[tuple[int, float]] = []
-    for m in degrees:
-        model, _ = train(
-            x_train, y_train, factors, degree=int(m), alpha=alpha, tol=tol,
-            max_sweeps=max_sweeps, location_mode=location_mode,
-        )
-        table.append((int(m), rmse(y_val, model.predict(x_val))))
+    table: list[tuple] = []
+    for v in values:
+        model, _ = train(x_fit, y_fit, replace(cfg, **{key: v}))
+        table.append((v, rmse(y_val, model.predict(x_val))))
     return table
 
 

@@ -2,7 +2,12 @@
 
 An entry names the kind, its model class, its artifact payload fields
 (arrays with named axes) and, if trained by name, its frozen config
-dataclass (validated in ``__post_init__``) and train adapter.  Adapters
+dataclass (validated in ``__post_init__``) and train adapter.  Every
+trainer has one contract, train(x, y, cfg): x the flat inputs (WLR-AGRNN:
+the tensor, its elevations and points; MoE: its group slices too), y the
+hourly TD.  An adapter maps a feature bundle to those arguments and
+returns the trainer's (model, trace); the model's factors, location mode
+and meta are set afterwards, by pipeline.train_model alone.  Adapters
 look their train function up on its module at each call, so rebinding
 a module attribute (as a profiler does) reaches them.
 """
@@ -118,32 +123,24 @@ _LAYER = {  # affine or tanh layer over the n standardized inputs
 }
 
 
-# -- train adapters: (config, bundle, factors=, location_mode=, meta=) -----------
+# -- train adapters: (config, bundle) -> (model, trace) -------------------------
 
-def _train_lasso(cfg, bundle, **labels):
-    return lasso.train(bundle.flat, bundle.td, degree=cfg.degree, alpha=cfg.alpha,
-                       tol=cfg.tol, max_sweeps=cfg.max_sweeps, **labels)
+def _flat(module, name: str):
+    """The adapter of a trainer of flat inputs, module.name(x, y, cfg)."""
+    return lambda cfg, bundle: getattr(module, name)(bundle.flat, bundle.td, cfg)
 
 
-def _train_wlr(cfg, bundle, **labels):
+def _train_wlr(cfg, bundle):
     return wlr_agrnn.train(bundle.tensor, bundle.td, bundle.elevations, cfg,
-                           points=bundle.points, **labels)
+                           points=bundle.points)
 
 
-def _train_bpnn(cfg, bundle, **labels):
-    return baselines.train_bpnn(bundle.flat, bundle.td, cfg, **labels)
-
-
-def _train_grnn(cfg, bundle, **labels):
-    return baselines.train_grnn(bundle.flat, bundle.td, sigma=cfg.sigma, **labels)
-
-
-def _train_moe(cfg, bundle, **labels):
+def _train_moe(cfg, bundle):
     n_loc = bundle.n_locations
     experts = cfg.experts if n_loc == 1 else min(cfg.experts, n_loc)
     slices = baselines.default_group_slices(bundle.flat.shape[1], experts, n_locations=n_loc)
     return baselines.train_moe(bundle.flat, bundle.td, replace(cfg, experts=experts),
-                               group_slices=slices, **labels)
+                               group_slices=slices)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ KINDS = {kind.name: kind for kind in (
         "alpha": Scalar(float),
         "standardizer": _STANDARDIZER,
         "beta": Array(("columns",)),  # LassoMprModel checks n_inputs, degree fit
-    }, lasso.LassoConfig, _train_lasso),
+    }, lasso.LassoConfig, _flat(lasso, "train")),
     ModelKind("wlr_agrnn", wlr_agrnn.WlrAgrnnModel, {
         "params": Record(wlr_agrnn.WlrParams, _LAYER),
         "h_tilde": Array(("l",)),
@@ -179,13 +176,13 @@ KINDS = {kind.name: kind for kind in (
         **_LAYER,
         "standardizer": _STANDARDIZER,
         "target_scale": _TARGET_SCALE,
-    }, baselines.BpnnConfig, _train_bpnn),
+    }, baselines.BpnnConfig, _flat(baselines, "train_bpnn")),
     ModelKind("grnn", baselines.GrnnModel, {
         "bank": Array(("T", "n")),
         "y": Array(("T",)),
         "sigma": Scalar(float, positive=True),
         "standardizer": _STANDARDIZER,
-    }, baselines.GrnnConfig, _train_grnn),
+    }, baselines.GrnnConfig, _flat(baselines, "train_grnn")),
     ModelKind("moe", baselines.MoeModel, {
         "experts": Items("experts", Record(as_tuple, _LAYER)),  # n: its group's width
         "gate_w": Array(("experts", "n")),

@@ -269,8 +269,11 @@ def model_config(name: str, options: dict | None = None):
 
 
 def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
-    """Train one model by name on a feature bundle (see model_config)."""
+    """Train one model by name on a feature bundle (see model_config); the
+    one place that labels a trained model with its factors, location mode
+    and meta."""
     cfg = model_config(name, options)
+    model, trace = models.KINDS[name].train(cfg, bundle)
     meta = {
         "train_start": bundle.epochs[0].isoformat(),
         "train_end": bundle.epochs[-1].isoformat(),
@@ -278,9 +281,8 @@ def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
         "n_locations": bundle.n_locations,
         "seed": cfg.seed,
     }
-    return models.KINDS[name].train(
-        cfg, bundle, factors=bundle.factors, location_mode=bundle.location_mode, meta=meta
-    )
+    return replace(model, factors=bundle.factors, location_mode=bundle.location_mode,
+                   meta=meta), trace
 
 
 def predict_model(model, bundle: FeatureBundle) -> np.ndarray:

@@ -373,9 +373,9 @@ class WlrAgrnnModel:
     y: np.ndarray
     w: np.ndarray
     standardizer: Standardizer
-    factors: FactorSet
-    location_mode: str
     points: tuple[GeoPoint, ...] | None = None
+    factors: FactorSet = ()
+    location_mode: str = "path"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -410,15 +410,15 @@ def train(
     y: np.ndarray,
     elevations: np.ndarray,
     cfg: TrainConfig = TrainConfig(),
-    factors: FactorSet = (),
-    location_mode: str = "path",
     points: tuple[GeoPoint, ...] | None = None,
-    meta: dict | None = None,
 ) -> tuple[WlrAgrnnModel, TrainingTrace]:
-    """x is the raw (T, l, n) tensor; y the hourly TD; elevations h_j in m.
+    """x is the raw (T, l, n) tensor; y the hourly TD; elevations h_j in m;
+    points, if given, the l locations, recorded in the model.
 
     Features are standardized per factor, pooled over epochs and
-    locations, so one expert parameter set serves every location.
+    locations, so one expert parameter set serves every location.  The
+    model's factors, location mode and meta keep their defaults here;
+    pipeline.train_model sets them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -472,10 +472,7 @@ def train(
         y=y.copy(),
         w=w.copy(),
         standardizer=standardizer,
-        factors=factors,
-        location_mode=location_mode,
         points=points,
-        meta=dict(meta or {}),
     )
     converged = loss_converged(losses, cfg.tol, cfg.patience)
     return model, TrainingTrace(tuple(losses), converged, tuple(scales))

@@ -18,11 +18,12 @@ from elorantd.cli import main
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand
 from elorantd.gridmap import GridMap, GridSpec, idw_fill
 from elorantd.lasso import (
+    DEGREE_GRID,
+    LassoConfig,
     argmin_table,
     coordinate_descent,
     soft_threshold,
-    sweep_alpha,
-    sweep_degree,
+    sweep,
 )
 from elorantd.pipeline import (
     FeatureBundle,
@@ -339,18 +340,18 @@ def test_criterion_06_sweep_curves_show_u_shape_and_cubic_argmin():
     # end overfit, so validation RMSE should dip and come back up
     tr7, te7 = _split(_scenario_bundle(scn, FACTORS_7, "receiver_only"))
     grid = tuple(sorted(set(np.logspace(-3, 2, 11)) | {0.5}))
-    table = sweep_alpha(
+    table = sweep(
         tr7.flat[:140], tr7.td[:140], te7.flat[:400], te7.td[:400],
-        FACTORS_7, degree=3, alphas=grid,
+        LassoConfig(degree=3), "alpha", grid,
     )
     values = [v for _, v in table]
     k = int(np.argmin(values))
     u_ok = values[0] > values[k] and values[-1] > values[k] and 0 < k < len(values) - 1
 
     tr3, te3 = _split(_scenario_bundle(scn, FACTORS_3, "receiver_only"))
-    degree_table = sweep_degree(
+    degree_table = sweep(
         tr3.flat[:400], tr3.td[:400], te3.flat[:400], te3.td[:400],
-        FACTORS_3, alpha=0.5,
+        LassoConfig(alpha=0.5), "degree", DEGREE_GRID,
     )
     best_degree = int(argmin_table(degree_table)[0])
 

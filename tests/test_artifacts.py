@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -40,20 +41,18 @@ def every_model(toy_data):
     common = dict(factors=FACTORS_3, location_mode="receiver_only", meta=meta)
     wlr_cfg = wlr_agrnn.TrainConfig(hidden=3, learning_rate=0.01, max_iterations=5, seed=1)
     epochs = [EpochHour.of(2024, 10, 1, h) for h in range(3)]
+
+    def labelled(result):
+        return dataclasses.replace(result[0], **common)
+
     return {
-        "lasso_mpr": lasso.train(x, y, FACTORS_3, degree=2, alpha=0.5,
-                                 location_mode="receiver_only", meta=meta)[0],
-        "wlr_agrnn": wlr_agrnn.train(
-            tensor, y, elevations, wlr_cfg,
-            points=(GeoPoint(36.392, 127.3529),), **common,
-        )[0],
-        "bpnn": baselines.train_bpnn(x, y, BPNN_CFG, **common)[0],
-        "grnn": baselines.train_grnn(x, y, **common)[0],
-        "moe": baselines.train_moe(
-            x, y, MOE_CFG,
-            group_slices=baselines.default_group_slices(3, 2, n_locations=1),
-            **common,
-        )[0],
+        "lasso_mpr": labelled(lasso.train(x, y, lasso.LassoConfig(degree=2, alpha=0.5))),
+        "wlr_agrnn": labelled(wlr_agrnn.train(
+            tensor, y, elevations, wlr_cfg, points=(GeoPoint(36.392, 127.3529),))),
+        "bpnn": labelled(baselines.train_bpnn(x, y, BPNN_CFG)),
+        "grnn": labelled(baselines.train_grnn(x, y)),
+        "moe": labelled(baselines.train_moe(
+            x, y, MOE_CFG, group_slices=baselines.default_group_slices(3, 2, n_locations=1))),
         "constant": ConstantModel(value=41.5, factors=FACTORS_3,
                                   location_mode="receiver_only", meta=meta),
         "lookup": LookupModel(table={e: float(i) for i, e in enumerate(epochs)},
@@ -108,10 +107,8 @@ def test_save_is_byte_deterministic(kind, every_model, tmp_path):
 def test_retraining_same_seed_gives_identical_artifact(toy_data, tmp_path):
     x, y = toy_data
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(baselines.train_bpnn(x, y, BPNN_CFG, factors=FACTORS_3,
-                                    location_mode="receiver_only")[0], a)
-    save_model(baselines.train_bpnn(x, y, BPNN_CFG, factors=FACTORS_3,
-                                    location_mode="receiver_only")[0], b)
+    save_model(baselines.train_bpnn(x, y, BPNN_CFG)[0], a)
+    save_model(baselines.train_bpnn(x, y, BPNN_CFG)[0], b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -280,8 +277,8 @@ def test_wlr_reload_predicts_bit_for_bit_on_a_path_bank(tmp_path):
     x = rng.normal(size=(t_count, l_count, 3)) * [2.0, 5.0, 1.0] + [10.0, 50.0, 0.0]
     y = 40.0 + x[:, :, 0].mean(axis=1) - 0.2 * x[:, -1, 1] + rng.normal(size=t_count)
     cfg = wlr_agrnn.TrainConfig(hidden=3, learning_rate=0.01, max_iterations=2, seed=1)
-    model, _ = wlr_agrnn.train(x, y, rng.uniform(0.0, 300.0, size=l_count), cfg,
-                               factors=FACTORS_3, location_mode="path")
+    model, _ = wlr_agrnn.train(x, y, rng.uniform(0.0, 300.0, size=l_count), cfg)
+    model = dataclasses.replace(model, factors=FACTORS_3)
     path = tmp_path / "wlr.json"
     save_model(model, path)
     queries = rng.normal(size=(60, l_count, 3)) * [2.0, 5.0, 1.0] + [10.0, 50.0, 0.0]

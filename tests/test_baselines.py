@@ -165,7 +165,7 @@ def test_grnn_sigma_selection_matches_loo_oracle():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(25, 2)) * [2.0, 5.0] + [10.0, -3.0]
     y = np.sin(x[:, 0]) * 10.0 + rng.normal(0, 0.5, size=25)
-    model, trace = train_grnn(x, y, factors=FACTORS_3)
+    model, trace = train_grnn(x, y)
     assert len(trace.losses) == 1  # no iterative training
     assert trace.converged
 
@@ -188,10 +188,10 @@ def test_grnn_explicit_sigma_respected():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
-    model, _ = train_grnn(x, y, sigma=2.5)
+    model, _ = train_grnn(x, y, GrnnConfig(sigma=2.5))
     assert model.sigma == 2.5
     with pytest.raises(ValueError):
-        train_grnn(x, y, sigma=0.0)
+        train_grnn(x, y, GrnnConfig(sigma=0.0))
 
 
 def test_grnn_error_paths():
@@ -421,14 +421,12 @@ def test_all_baselines_return_model_and_trace():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(30, 2)) * [5.0, 2.0]
     y = rng.normal(size=30) * 10.0 + 100.0
-    bp, t1 = train_bpnn(x, y, BpnnConfig(max_iterations=10, seed=0), factors=FACTORS_3,
-                        location_mode="receiver_only")
-    gr, t2 = train_grnn(x, y, factors=FACTORS_3, location_mode="receiver_only")
-    mo, t3 = train_moe(x, y, MoeConfig(max_iterations=10, seed=0), factors=FACTORS_3,
-                       location_mode="receiver_only")
+    bp, t1 = train_bpnn(x, y, BpnnConfig(max_iterations=10, seed=0))
+    gr, t2 = train_grnn(x, y)
+    mo, t3 = train_moe(x, y, MoeConfig(max_iterations=10, seed=0))
     for model, trace in ((bp, t1), (gr, t2), (mo, t3)):
-        assert model.factors == FACTORS_3
-        assert model.location_mode == "receiver_only"
+        # unlabelled: pipeline.train_model sets the labels (test_pipeline)
+        assert (model.factors, model.location_mode, model.meta) == ((), "receiver_only", {})
         assert len(trace.losses) >= 1
         batch = model.predict(x)
         assert batch.shape == (30,)

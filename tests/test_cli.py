@@ -960,11 +960,22 @@ def test_evaluate_without_test_split_exit_2(tmp_path, ini):
 # -- sweep -----------------------------------------------------------------------
 
 
+def sweep_twice(cfg, kind, out, svg=None) -> None:
+    """Run a sweep twice; the second run must rewrite the same bytes."""
+    outputs = [out] + ([svg] if svg else [])
+    first = None
+    for _ in range(2):
+        assert main(["sweep", "--config", cfg, "--kind", kind, "--out", str(out)]
+                    + (["--svg", str(svg)] if svg else [])) == 0
+        again = [path.read_bytes() for path in outputs]
+        assert first is None or again == first
+        first = again
+
+
 def test_sweep_alpha_grid_includes_half(tmp_path, ini):
     cfg = ini("[model]\nname = lasso_mpr\ndegree = 2\n")
     out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
-    assert main(["sweep", "--config", cfg, "--kind", "alpha",
-                 "--out", str(out), "--svg", str(svg)]) == 0
+    sweep_twice(cfg, "alpha", out, svg)
     rows = read_csv(out)
     assert rows[0] == ["alpha", "rmse_ns"]
     alphas = [float(r[0]) for r in rows[1:]]
@@ -976,8 +987,8 @@ def test_sweep_alpha_grid_includes_half(tmp_path, ini):
 def test_sweep_degree_runs(tmp_path, ini):
     cfg = ini("[model]\nname = lasso_mpr\nalpha = 0.5\n"
               f"[split]\ntrain = 2024-10-01..2024-10-11\n")
-    out = tmp_path / "degrees.csv"
-    assert main(["sweep", "--config", cfg, "--kind", "degree", "--out", str(out)]) == 0
+    out, svg = tmp_path / "degrees.csv", tmp_path / "degrees.svg"
+    sweep_twice(cfg, "degree", out, svg)
     rows = read_csv(out)
     assert rows[0] == ["degree", "rmse_ns"]
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]

@@ -102,8 +102,9 @@ def test_standardizer_roundtrip():
 def test_standardizer_rejects_constant_column():
     x = np.ones((10, 2))
     x[:, 0] = np.arange(10.0)
-    with pytest.raises(ConstantColumnError):
-        Standardizer.fit(x, columns=["ok", "flat"])
+    with pytest.raises(ConstantColumnError, match="column 1 is constant") as info:
+        Standardizer.fit(x)
+    assert info.value.column == "1"
 
 
 def test_scalar_standardizer():

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -256,6 +257,41 @@ def test_weather_roundtrip_random_cube_with_holes(tmp_path):
     assert [line.split(",")[0] for line in body] == sorted(line.split(",")[0] for line in body)
 
 
+def dense_weather_file(path, n_hours: int, n_stations: int) -> StationRegistry:
+    """A weather.csv with every factor at every station and hour."""
+    rng = np.random.default_rng(5)
+    registry = StationRegistry(
+        tuple((f"S{k:02d}", GeoPoint(36.0 + 0.1 * k, 127.0)) for k in range(n_stations))
+    )
+    shape = (n_hours, n_stations, len(ALL_FACTORS))
+    lo, hi = np.array([f.bounds for f in ALL_FACTORS]).T
+    values = lo + rng.random(shape) * (hi - lo)
+    integer = [f.integer_valued for f in ALL_FACTORS]
+    values[:, :, integer] = np.round(values[:, :, integer])
+    hours = np.arange(480_000, 480_000 + n_hours)
+    write_weather_csv(WeatherSeries(hours, registry.ids, values, np.ones(shape, bool)), path)
+    return registry
+
+
+# the Python-heap peak of parse_weather_csv on dense_weather_file(300, 10)
+# when each row was kept as a dict entry of two lists
+ROW_DICT_PEAK_BYTES = 3_567_771
+
+
+def test_weather_parse_heap_peak_is_under_half_the_row_dict_parse(tmp_path):
+    """3,000 rows of 11 factors: flat typed columns, not a dict of per-row lists."""
+    path = tmp_path / "weather.csv"
+    registry = dense_weather_file(path, 300, 10)
+    tracemalloc.start()
+    try:
+        series = parse_weather_csv(path, registry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.present.all() and series.values.shape == (300, 10, len(ALL_FACTORS))
+    assert peak <= ROW_DICT_PEAK_BYTES // 2, peak
+
+
 def test_weather_store_equality_ignores_absent_values_only(registry):
     t = MetFactor.TEMPERATURE
     a = weather_from_cells(registry.ids, {("ST01", EPOCH0, t): 10.0})
@@ -385,6 +421,23 @@ def test_bulk_td_reader_leaves_year_zero_to_the_row_loop(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_td_csv(path)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("stamp", ["2024-02-30T25:00:00Z", "2023-02-29T00:00:00Z",
+                                   "2024-10-01T00:00:60Z"])
+def test_bulk_td_reader_refuses_an_invalid_date_among_many_rows(tmp_path, stamp):
+    """numpy 2.4's string-to-datetime64 cast crashed the process (SIGSEGV)
+    on an invalid date among 1,000 or more stamps; the reader no longer casts."""
+    base = utc(2024, 10, 1)
+    lines = [f"{(base + timedelta(seconds=k)).strftime('%Y-%m-%dT%H:%M:%SZ')},1.5"
+             for k in range(4000)]
+    lines[2500] = f"{stamp},1.5"
+    path = tmp_path / "td.csv"
+    path.write_text("\n".join(["timestamp,td_ns", *lines, ""]))
+    assert not assert_readers_agree(path)
+    with pytest.raises(ParseError) as info:
+        parse_td_csv(path)
+    assert info.value.line == 2502
 
 
 TD_MUTATIONS = (
@@ -742,3 +795,15 @@ def test_parse_dem_reports_a_bad_header_value_at_the_line_that_holds_it(tmp_path
     with pytest.raises(ParseError) as info:
         parse_dem(path)
     assert info.value.line == 5
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])
+def test_parse_dem_reports_a_non_finite_elevation_at_its_line(tmp_path, value):
+    lines = DEM_TEXT.splitlines()
+    lines.insert(6, "")  # a blank line between header and rows is skipped
+    lines[8] = f"30.0 {value}"
+    path = tmp_path / "dem.asc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-finite elevation") as info:
+        parse_dem(path)
+    assert info.value.line == 9

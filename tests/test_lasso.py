@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ from elorantd.errors import ConfigError, DegenerateDesignError, DimensionMismatc
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
 from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.lasso import (
+    DEGREE_GRID,
+    LassoConfig,
     LassoMprModel,
     argmin_table,
     coordinate_descent,
     default_alpha_grid,
     soft_threshold,
-    sweep_alpha,
-    sweep_degree,
+    sweep,
     train,
 )
 from elorantd.stats import rmse
@@ -95,29 +98,25 @@ def residual_cd_oracle(x, y, alpha, penalize, tol, max_sweeps):
 
 
 @pytest.mark.parametrize(
-    "rows,cols,alpha,free,max_sweeps,converges",
+    "rows,cols,alpha,max_sweeps,converges",
     [
-        (80, 12, 0.5, 1, 10000, True),  # T > p
-        (15, 40, 0.05, 1, 25, False),  # p > T, stopped by max_sweeps
-        (60, 10, 30.0, 3, 10000, True),  # intercept and two more columns unpenalised
+        (80, 12, 0.5, 10000, True),  # T > p
+        (15, 40, 0.05, 25, False),  # p > T, stopped by max_sweeps
     ],
 )
-def test_covariance_form_follows_residual_form(rows, cols, alpha, free, max_sweeps, converges):
+def test_covariance_form_follows_residual_form(rows, cols, alpha, max_sweeps, converges):
     rng = np.random.default_rng(rows * cols)
     x = np.column_stack([np.ones(rows), rng.normal(size=(rows, cols - 1))])
     x[:, 2] += 0.9 * x[:, 1]  # correlated columns make the path matter
     y = x @ rng.normal(size=cols) + rng.normal(size=rows)
-    penalize = np.arange(cols) >= free
+    penalize = np.arange(cols) >= 1  # the intercept, column 0, is unpenalised
     expect, losses, converged = residual_cd_oracle(x, y, alpha, penalize, 1e-10, max_sweeps)
-    beta, trace = coordinate_descent(x, y, alpha, penalize=penalize, tol=1e-10,
-                                     max_sweeps=max_sweeps)
+    beta, trace = coordinate_descent(x, y, alpha, tol=1e-10, max_sweeps=max_sweeps)
     assert converged is converges
     assert trace.converged is converged
     assert trace.iterations == len(losses)
     assert np.max(np.abs(beta - expect)) <= 1e-9 * np.max(np.abs(expect))
     np.testing.assert_allclose(trace.losses, losses, rtol=1e-9)
-    if free > 1:
-        assert np.any(beta[free:] == 0.0) and np.all(beta[:free] != 0.0)
 
 
 # -- coordinate descent vs least squares --------------------------------------
@@ -174,7 +173,7 @@ def test_nonzero_count_monotone_in_alpha():
     x, y = random_regression(rng, 120, 5, noise=3.0)
     counts = []
     for alpha in default_alpha_grid():
-        model, _ = train(x, y, FACTORS_3, degree=2, alpha=alpha, tol=1e-10)
+        model, _ = train(x, y, LassoConfig(degree=2, alpha=alpha, tol=1e-10))
         counts.append(int(np.sum(model.beta[1:] != 0.0)))
     assert all(b <= a for a, b in zip(counts, counts[1:]))
     assert counts[0] == term_count(5, 2)  # essentially OLS: nothing exactly zero
@@ -192,9 +191,7 @@ def test_train_recovers_exact_cubic():
         return 3.0 + 2.0 * a - b + 0.5 * a * b - 0.25 * b**3 + 0.1 * a**2 * b
 
     y = target(x[:, 0], x[:, 1])
-    model, trace = train(
-        x, y, FACTORS_3, degree=3, alpha=0.0, tol=1e-13, max_sweeps=20000
-    )
+    model, trace = train(x, y, LassoConfig(degree=3, alpha=0.0, tol=1e-13, max_sweeps=20000))
     holdout = rng.normal(size=(50, 2))
     got = model.predict(holdout)
     expect = target(holdout[:, 0], holdout[:, 1])
@@ -224,7 +221,7 @@ def test_predict_intercept_only_model():
 def test_predict_wrong_width():
     rng = np.random.default_rng(2)
     x, y = random_regression(rng, 30, 3)
-    model, _ = train(x, y, FACTORS_3, degree=1, alpha=0.1)
+    model, _ = train(x, y, LassoConfig(degree=1, alpha=0.1))
     with pytest.raises(DimensionMismatchError):
         model.predict(np.ones((2, 4)))
     with pytest.raises(DimensionMismatchError):
@@ -238,7 +235,7 @@ def test_train_warns_when_underdetermined():
     x = rng.normal(size=(10, 3))
     y = rng.normal(size=10)
     with pytest.warns(UserWarning, match="training epochs"):
-        train(x, y, FACTORS_3, degree=3, alpha=0.5)
+        train(x, y, LassoConfig(degree=3, alpha=0.5))
 
 
 def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
@@ -251,7 +248,7 @@ def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
     x = np.zeros((10, 11))
     assert 10 * (term_count(11, 7) + 1) <= MAX_ARRAY_CELLS < (term_count(11, 7) + 1) ** 2
     with pytest.raises(ConfigError, match=r"31824 x 31824 Gram matrix"):
-        train(x, np.zeros(10), FACTORS_3, degree=7)
+        train(x, np.zeros(10), LassoConfig(degree=7))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -269,10 +266,10 @@ def test_default_alpha_grid_shape():
 def test_sweep_alpha_rejects_bad_grid():
     rng = np.random.default_rng(0)
     x, y = random_regression(rng, 30, 2)
-    with pytest.raises(ValueError):
-        sweep_alpha(x, y, x, y, FACTORS_3, degree=1, alphas=[0.5, 0.1])
-    with pytest.raises(ValueError):
-        sweep_alpha(x, y, x, y, FACTORS_3, degree=1, alphas=[-1.0, 0.5])
+    with pytest.raises(ValueError, match="positive and sorted"):
+        sweep(x, y, x, y, LassoConfig(degree=1), "alpha", [0.5, 0.1])
+    with pytest.raises(ValueError, match="positive and sorted"):
+        sweep(x, y, x, y, LassoConfig(degree=1), "alpha", [-1.0, 0.5])
 
 
 def test_sweep_alpha_pure_noise_runs():
@@ -282,7 +279,7 @@ def test_sweep_alpha_pure_noise_runs():
     xv = rng.normal(size=(40, 3))
     yv = rng.normal(size=40)
     grid = (0.01, 0.1, 1.0, 10.0)
-    table = sweep_alpha(x, y, xv, yv, FACTORS_3, degree=1, alphas=grid)
+    table = sweep(x, y, xv, yv, LassoConfig(degree=1), "alpha", grid)
     assert [a for a, _ in table] == list(grid)
     best = argmin_table(table)
     assert best in table
@@ -302,7 +299,7 @@ def test_sweep_alpha_u_shape_on_overfit_prone_data():
     y = target(x) + rng.normal(0.0, 1.0, size=n_train)
     yv = target(xv) + rng.normal(0.0, 1.0, size=n_val)
     grid = tuple(np.logspace(-3.0, 2.0, 11))
-    table = sweep_alpha(x, y, xv, yv, FACTORS_3, degree=3, alphas=grid)
+    table = sweep(x, y, xv, yv, LassoConfig(degree=3), "alpha", grid)
     values = [r for _, r in table]
     best_alpha, best_rmse = argmin_table(table)
     assert values[0] > best_rmse, "tiny alpha should overfit"
@@ -321,7 +318,7 @@ def test_sweep_degree_flat_for_linear_target():
 
     y = target(x) + rng.normal(0, noise, size=300)
     yv = target(xv) + rng.normal(0, noise, size=150)
-    table = sweep_degree(x, y, xv, yv, FACTORS_3, alpha=0.5)
+    table = sweep(x, y, xv, yv, LassoConfig(alpha=0.5), "degree", DEGREE_GRID)
     assert [m for m, _ in table] == [1, 2, 3, 4, 5]
     values = np.array([r for _, r in table])
     # every degree reaches the noise floor; no blow-up at high degree
@@ -340,7 +337,7 @@ def test_sweep_degree_detects_cubic_target():
 
     y = target(x) + rng.normal(0, noise, size=400)
     yv = target(xv) + rng.normal(0, noise, size=200)
-    table = sweep_degree(x, y, xv, yv, FACTORS_3, alpha=0.01)
+    table = sweep(x, y, xv, yv, LassoConfig(alpha=0.01), "degree", DEGREE_GRID)
     by_degree = dict(table)
     assert by_degree[2] > 3.0 * by_degree[3], "cubic terms must matter"
     assert by_degree[3] < 2.0 * noise
@@ -348,6 +345,22 @@ def test_sweep_degree_detects_cubic_target():
     assert by_degree[4] < 2.0 * by_degree[3] + noise
     best_m, _ = argmin_table(table)
     assert best_m >= 3
+
+
+@pytest.mark.parametrize("key,values", [("alpha", np.logspace(-2.0, 1.0, 4)),
+                                        ("degree", np.arange(1, 4))])
+def test_each_sweep_row_is_one_train_at_its_grid_point(key, values):
+    rng = np.random.default_rng(41)
+    x, y = random_regression(rng, 60, 3, noise=1.0)
+    xv = rng.normal(size=(30, 3))
+    yv = rng.normal(size=30)
+    cfg = LassoConfig(degree=2, alpha=0.3, tol=1e-9, max_sweeps=500)
+    table = sweep(x, y, xv, yv, cfg, key, values)
+    assert [v for v, _ in table] == values.tolist()
+    for value, score in table:
+        assert type(value) is type(getattr(cfg, key))  # cast to the field's type
+        model, _ = train(x, y, dataclasses.replace(cfg, **{key: value}))
+        assert score == rmse(yv, model.predict(xv))
 
 
 def test_argmin_table_first_tie_wins():
@@ -368,5 +381,5 @@ def test_ols_oracle_solves_normal_equations():
 def test_rmse_of_perfect_fit_is_zero():
     rng = np.random.default_rng(13)
     x, y = random_regression(rng, 50, 3, noise=0.0)
-    model, _ = train(x, y, FACTORS_3, degree=1, alpha=0.0, tol=1e-13)
+    model, _ = train(x, y, LassoConfig(degree=1, alpha=0.0, tol=1e-13))
     assert rmse(y, model.predict(x)) < 1e-8

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elorantd import baselines, pipeline
-from elorantd.artifacts import ConstantModel, LookupModel
+from elorantd import baselines, models, pipeline
+from elorantd.artifacts import ConstantModel, LookupModel, load_model, save_model
 from elorantd.errors import (
     AxisMismatchError,
     ConfigError,
@@ -248,6 +248,33 @@ def test_train_model_dispatch(name, options, rx_bundle):
     pred = predict_model(model, bundle)
     assert pred.shape == (60,)
     assert np.isfinite(pred).all()
+
+
+# options that keep each kind's fit small on 15 flat inputs
+SMALL_OPTIONS = {"lasso_mpr": {"degree": 1}, "wlr_agrnn": {"max_iterations": 2},
+                 "bpnn": {"max_iterations": 2}, "grnn": {},
+                 "moe": {"max_iterations": 2, "experts": 2}}
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_train_model_labels_every_kind_and_a_round_trip_keeps_the_labels(
+    name, corpus, small_scenario, tmp_path
+):
+    """stations mode and three factors differ from every model class's
+    default labels, so only train_model can have set them."""
+    cfg = small_scenario.config
+    bundle = sub_bundle(build_features(
+        corpus, cfg.factors, "stations", cfg.tx, cfg.rx,
+        l=cfg.l, min_samples=1, cellsize=cfg.grid_cellsize, padding=cfg.grid_padding,
+    ), 40)
+    model, _ = train_model(name, bundle, {**SMALL_OPTIONS[name], "seed": 3})
+    labels = (bundle.factors, "stations", {
+        "train_start": bundle.epochs[0].isoformat(), "train_end": bundle.epochs[-1].isoformat(),
+        "n_train": 40, "n_locations": 5, "seed": 3})
+    assert (model.factors, model.location_mode, model.meta) == labels
+    save_model(model, tmp_path / "model.json")
+    again = load_model(tmp_path / "model.json")
+    assert (again.factors, again.location_mode, again.meta) == labels
 
 
 def test_train_model_unknown_name(rx_bundle):
