@@ -8,7 +8,9 @@ whole file first: unknown sections or keys, unparsable values and values
 out of range are config errors, so a typo in a hyperparameter name can
 never silently fall back to a default.
 
-Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 compatibility.
+Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 compatibility.  A
+library warning is printed as one ``warning: <message>`` line on stderr
+and leaves the exit code as it is.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import configparser
 import csv
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -621,23 +624,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one line, without Python's file name and source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # every command reads and checks the whole config file first
-        return args.func(args, load_settings(args.config))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonFiniteLossError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except AxisMismatchError as exc:
-        print(f"compatibility error: {exc}", file=sys.stderr)
-        return EXIT_COMPAT
-    except (ElorantdError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings():  # puts the default showwarning back on return
+        warnings.showwarning = _print_warning
+        try:  # every command reads and checks the whole config file first
+            return args.func(args, load_settings(args.config))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NonFiniteLossError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except AxisMismatchError as exc:
+            print(f"compatibility error: {exc}", file=sys.stderr)
+            return EXIT_COMPAT
+        except (ElorantdError, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -202,13 +202,33 @@ class AlignedDataset:
         return len(self.epochs)
 
 
+# plausible terrain elevations in metres: below the Dead Sea shore (-430 m)
+# to above Everest (8,849 m)
+ELEVATION_RANGE_M = (-500.0, 9000.0)
+
+
+def _implausible_elevation(values: np.ndarray) -> tuple[int, str] | None:
+    """(row, message) of the first raster cell outside ELEVATION_RANGE_M,
+    infinities included, or None; NaN (no data) passes."""
+    low, high = ELEVATION_RANGE_M
+    bad = (values < low) | (values > high)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=1)))
+    value = float(values[row][bad[row]][0])
+    if math.isinf(value):
+        return row, "non-finite elevation value"
+    return row, f"elevation {value!r} m is outside {low:g}..{high:g} m"
+
+
 @dataclass(frozen=True)
 class ElevationGrid:
     """Row-major elevation raster; row 0 is the northernmost row.
 
     origin is the lower-left corner of the raster footprint (ESRI
     convention); absent cells are NaN internally and serialize back to
-    the recorded nodata sentinel.
+    the recorded nodata sentinel.  Every present cell lies in
+    ELEVATION_RANGE_M.
     """
 
     origin: GeoPoint
@@ -221,6 +241,9 @@ class ElevationGrid:
             raise ValueError("cellsize must be positive")
         if self.values.ndim != 2 or min(self.values.shape) < 1:
             raise ValueError("elevation raster must be 2-d and nonempty")
+        fault = _implausible_elevation(self.values)
+        if fault:
+            raise ValueError(fault[1])
 
     @property
     def nrows(self) -> int:
@@ -606,9 +629,9 @@ def parse_dem(path) -> ElevationGrid:
         )
     values = np.array(rows, dtype=float)
     values[values == nodata] = np.nan
-    bad = np.isinf(values).any(axis=1)
-    if bad.any():
-        raise ParseError(path, row_lines[int(np.argmax(bad))], "non-finite elevation value")
+    fault = _implausible_elevation(values)
+    if fault:
+        raise ParseError(path, row_lines[fault[0]], fault[1])
     return ElevationGrid(
         origin=GeoPoint(header["yllcorner"], header["xllcorner"]),
         cellsize=header["cellsize"],

@@ -13,10 +13,14 @@ that knows them (pipeline.train_model) sets them.
 
 The descent runs in covariance form (Friedman, Hastie & Tibshirani 2010,
 "Regularization Paths for Generalized Linear Models via Coordinate
-Descent", JSS 33): the Gram matrix X^T X and X^T y are computed once per
-fit, so updating coordinate p costs one dot product over the p columns
-instead of two passes over the T training rows.  The residual is formed
-only at sweep boundaries, for the recorded objective.
+Descent", JSS 33): the Gram matrix X^T X and X^T y are computed once, so
+updating coordinate p costs one product over the p columns instead of
+two passes over the T training rows.  descend() runs K alphas at once as
+the K columns ("lanes") of one coefficient block: the lanes share every
+update but the soft threshold, and each stops on its own rule and leaves
+the block.  An alpha sweep is one descent with one lane per alpha, over
+one design; a single fit is one lane.  The residual is formed only at
+sweep boundaries, for the recorded objective.
 """
 from __future__ import annotations
 
@@ -57,62 +61,82 @@ def default_alpha_grid() -> tuple[float, ...]:
     return tuple(sorted(grid))
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
-def coordinate_descent(
+def descend(
     design: np.ndarray,
     y: np.ndarray,
-    alpha: float,
+    alphas,
     tol: float = LassoConfig.tol,
     max_sweeps: int = LassoConfig.max_sweeps,
-) -> tuple[np.ndarray, TrainingTrace]:
-    """Cyclic coordinate descent on ||y - Xb||^2 + alpha * sum_{p >= 1} |b_p|.
+) -> tuple[np.ndarray, tuple[TrainingTrace, ...]]:
+    """Cyclic coordinate descent on ||y - Xb||^2 + alpha * sum_{p >= 1} |b_p|,
+    one lane per alpha.
 
-    Column 0 (the intercept) is unpenalized.  Returns the coefficient
-    vector and the per-sweep objective trace.
+    Column 0 (the intercept) is unpenalized.  The lanes share every
+    coordinate update but the soft threshold, and each stops on its own:
+    when no coefficient moved by tol or more over a sweep, or after
+    max_sweeps.  Returns the (K, P) coefficients, one row per alpha, and
+    each lane's per-sweep objective trace.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
         raise DimensionMismatchError(f"design {x.shape} vs target {y.shape}")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if alphas.ndim != 1 or not np.all(alphas >= 0):
+        raise ValueError("alphas must be a 1-d array of non-negative values")
     n_cols = x.shape[1]
     col_sq = np.einsum("tp,tp->p", x, x)
     if np.any(col_sq == 0.0):
         raise DegenerateDesignError(
             f"all-zero design column at index {int(np.flatnonzero(col_sq == 0.0)[0])}"
         )
-    gram_rows = list(x.T @ x)
-    xty = (x.T @ y).tolist()
-    sq = col_sq.tolist()
-    gamma = alpha / 2.0
-    beta = np.zeros(n_cols)
-    losses: list[float] = []
-    converged = False
+    # row p times [B; 1] is coordinate p's unpenalized update in every lane:
+    # (x_p.y - sum_{q != p} x_p.x_q b_q) / |x_p|^2
+    update = np.empty((n_cols, n_cols + 1))
+    np.negative(x.T @ x, out=update[:, :n_cols])
+    np.fill_diagonal(update[:, :n_cols], 0.0)
+    update[:, n_cols] = x.T @ y
+    update /= col_sq[:, None]
+    rows = list(update)
+    # coordinate p's soft threshold in lane k: alpha_k / (2 |x_p|^2); row 0, the
+    # intercept's, is never read
+    bound = alphas / (2.0 * col_sq[:, None])
+    betas = np.zeros((alphas.size, n_cols))
+    losses: list[list[float]] = [[] for _ in alphas]
+    converged = np.zeros(alphas.size, dtype=bool)
+    lanes = np.arange(alphas.size)  # the live lanes, in block column order
+    block = np.zeros((n_cols + 1, alphas.size))  # [B; 1], one column per live lane
+    block[n_cols] = 1.0
+    residual = np.empty((alphas.size, y.size))  # one row per live lane
+    low, high, out = list(-bound), list(bound), list(block)
+    # bound once: the inner loop is numpy call overhead on one row at a time
+    dot, maximum, minimum, subtract = np.dot, np.maximum, np.minimum, np.subtract
     for _ in range(max_sweeps):
-        max_delta = 0.0
-        for p in range(n_cols):
-            old = float(beta[p])
-            # x_p . (y - X beta) + |x_p|^2 beta_p, the partial-residual correlation
-            c_p = xty[p] - float(np.dot(gram_rows[p], beta)) + sq[p] * old
-            new = (soft_threshold(c_p, gamma) if p else c_p) / sq[p]
-            if new != old:
-                beta[p] = new
-                max_delta = max(max_delta, abs(new - old))
-        residual = y - x @ beta
-        sse = float(np.dot(residual, residual))
-        losses.append(sse + alpha * float(np.sum(np.abs(beta[1:]))))
-        if max_delta < tol:
-            converged = True
+        if not lanes.size:
             break
-    return beta, TrainingTrace(tuple(losses), converged)
+        start = block[:n_cols].copy()
+        block[0] = dot(rows[0], block)
+        for p in range(1, n_cols):
+            c = dot(rows[p], block)
+            subtract(c, minimum(maximum(c, low[p]), high[p]), out=out[p])
+        coef = block[:n_cols]
+        max_delta = np.max(np.abs(coef - start), axis=0)
+        res = residual[:lanes.size]
+        dot(coef.T, x.T, out=res)
+        subtract(y, res, out=res)
+        live = alphas[lanes]
+        objective = np.einsum("kt,kt->k", res, res) + live * np.sum(np.abs(coef[1:]), axis=0)
+        for lane, value in zip(lanes.tolist(), objective.tolist()):
+            losses[lane].append(value)
+        stop = max_delta < tol
+        if stop.any():
+            betas[lanes[stop]] = coef[:, stop].T
+            converged[lanes[stop]] = True
+            lanes, block, bound = lanes[~stop], block[:, ~stop], bound[:, ~stop]
+            low, high, out = list(-bound), list(bound), list(block)
+    betas[lanes] = block[:n_cols].T
+    return betas, tuple(TrainingTrace(tuple(lane), bool(done))
+                        for lane, done in zip(losses, converged))
 
 
 @dataclass(frozen=True)
@@ -142,37 +166,45 @@ class LassoMprModel:
         return poly_expand(self.standardizer.transform(x), self.index) @ self.beta
 
 
-def train(
-    x: np.ndarray, y: np.ndarray, cfg: LassoConfig = LassoConfig()
-) -> tuple[LassoMprModel, TrainingTrace]:
+def _train_lanes(
+    x: np.ndarray, y: np.ndarray, cfg: LassoConfig, alphas: list[float]
+) -> list[tuple[LassoMprModel, TrainingTrace]]:
+    """One model and trace per alpha, from one design and one descent."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.size:
         raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
-    n_inputs, degree = x.shape[1], cfg.degree
-    p_terms = term_count(n_inputs, degree)
-    # refuse before allocating the T x (p+1) design or its (p+1) x (p+1) Gram matrix
-    if max(x.shape[0], p_terms + 1) * (p_terms + 1) > MAX_ARRAY_CELLS:
+    (epochs, n_inputs), degree = x.shape, cfg.degree
+    cols = term_count(n_inputs, degree) + 1
+    # refuse before allocating the T x P design, its P x P Gram matrix or
+    # the T x K residual block of the K lanes
+    if max(epochs * cols, cols * cols, epochs * len(alphas)) > MAX_ARRAY_CELLS:
         raise ConfigError(
-            f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {p_terms + 1} design "
-            f"columns x {x.shape[0]} epochs and a {p_terms + 1} x {p_terms + 1} Gram matrix, "
-            f"over {MAX_ARRAY_CELLS} cells in one of them; lower the degree or use fewer "
-            "inputs (e.g. location_mode = receiver_only)"
+            f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {cols} design "
+            f"columns x {epochs} epochs, a {cols} x {cols} Gram matrix and a {epochs} x "
+            f"{len(alphas)} residual block, over {MAX_ARRAY_CELLS} cells in one of them; "
+            "lower the degree, use fewer inputs (e.g. location_mode = receiver_only) "
+            "or fewer alphas"
         )
-    if x.shape[0] < p_terms + 1:
+    if epochs < cols:
         warnings.warn(
-            f"only {x.shape[0]} training epochs for {p_terms + 1} coefficients; "
+            f"only {epochs} training epochs for {cols} coefficients; "
             "expect heavy shrinkage or underdetermined fits",
-            stacklevel=2,
+            stacklevel=3,
         )
     standardizer = Standardizer.fit(x)
     index = PolyTermIndex.build(n_inputs, degree)
     design = poly_expand(standardizer.transform(x), index)
-    beta, trace = coordinate_descent(design, y, cfg.alpha, tol=cfg.tol,
-                                     max_sweeps=cfg.max_sweeps)
-    model = LassoMprModel(n_inputs=n_inputs, degree=degree, alpha=cfg.alpha,
-                          standardizer=standardizer, index=index, beta=beta)
-    return model, trace
+    betas, traces = descend(design, y, alphas, tol=cfg.tol, max_sweeps=cfg.max_sweeps)
+    return [(LassoMprModel(n_inputs=n_inputs, degree=degree, alpha=alpha,
+                           standardizer=standardizer, index=index, beta=beta), trace)
+            for alpha, beta, trace in zip(alphas, betas, traces)]
+
+
+def train(
+    x: np.ndarray, y: np.ndarray, cfg: LassoConfig = LassoConfig()
+) -> tuple[LassoMprModel, TrainingTrace]:
+    return _train_lanes(x, y, cfg, [cfg.alpha])[0]
 
 
 def sweep(
@@ -185,18 +217,19 @@ def sweep(
     values,
 ) -> list[tuple]:
     """(value, validation RMSE) per grid value of the LassoConfig field key,
-    grid order kept: each row trains replace(cfg, key=value) on the fit set.
-    Values are cast to the field's type; an alpha grid must be positive
-    and sorted."""
+    grid order kept: each row is the fit of replace(cfg, key=value) on the
+    fit set.  An alpha grid is one descent with one lane per alpha; a
+    degree grid trains once per degree.  Values are cast to the field's
+    type; an alpha grid must be positive and sorted."""
     cast = typing.get_type_hints(LassoConfig)[key]
     values = [cast(v) for v in values]
-    if key == "alpha" and (any(a <= 0 for a in values) or sorted(values) != values):
-        raise ValueError("alpha grid must be positive and sorted")
-    table: list[tuple] = []
-    for v in values:
-        model, _ = train(x_fit, y_fit, replace(cfg, **{key: v}))
-        table.append((v, rmse(y_val, model.predict(x_val))))
-    return table
+    if key == "alpha":
+        if any(a <= 0 for a in values) or sorted(values) != values:
+            raise ValueError("alpha grid must be positive and sorted")
+        fits = _train_lanes(x_fit, y_fit, cfg, values)
+    else:
+        fits = [train(x_fit, y_fit, replace(cfg, **{key: v})) for v in values]
+    return [(v, rmse(y_val, model.predict(x_val))) for v, (model, _) in zip(values, fits)]
 
 
 def argmin_table(table) -> tuple:

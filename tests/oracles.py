@@ -22,6 +22,15 @@ def wlr_forward(params, x) -> float:
     return sum(float(params.w2[i]) * hidden[i] for i in range(len(hidden))) + float(params.b2)
 
 
+def soft_threshold(z: float, gamma: float) -> float:
+    """The scalar lasso shrinkage: z moved gamma toward 0, and 0 within +-gamma."""
+    if z > gamma:
+        return z - gamma
+    if z < -gamma:
+        return z + gamma
+    return 0.0
+
+
 def kernel_oracle(query, bank, y, sigmas) -> float:
     """Direct anisotropic-kernel evaluation: nested loops, no stabilization.
 

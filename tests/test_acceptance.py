@@ -21,8 +21,7 @@ from elorantd.lasso import (
     DEGREE_GRID,
     LassoConfig,
     argmin_table,
-    coordinate_descent,
-    soft_threshold,
+    descend,
     sweep,
 )
 from elorantd.pipeline import (
@@ -57,7 +56,7 @@ from elorantd.wlr_agrnn import (
     wrss_and_grads,
 )
 from tests.conftest import small_scenario_config
-from tests.oracles import idw_combine, kernel_oracle, wrss_loss
+from tests.oracles import idw_combine, kernel_oracle, soft_threshold, wrss_loss
 from tests.test_stats import F_TABLE, T_TABLE
 from tests.test_wlr_agrnn import bank_of, toy_params
 
@@ -227,18 +226,17 @@ def test_criterion_03_lasso_matches_ols_and_soft_threshold_forms():
         beta_true = rng.normal(scale=2.0, size=design.shape[1])
         y = design @ beta_true + 0.3 * rng.normal(size=80)
 
-        beta, _ = coordinate_descent(design, y, alpha=0.0, tol=1e-12)
+        (beta,), _ = descend(design, y, [0.0], tol=1e-12)
         expect = ols_oracle(design, y)
         worst_beta = max(
             worst_beta,
             float(np.max(np.abs(beta - expect)) / max(1.0, np.max(np.abs(expect)))),
         )
-        for alpha in (0.0, 3.0):
-            _, trace = coordinate_descent(design, y, alpha, tol=1e-14, max_sweeps=300)
-            monotone_ok &= all(
-                later <= earlier + 1e-9 * max(1.0, abs(earlier))
-                for earlier, later in zip(trace.losses, trace.losses[1:])
-            )
+        _, traces = descend(design, y, [0.0, 3.0], tol=1e-14, max_sweeps=300)
+        monotone_ok &= all(
+            later <= earlier + 1e-9 * max(1.0, abs(earlier))
+            for trace in traces for earlier, later in zip(trace.losses, trace.losses[1:])
+        )
     ols_ok = worst_beta < 1e-6
 
     # one centered unit-norm feature plus intercept: the penalized optimum has
@@ -250,9 +248,9 @@ def test_criterion_03_lasso_matches_ols_and_soft_threshold_forms():
     y1 = 3.0 + 2.4 * xc + 0.1 * rng.normal(size=50)
     rho = float(xc @ y1)
     analytic_ok = True
-    for alpha in (0.0, 0.1, 1.5, abs(2.0 * rho), 10.0 * abs(rho)):
-        design1 = np.column_stack([np.ones(50), xc])
-        beta1, _ = coordinate_descent(design1, y1, alpha, tol=1e-14)
+    alphas = (0.0, 0.1, 1.5, abs(2.0 * rho), 10.0 * abs(rho))
+    betas1, _ = descend(np.column_stack([np.ones(50), xc]), y1, alphas, tol=1e-14)
+    for alpha, beta1 in zip(alphas, betas1):
         analytic_ok &= abs(beta1[1] - soft_threshold(rho, alpha / 2.0)) < 1e-9
         analytic_ok &= abs(beta1[0] - y1.mean()) < 1e-9
 

@@ -109,6 +109,17 @@ def test_synth_out_of_range_scenario_file_exit_2(tmp_path, small_corpus_dir, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_refuses_a_scenario_whose_dem_leaves_the_elevation_range(
+    tmp_path, small_corpus_dir, capsys
+):
+    meta = json.loads((small_corpus_dir / "scenario.meta").read_text())
+    bad = tmp_path / "alpine.meta"
+    bad.write_text(json.dumps({**meta, "dem": {**meta["dem"], "base_m": 9500.0}}))
+    assert main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "outside -500..9000 m" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- scenario.meta mutations ------------------------------------------------------
 
 HUGE = 10 ** 12
@@ -368,19 +379,24 @@ def test_bad_factor_name_exit_2(tmp_path, small_corpus_dir):
     assert main(["ingest", "--config", cfg]) == 2
 
 
-def assert_exit_2_without_traceback(argv):
-    """Run as a subprocess so a traceback is visible and a hang is bounded."""
-    env = dict(os.environ)
+def console(argv, **env_vars) -> subprocess.CompletedProcess:
+    """Run the CLI as a subprocess, with env_vars set before numpy loads, so
+    a traceback is visible and a hang is bounded."""
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(elorantd.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "elorantd.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def assert_exit_2_without_traceback(argv):
+    proc = console(argv)
     assert proc.returncode == 2, proc.stderr
     assert "config error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and ".py:" not in proc.stderr
 
 
 RX_ONLY = "location_mode = receiver_only\n"
@@ -1006,6 +1022,36 @@ def test_sweep_honours_model_tol_and_max_sweeps(tmp_path, ini):
     default = outputs["default"].read_bytes()
     assert outputs["one_sweep"].read_bytes() != default
     assert outputs["loose"].read_bytes() != default
+
+
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, ini):
+    """The alpha sweep's lanes share matrix products whose BLAS may split
+    them over threads; the CSV must not change with the thread count."""
+    cfg = ini("[model]\nname = lasso_mpr\ndegree = 3\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"alphas{threads}.csv"
+        proc = console(["sweep", "--config", cfg, "--kind", "alpha", "--out", str(out)],
+                       OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_library_warning_is_one_line_without_a_source_path(tmp_path, small_corpus_dir):
+    """48 path inputs at degree 2 give 1225 lasso coefficients for fewer
+    training epochs: train and the alpha sweep each warn, and exit 0."""
+    cfg = write_ini(tmp_path / "run.ini", base_ini(small_corpus_dir).replace(
+        "receiver_only", "path\nl = 16") + f"[split]\ntrain = {TRAIN_RANGE}\n"
+        "[model]\nname = lasso_mpr\ndegree = 2\nmax_sweeps = 2\n")
+    for argv in (["train", "--config", cfg, "--out", str(tmp_path / "m.json")],
+                 ["sweep", "--config", cfg, "--kind", "alpha",
+                  "--out", str(tmp_path / "s.csv")]):
+        proc = console(argv)
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if line.startswith("warning: ")]
+        assert len(warned) == 1 and "1225 coefficients" in warned[0], proc.stderr
+        assert ".py:" not in proc.stderr
 
 
 def test_sweep_requires_lasso_config_exit_2(tmp_path, ini, capsys):

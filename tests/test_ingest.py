@@ -13,6 +13,7 @@ from elorantd.errors import (
     UnknownStationError,
 )
 from elorantd.ingest import (
+    ELEVATION_RANGE_M,
     ElevationGrid,
     HourlyTdSeries,
     UNIX_EPOCH,
@@ -795,6 +796,27 @@ def test_parse_dem_reports_a_bad_header_value_at_the_line_that_holds_it(tmp_path
     with pytest.raises(ParseError) as info:
         parse_dem(path)
     assert info.value.line == 5
+
+
+@pytest.mark.parametrize("value", ["-500.5", "9000.5", "1e308", "-1e308"])
+def test_parse_dem_reports_an_implausible_elevation_at_its_line(tmp_path, value):
+    lines = DEM_TEXT.splitlines()
+    lines[7] = f"{value} 40.0"
+    path = tmp_path / "dem.asc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"outside -500\.\.9000 m") as info:
+        parse_dem(path)
+    assert info.value.line == 8
+
+
+def test_elevation_range_bounds_are_plausible_and_the_grid_refuses_beyond(tmp_path):
+    low, high = ELEVATION_RANGE_M
+    path = tmp_path / "dem.asc"
+    path.write_text(DEM_TEXT.replace("30.0 40.0", f"{low!r} {high!r}"))
+    assert parse_dem(path).values[1].tolist() == [low, high]
+    with pytest.raises(ValueError, match="9000.5 m is outside"):
+        ElevationGrid(origin=GeoPoint(36.0, 127.0), cellsize=0.5,
+                      values=np.array([[np.nan, 9000.5]]))
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e999"])

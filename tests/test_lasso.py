@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from elorantd import lasso
 from elorantd.errors import ConfigError, DegenerateDesignError, DimensionMismatchError
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
 from elorantd.optim import MAX_ARRAY_CELLS
@@ -11,15 +12,15 @@ from elorantd.lasso import (
     LassoConfig,
     LassoMprModel,
     argmin_table,
-    coordinate_descent,
     default_alpha_grid,
-    soft_threshold,
+    descend,
     sweep,
     train,
 )
 from elorantd.stats import rmse
 from elorantd.synth import ols_oracle
 from elorantd.types import FACTORS_3, MetFactor
+from tests.oracles import soft_threshold
 
 TOL_TIGHT = 1e-12
 
@@ -28,6 +29,12 @@ def alpha_max(design: np.ndarray, y: np.ndarray) -> float:
     """Smallest alpha at which every coefficient but the intercept (column
     0) is exactly zero: the residual there is the centered target."""
     return float(np.max(2.0 * np.abs(design[:, 1:].T @ (y - y.mean()))))
+
+
+def one_lane(design, y, alpha, **kwargs):
+    """descend with a single alpha: its coefficients and trace."""
+    (beta,), (trace,) = descend(design, y, [alpha], **kwargs)
+    return beta, trace
 
 
 def random_regression(rng, n_rows, n_cols, noise=0.0):
@@ -59,7 +66,7 @@ def test_one_dimensional_analytic_solution():
     y = rng.normal(size=40)
     design = np.column_stack([np.ones(40), xcol])
     alpha = 0.5
-    beta, trace = coordinate_descent(design, y, alpha, tol=TOL_TIGHT)
+    beta, trace = one_lane(design, y, alpha, tol=TOL_TIGHT)
     rho = float(xcol @ y)
     expect = np.sign(rho) * max(abs(rho) - alpha / 2.0, 0.0)
     assert beta[1] == pytest.approx(expect, abs=1e-10)
@@ -74,7 +81,8 @@ def residual_cd_oracle(x, y, alpha, penalize, tol, max_sweeps):
     """Residual-form cyclic coordinate descent, one column pass per update.
 
     The same cyclic order, soft-threshold update and stopping rule as
-    coordinate_descent, but each update reads the T-long residual directly.
+    descend, but one alpha at a time, and each update reads the T-long
+    residual directly.
     """
     col_sq = np.einsum("tp,tp->p", x, x)
     beta = np.zeros(x.shape[1])
@@ -97,6 +105,14 @@ def residual_cd_oracle(x, y, alpha, penalize, tol, max_sweeps):
     return beta, losses, False
 
 
+def correlated_regression(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    x = np.column_stack([np.ones(rows), rng.normal(size=(rows, cols - 1))])
+    x[:, 2] += 0.9 * x[:, 1]  # correlated columns make the path matter
+    y = x @ rng.normal(size=cols) + rng.normal(size=rows)
+    return x, y
+
+
 @pytest.mark.parametrize(
     "rows,cols,alpha,max_sweeps,converges",
     [
@@ -105,18 +121,57 @@ def residual_cd_oracle(x, y, alpha, penalize, tol, max_sweeps):
     ],
 )
 def test_covariance_form_follows_residual_form(rows, cols, alpha, max_sweeps, converges):
-    rng = np.random.default_rng(rows * cols)
-    x = np.column_stack([np.ones(rows), rng.normal(size=(rows, cols - 1))])
-    x[:, 2] += 0.9 * x[:, 1]  # correlated columns make the path matter
-    y = x @ rng.normal(size=cols) + rng.normal(size=rows)
+    """One descent carries alpha 0, the case's alpha and one that zeroes
+    most terms; each lane follows the residual form at its own alpha."""
+    x, y = correlated_regression(rows, cols)
     penalize = np.arange(cols) >= 1  # the intercept, column 0, is unpenalised
-    expect, losses, converged = residual_cd_oracle(x, y, alpha, penalize, 1e-10, max_sweeps)
-    beta, trace = coordinate_descent(x, y, alpha, tol=1e-10, max_sweeps=max_sweeps)
-    assert converged is converges
-    assert trace.converged is converged
-    assert trace.iterations == len(losses)
-    assert np.max(np.abs(beta - expect)) <= 1e-9 * np.max(np.abs(expect))
-    np.testing.assert_allclose(trace.losses, losses, rtol=1e-9)
+    alphas = [0.0, alpha, 0.5 * alpha_max(x, y)]
+    betas, traces = descend(x, y, alphas, tol=1e-10, max_sweeps=max_sweeps)
+    assert len(traces) == betas.shape[0] == len(alphas)
+    for lane, (a, beta, trace) in enumerate(zip(alphas, betas, traces)):
+        expect, losses, converged = residual_cd_oracle(x, y, a, penalize, 1e-10, max_sweeps)
+        if lane == 1:
+            assert converged is converges
+        if lane == 2:
+            assert np.sum(expect[1:] != 0.0) < (cols - 1) / 2
+        assert trace.converged is converged
+        assert trace.iterations == len(losses)
+        assert np.max(np.abs(beta - expect)) <= 1e-9 * np.max(np.abs(expect))
+        # alpha 0 with p > T interpolates: its losses fall to rounding noise
+        # of the first sweep's scale, where only an absolute bound holds
+        np.testing.assert_allclose(trace.losses, losses, rtol=1e-9, atol=1e-15 * losses[0])
+
+
+def test_a_lane_at_max_sweeps_ends_where_its_own_fit_ends():
+    """Alpha 0 and a large alpha converge and leave the block; the middle
+    one runs on alone to max_sweeps, and each ends as its residual-form
+    fit does."""
+    x, y = correlated_regression(15, 40)
+    penalize = np.arange(40) >= 1
+    alphas = [0.0, 0.05, 0.9 * alpha_max(x, y)]
+    betas, traces = descend(x, y, alphas, tol=1e-10, max_sweeps=25)
+    assert [t.converged for t in traces] == [True, False, True]
+    assert traces[1].iterations == 25 > max(traces[0].iterations, traces[2].iterations)
+    for a, beta, trace in zip(alphas, betas, traces):
+        expect, losses, _ = residual_cd_oracle(x, y, a, penalize, 1e-10, 25)
+        assert trace.iterations == len(losses)
+        assert np.max(np.abs(beta - expect)) <= 1e-9 * np.max(np.abs(expect))
+        np.testing.assert_allclose(trace.losses, losses, rtol=1e-9, atol=1e-15 * losses[0])
+
+
+def test_many_lanes_match_one_lane_each():
+    rng = np.random.default_rng(29)
+    x, y = random_regression(rng, 90, 4, noise=1.0)
+    design = poly_expand(Standardizer.fit(x).transform(x), PolyTermIndex.build(4, 2))
+    alphas = default_alpha_grid()
+    betas, traces = descend(design, y, alphas, tol=1e-9, max_sweeps=400)
+    assert len({t.iterations for t in traces}) > 1  # lanes leave the block at different sweeps
+    for alpha, beta, trace in zip(alphas, betas, traces):
+        one, alone = one_lane(design, y, alpha, tol=1e-9, max_sweeps=400)
+        assert trace.iterations == alone.iterations
+        assert trace.converged is alone.converged
+        assert np.max(np.abs(beta - one)) <= 1e-12 * np.max(np.abs(one))
+        np.testing.assert_allclose(trace.losses, alone.losses, rtol=1e-12)
 
 
 # -- coordinate descent vs least squares --------------------------------------
@@ -127,7 +182,7 @@ def test_alpha_zero_matches_ols_oracle_many_seeds():
         rng = np.random.default_rng(seed)
         x, y = random_regression(rng, 60, 4, noise=0.3)
         design = np.column_stack([np.ones(60), x])
-        beta, _ = coordinate_descent(design, y, alpha=0.0, tol=TOL_TIGHT)
+        beta, _ = one_lane(design, y, 0.0, tol=TOL_TIGHT)
         expect = ols_oracle(design, y)
         np.testing.assert_allclose(beta, expect, rtol=1e-6, atol=1e-9)
 
@@ -136,8 +191,8 @@ def test_objective_monotone_per_sweep():
     rng = np.random.default_rng(7)
     x, y = random_regression(rng, 50, 6, noise=1.0)
     design = np.column_stack([np.ones(50), x])
-    for alpha in (0.0, 0.5, 5.0):
-        _, trace = coordinate_descent(design, y, alpha, tol=1e-14, max_sweeps=200)
+    _, traces = descend(design, y, [0.0, 0.5, 5.0], tol=1e-14, max_sweeps=200)
+    for trace in traces:
         losses = np.asarray(trace.losses)
         slack = 1e-9 * np.maximum(1.0, np.abs(losses[:-1]))
         assert np.all(np.diff(losses) <= slack)
@@ -150,14 +205,14 @@ def test_alpha_max_kills_everything():
     index = PolyTermIndex.build(3, 2)
     design = poly_expand(standardizer.transform(x), index)
     a_star = alpha_max(design, y)
-    beta, _ = coordinate_descent(design, y, a_star, tol=TOL_TIGHT)
+    beta, _ = one_lane(design, y, a_star, tol=TOL_TIGHT)
     np.testing.assert_array_equal(beta[1:], 0.0)
     assert beta[0] == pytest.approx(y.mean(), rel=1e-12)
     # absorbing state: doubling alpha stays all-zero
-    beta2, _ = coordinate_descent(design, y, 2.0 * a_star, tol=TOL_TIGHT)
+    beta2, _ = one_lane(design, y, 2.0 * a_star, tol=TOL_TIGHT)
     np.testing.assert_array_equal(beta2[1:], 0.0)
     # just below the kill threshold something survives
-    beta3, _ = coordinate_descent(design, y, 0.5 * a_star, tol=TOL_TIGHT)
+    beta3, _ = one_lane(design, y, 0.5 * a_star, tol=TOL_TIGHT)
     assert np.any(beta3[1:] != 0.0)
 
 
@@ -165,7 +220,7 @@ def test_degenerate_design_rejected():
     design = np.zeros((10, 2))
     design[:, 0] = 1.0
     with pytest.raises(DegenerateDesignError):
-        coordinate_descent(design, np.ones(10), alpha=0.1)
+        descend(design, np.ones(10), [0.1])
 
 
 def test_nonzero_count_monotone_in_alpha():
@@ -252,6 +307,20 @@ def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
 
 
 # -- sweeps -------------------------------------------------------------------
+
+
+def test_alpha_sweep_residual_block_guard_refuses_before_allocating(monkeypatch):
+    """30 epochs and 3 design columns fit a 100-cell bound, but the residual
+    block of a 4-alpha grid, 30 x 4, does not."""
+    monkeypatch.setattr(lasso, "MAX_ARRAY_CELLS", 100)
+    monkeypatch.setattr(
+        PolyTermIndex, "build",
+        classmethod(lambda cls, *args: pytest.fail("design index was built")),
+    )
+    x = np.zeros((30, 2))
+    with pytest.raises(ConfigError, match=r"30 x 4 residual block"):
+        sweep(x, np.zeros(30), x, np.zeros(30), LassoConfig(degree=1), "alpha",
+              [0.1, 0.2, 0.3, 0.4])
 
 
 def test_default_alpha_grid_shape():
@@ -349,7 +418,19 @@ def test_sweep_degree_detects_cubic_target():
 
 @pytest.mark.parametrize("key,values", [("alpha", np.logspace(-2.0, 1.0, 4)),
                                         ("degree", np.arange(1, 4))])
-def test_each_sweep_row_is_one_train_at_its_grid_point(key, values):
+def test_each_sweep_row_is_one_train_at_its_grid_point(key, values, monkeypatch):
+    """A degree row is that train bit for bit.  An alpha row is one lane of
+    the grid's single descent: a K-column product sums in another order
+    than a one-column one, so it matches within 1e-12 at the same sweep
+    count."""
+    sweeps = []
+
+    def spy(*args, **kwargs):
+        betas, traces = descend(*args, **kwargs)
+        sweeps.extend(trace.iterations for trace in traces)
+        return betas, traces
+
+    monkeypatch.setattr(lasso, "descend", spy)
     rng = np.random.default_rng(41)
     x, y = random_regression(rng, 60, 3, noise=1.0)
     xv = rng.normal(size=(30, 3))
@@ -357,10 +438,16 @@ def test_each_sweep_row_is_one_train_at_its_grid_point(key, values):
     cfg = LassoConfig(degree=2, alpha=0.3, tol=1e-9, max_sweeps=500)
     table = sweep(x, y, xv, yv, cfg, key, values)
     assert [v for v, _ in table] == values.tolist()
+    sweep_counts = sweeps.copy()
+    sweeps.clear()
     for value, score in table:
         assert type(value) is type(getattr(cfg, key))  # cast to the field's type
         model, _ = train(x, y, dataclasses.replace(cfg, **{key: value}))
-        assert score == rmse(yv, model.predict(xv))
+        if key == "alpha":
+            assert score == pytest.approx(rmse(yv, model.predict(xv)), rel=1e-12, abs=0.0)
+        else:
+            assert score == rmse(yv, model.predict(xv))
+    assert sweep_counts == sweeps and len(sweeps) == len(values)
 
 
 def test_argmin_table_first_tie_wins():
