@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ArtifactError
 from .models import FACTOR, KINDS, Array, Items, ModelKind, Record, Scalar, Table, Text
-from .models import ConstantModel, LookupModel  # noqa: F401  (re-exported)
 from .types import factor_set, parse_location_mode
 
 SCHEMA = "elorantd.model/1"
@@ -143,9 +142,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
+                            f"{exc.start} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None

@@ -465,17 +465,11 @@ def cmd_predict(args, s: RunSettings) -> int:
         ranges = s.split.test
     else:
         raise ConfigError("no prediction range (use --range or split.test)")
-    mask = mask_for_ranges(bundle.epochs, ranges)
-    subset = bundle.subset(mask)
-    header = ["timestamp", "td_pred_ns"]
-    if not mask.any():
-        _write_csv(args.out, header, [])
-        print("0 epochs in range; wrote header-only CSV")
-        print(f"wrote {args.out}")
-        return EXIT_OK
+    # an empty range still checks the artifact's axes, then writes the header alone
+    subset = bundle.subset(mask_for_ranges(bundle.epochs, ranges))
     pred = predict_model(model, subset)
     rows = [[e.isoformat(), _fmt(v)] for e, v in zip(subset.epochs, pred)]
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, ["timestamp", "td_pred_ns"], rows)
     print(f"predicted {len(rows)} epochs with {model_kind(model).name} artifact")
     print(f"wrote {args.out}")
     return EXIT_OK

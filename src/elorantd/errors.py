@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 The CLI maps these onto stable exit codes: configuration problems -> 2,
-data problems -> 3, numeric failures -> 4, artifact/axis mismatches -> 5.
+data problems -> 3, numeric failures -> 4, and artifact/feature axis
+mismatches (AxisMismatchError alone) -> 5.  A malformed or unknown
+artifact (ArtifactError) is a data problem, exit 3.
 """
 
 
@@ -127,7 +129,7 @@ class RankDeficientError(ElorantdError):
 
 
 class ArtifactError(ElorantdError):
-    """Serialized model artifact is malformed or incompatible with the data."""
+    """Serialized model artifact is malformed or of an unknown kind."""
 
 
 class AxisMismatchError(ElorantdError):

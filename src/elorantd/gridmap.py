@@ -134,10 +134,6 @@ class GridMap:
     values: np.ndarray
     assigned_mask: np.ndarray
 
-    @property
-    def complete(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
 
 @dataclass(frozen=True)
 class PathFeatureTensor:

@@ -19,9 +19,11 @@ import csv
 import math
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -270,12 +272,29 @@ class ElevationGrid:
         )
 
 
+@contextmanager
+def _read_text(path):
+    """path open as UTF-8 text for a row reader; a byte that is not UTF-8
+    is a ParseError at its line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                             f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+        raise
+
+
 # -- station registry --------------------------------------------------------
 
 def parse_station_registry(path) -> StationRegistry:
     entries: list[tuple[str, GeoPoint]] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["station_id", "lat", "lon"]:
@@ -320,7 +339,7 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
     n_stations = len(registry)
     keys, seen = array("q"), set()
     cell_values, cell_present = array("d"), bytearray()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["station_id", "timestamp"]:
@@ -474,7 +493,7 @@ def _stamp_micros(raw: np.ndarray) -> np.ndarray | None:
 def _read_td_rows(path) -> TdSamples:
     micros: list[int] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["timestamp", "td_ns"]:
@@ -590,7 +609,7 @@ def parse_dem(path) -> ElevationGrid:
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         lines = fh.read().splitlines()
     lineno = 0
     for lineno, line in enumerate(lines[:6], start=1):

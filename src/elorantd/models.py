@@ -1,8 +1,9 @@
 """The model registry: every model kind declared once, in ``KINDS``.
 
 An entry names the kind, its model class, its artifact payload fields
-(arrays with named axes) and, if trained by name, its frozen config
-dataclass (validated in ``__post_init__``) and train adapter.  Every
+(arrays with named axes), its frozen config dataclass (validated in
+``__post_init__``) and its train adapter: every kind is trained by name,
+and an artifact of any other kind is refused at load.  Every
 trainer has one contract, train(x, y, cfg): x the flat inputs (WLR-AGRNN:
 the tensor, its elevations and points; MoE: its group slices too), y the
 hourly TD.  An adapter maps a feature bundle to those arguments and
@@ -15,40 +16,14 @@ from __future__ import annotations
 
 import functools
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable
 
 from . import baselines, lasso, wlr_agrnn
-from .errors import ArtifactError, ConfigError
+from .errors import ConfigError
 from .features import ScalarStandardizer, Standardizer
-from .types import EpochHour, GeoPoint, MetFactor
-
-
-@dataclass(frozen=True)
-class ConstantModel:
-    """Predicts one stored value everywhere (mean-TD reference)."""
-
-    value: float
-    factors: tuple = ()
-    location_mode: str = "receiver_only"
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LookupModel:
-    """Predicts by epoch lookup; backs perfect-predictor checks."""
-
-    table: dict
-    factors: tuple = ()
-    location_mode: str = "receiver_only"
-    meta: dict = field(default_factory=dict)
-
-    def predict_epoch(self, epoch: EpochHour) -> float:
-        try:
-            return float(self.table[epoch])
-        except KeyError:
-            raise ArtifactError(f"epoch {epoch.isoformat()} not in lookup table") from None
+from .types import GeoPoint, MetFactor
 
 
 # -- payload field declarations ------------------------------------------------
@@ -148,8 +123,8 @@ class ModelKind:
     name: str
     model: type
     payload: dict  # JSON key -> Scalar | Array | Record | Items | Text | Table
-    config: type | None = None  # None: built by hand, never trained by name
-    train: Callable | None = None
+    config: type
+    train: Callable
 
 
 KINDS = {kind.name: kind for kind in (
@@ -192,13 +167,9 @@ KINDS = {kind.name: kind for kind in (
         "standardizer": _STANDARDIZER,
         "target_scale": _TARGET_SCALE,
     }, baselines.MoeConfig, _train_moe),
-    ModelKind("constant", ConstantModel, {"value": Scalar(float)}),
-    ModelKind("lookup", LookupModel, {
-        "table": Table(Text(EpochHour.parse, EpochHour.isoformat), Scalar(float)),
-    }),
 )}
 
-MODEL_NAMES = tuple(name for name, kind in KINDS.items() if kind.config is not None)
+MODEL_NAMES = tuple(KINDS)
 
 
 @functools.cache

@@ -49,14 +49,12 @@ class TrainingTrace:
 class Adam:
     """Standard Adam with bias correction; state per parameter array."""
 
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float = 0.001):
         if lr < 0:
             raise ValueError("learning rate must be non-negative")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -69,12 +67,12 @@ class Adam:
         if len(params) != len(self._m) or len(params) != len(grads):
             raise ValueError("parameter/gradient structure changed between steps")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - self.BETA1 ** self.t
+        b2t = 1.0 - self.BETA2 ** self.t
         with np.errstate(over="ignore", invalid="ignore"):
             for p, g, m, v in zip(params, grads, self._m, self._v):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+                m *= self.BETA1
+                m += (1.0 - self.BETA1) * g
+                v *= self.BETA2
+                v += (1.0 - self.BETA2) * g * g
+                p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)

@@ -117,8 +117,8 @@ class FeatureBundle:
 
     @property
     def flat(self) -> np.ndarray:
-        t = self.tensor.shape[0]
-        return self.tensor.reshape(t, -1)
+        t, l, n = self.tensor.shape
+        return self.tensor.reshape(t, l * n)
 
     def subset(self, mask: np.ndarray) -> "FeatureBundle":
         mask = np.asarray(mask, dtype=bool)
@@ -263,7 +263,7 @@ def model_config(name: str, options: dict | None = None):
     """The validated config of one model kind from [model] options, each an
     INI string or a Python number; unknown keys and bad values are config errors."""
     kind = models.KINDS.get(name)
-    if kind is None or kind.config is None:
+    if kind is None:
         raise ConfigError(f"unknown model {name!r}; expected one of {models.MODEL_NAMES}")
     return models.section_config(kind.config, "model", options or {}, label=name)
 
@@ -287,10 +287,6 @@ def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
 
 def predict_model(model, bundle: FeatureBundle) -> np.ndarray:
     """Per-epoch predictions for any artifact kind on a feature bundle."""
-    if isinstance(model, models.LookupModel):
-        return np.array([model.predict_epoch(e) for e in bundle.epochs], dtype=float)
-    if isinstance(model, models.ConstantModel):
-        return np.full(len(bundle.epochs), model.value, dtype=float)
     if isinstance(model, wlr_agrnn.WlrAgrnnModel):
         _check_axes(model, bundle, expect_tensor=True)
         return model.predict_batch(bundle.tensor)

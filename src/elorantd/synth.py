@@ -457,8 +457,8 @@ def default_scenario_config(seed: int = 42, noise_sd_ns: float = 10.0) -> Scenar
     return ScenarioConfig(seed=seed, noise_sd_ns=noise_sd_ns, recipe=default_recipe())
 
 
-def cubic_scenario_config(seed: int = 42, noise_sd_ns: float = 10.0) -> ScenarioConfig:
-    return ScenarioConfig(seed=seed, noise_sd_ns=noise_sd_ns, recipe=cubic_recipe())
+def cubic_scenario_config(seed: int = 42) -> ScenarioConfig:
+    return ScenarioConfig(seed=seed, noise_sd_ns=10.0, recipe=cubic_recipe())
 
 
 # -- scenario.meta: the config as the artifact codec lays it out ----------------

@@ -107,17 +107,12 @@ class MetFactor(Enum):
         return self.value
 
     @property
-    def unit(self) -> str:
-        return _FACTOR_SPECS[self][0]
-
-    @property
     def bounds(self) -> tuple[float, float]:
-        lo, hi = _FACTOR_SPECS[self][1:3]
-        return lo, hi
+        return _FACTOR_SPECS[self][:2]
 
     @property
     def integer_valued(self) -> bool:
-        return _FACTOR_SPECS[self][3]
+        return _FACTOR_SPECS[self][2]
 
     @classmethod
     def from_column(cls, name: str) -> "MetFactor":
@@ -127,19 +122,19 @@ class MetFactor(Enum):
             raise ValueError(f"unknown meteorological factor column {name!r}") from None
 
 
-# unit, lower bound, upper bound, integer-valued
+# lower bound, upper bound, integer-valued (each column name ends in its unit)
 _FACTOR_SPECS = {
-    MetFactor.PRESSURE: ("hPa", 850.0, 1100.0, False),
-    MetFactor.CLOUD_COVER: ("-", 0.0, 10.0, True),
-    MetFactor.HUMIDITY: ("%", 0.0, 100.0, False),
-    MetFactor.PRECIPITATION: ("mm", 0.0, 500.0, False),
-    MetFactor.SNOW_DEPTH: ("cm", 0.0, 500.0, False),
-    MetFactor.SUNSHINE: ("hr", 0.0, 1.0, False),
-    MetFactor.TEMPERATURE: ("degC", -60.0, 60.0, False),
-    MetFactor.VAPOR_PRESSURE: ("hPa", 0.0, 110.0, False),
-    MetFactor.VISIBILITY: ("m", 0.0, 100000.0, False),
-    MetFactor.WIND_DIR: ("deg", 0.0, 360.0, False),
-    MetFactor.WIND_SPEED: ("m/s", 0.0, 120.0, False),
+    MetFactor.PRESSURE: (850.0, 1100.0, False),
+    MetFactor.CLOUD_COVER: (0.0, 10.0, True),
+    MetFactor.HUMIDITY: (0.0, 100.0, False),
+    MetFactor.PRECIPITATION: (0.0, 500.0, False),
+    MetFactor.SNOW_DEPTH: (0.0, 500.0, False),
+    MetFactor.SUNSHINE: (0.0, 1.0, False),
+    MetFactor.TEMPERATURE: (-60.0, 60.0, False),
+    MetFactor.VAPOR_PRESSURE: (0.0, 110.0, False),
+    MetFactor.VISIBILITY: (0.0, 100000.0, False),
+    MetFactor.WIND_DIR: (0.0, 360.0, False),
+    MetFactor.WIND_SPEED: (0.0, 120.0, False),
 }
 
 FactorSet = tuple[MetFactor, ...]

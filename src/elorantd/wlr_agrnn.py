@@ -110,12 +110,10 @@ def _forward_all(params: WlrParams, x: np.ndarray) -> np.ndarray:
     return x @ (params.w1.T @ params.w2) + (float(params.w2 @ params.b1) + params.b2)
 
 
-def transform_elevation(
-    elevations: np.ndarray, mode: str = "floored_normalized", floor: float = ELEVATION_FLOOR_M
-) -> np.ndarray:
+def transform_elevation(elevations: np.ndarray, mode: str = "floored_normalized") -> np.ndarray:
     """Strictly positive location weights from raw elevations in meters.
 
-    floored_normalized: max(h, floor) / mean(h), so flat terrain becomes
+    floored_normalized: max(h, ELEVATION_FLOOR_M) / mean(h), so flat terrain becomes
     all-ones and sea-level points are not annihilated.  raw passes h
     through untouched (zeros and all).
     """
@@ -124,8 +122,8 @@ def transform_elevation(
         return h.copy()
     if mode != "floored_normalized":
         raise ValueError(f"unknown elevation mode {mode!r}")
-    scale = max(float(h.mean()), floor)
-    return np.maximum(h, floor) / scale
+    scale = max(float(h.mean()), ELEVATION_FLOOR_M)
+    return np.maximum(h, ELEVATION_FLOOR_M) / scale
 
 
 def elevation_weight(xhat: np.ndarray, h_tilde: np.ndarray) -> np.ndarray:
@@ -207,7 +205,6 @@ def select_sigmas(
     bank: np.ndarray,
     y: np.ndarray,
     w: np.ndarray | None = None,
-    bounds: tuple[float, float] = SIGMA_BOUNDS,
     tol: float = TrainConfig.sigma_tol,
 ) -> SigmaSearch:
     """Per-row smoothing: sigma_j = c * sd_j, c by golden-section search.
@@ -243,7 +240,7 @@ def select_sigmas(
         r = y - yhat
         return float(np.dot(w * r, r))
 
-    c_best = _golden_section(objective, bounds[0], bounds[1], tol)
+    c_best = _golden_section(objective, *SIGMA_BOUNDS, tol)
     return SigmaSearch(c_best, np.where(live, c_best * sd, floor_sigma), live, shifted)
 
 

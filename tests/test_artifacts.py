@@ -7,15 +7,13 @@ import pytest
 from elorantd import baselines, lasso, wlr_agrnn
 from elorantd.artifacts import (
     SCHEMA,
-    ConstantModel,
-    LookupModel,
     load_model,
     model_document,
     model_kind,
     save_model,
 )
 from elorantd.errors import ArtifactError
-from elorantd.types import FACTORS_3, EpochHour, GeoPoint
+from elorantd.types import FACTORS_3, GeoPoint
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +27,18 @@ def toy_data():
 ADAM = dict(learning_rate=0.01, max_iterations=5, tol=1e-8, patience=5, seed=0)
 BPNN_CFG = baselines.BpnnConfig(hidden=4, **ADAM)
 MOE_CFG = baselines.MoeConfig(experts=2, expert_hidden=3, **ADAM)
+KIND_NAMES = ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe"]
 
 
 @pytest.fixture(scope="module")
 def every_model(toy_data):
-    """One trained (or hand-built) instance of each artifact kind."""
+    """One trained instance of each artifact kind."""
     x, y = toy_data
     tensor = x[:, None, :]
     elevations = np.array([120.0])
     meta = {"n_train": 12, "note": "fixture"}
     common = dict(factors=FACTORS_3, location_mode="receiver_only", meta=meta)
     wlr_cfg = wlr_agrnn.TrainConfig(hidden=3, learning_rate=0.01, max_iterations=5, seed=1)
-    epochs = [EpochHour.of(2024, 10, 1, h) for h in range(3)]
 
     def labelled(result):
         return dataclasses.replace(result[0], **common)
@@ -53,28 +51,16 @@ def every_model(toy_data):
         "grnn": labelled(baselines.train_grnn(x, y)),
         "moe": labelled(baselines.train_moe(
             x, y, MOE_CFG, group_slices=baselines.default_group_slices(3, 2, n_locations=1))),
-        "constant": ConstantModel(value=41.5, factors=FACTORS_3,
-                                  location_mode="receiver_only", meta=meta),
-        "lookup": LookupModel(table={e: float(i) for i, e in enumerate(epochs)},
-                              factors=FACTORS_3, location_mode="receiver_only",
-                              meta=meta),
     }
 
 
 def predictions(model, x):
     if isinstance(model, wlr_agrnn.WlrAgrnnModel):
         return model.predict_batch(x[:, None, :])
-    if isinstance(model, LookupModel):
-        return np.array([model.predict_epoch(e) for e in sorted(model.table)])
-    if isinstance(model, ConstantModel):
-        return np.full(x.shape[0], model.value)
     return model.predict(x)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
-)
+@pytest.mark.parametrize("kind", KIND_NAMES)
 def test_round_trip_preserves_predictions(kind, every_model, toy_data, tmp_path):
     x, _ = toy_data
     model = every_model[kind]
@@ -89,10 +75,7 @@ def test_round_trip_preserves_predictions(kind, every_model, toy_data, tmp_path)
     np.testing.assert_array_equal(predictions(loaded, x), predictions(model, x))
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
-)
+@pytest.mark.parametrize("kind", KIND_NAMES)
 def test_save_is_byte_deterministic(kind, every_model, tmp_path):
     model = every_model[kind]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -131,12 +114,6 @@ def test_wlr_points_round_trip(every_model, tmp_path):
     np.testing.assert_array_equal(loaded.h_tilde, every_model["wlr_agrnn"].h_tilde)
 
 
-def test_lookup_model_missing_epoch():
-    model = LookupModel(table={EpochHour.of(2024, 10, 1): 1.0})
-    with pytest.raises(ArtifactError):
-        model.predict_epoch(EpochHour.of(2025, 1, 1))
-
-
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -153,16 +130,18 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "missing.json"
-    path.write_text(json.dumps({"schema": SCHEMA, "kind": "constant"}), encoding="utf-8")
+    path.write_text(json.dumps({"schema": SCHEMA, "kind": "grnn"}), encoding="utf-8")
     with pytest.raises(ArtifactError, match="missing field"):
         load_model(path)
 
 
-def test_load_rejects_unknown_kind(tmp_path):
+@pytest.mark.parametrize("kind", ["oracle", "constant", "lookup"])
+def test_load_rejects_unknown_kind(tmp_path, kind):
+    """constant and lookup were kinds of earlier versions that nothing trained."""
     path = tmp_path / "kind.json"
     doc = {
         "schema": SCHEMA,
-        "kind": "oracle",
+        "kind": kind,
         "factors": [],
         "location_mode": "receiver_only",
         "meta": {},
@@ -183,10 +162,7 @@ def test_load_rejects_malformed_payload(every_model, tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
-)
+@pytest.mark.parametrize("kind", KIND_NAMES)
 @pytest.mark.parametrize(
     "key,value",
     [("location_mode", 5), ("location_mode", "bogus"), ("location_mode", None),
@@ -230,10 +206,7 @@ def _payload_leaves(node, path=()):
         yield "nan", path
 
 
-@pytest.mark.parametrize(
-    "kind",
-    ["lasso_mpr", "wlr_agrnn", "bpnn", "grnn", "moe", "constant", "lookup"],
-)
+@pytest.mark.parametrize("kind", KIND_NAMES)
 def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
     """Every array cut short by one entry and every float set to NaN is
     refused at load time, before a predict call could trip over it."""
@@ -242,8 +215,7 @@ def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     leaves = list(_payload_leaves(doc["payload"]))
     assert any(action == "nan" for action, _ in leaves)
-    if kind not in ("constant", "lookup"):
-        assert any(action == "truncate" for action, _ in leaves)
+    assert any(action == "truncate" for action, _ in leaves)
     for action, where in leaves:
         broken = json.loads(json.dumps(doc))
         node = broken["payload"]

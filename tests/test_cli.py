@@ -14,7 +14,7 @@ import pytest
 
 import elorantd
 from elorantd import cli, models, synth
-from elorantd.artifacts import ConstantModel, LookupModel, encode, load_model, save_model
+from elorantd.artifacts import encode, load_model
 from elorantd.cli import main
 from elorantd.ingest import aggregate_hourly, parse_td_csv
 from elorantd.models import option_types
@@ -875,11 +875,29 @@ def test_predict_training_epochs_low_residuals(
     assert resid_rmse < 0.8 * float(actual.std())
 
 
-def test_predict_empty_range_header_only(tmp_path, ini, grnn_artifact):
-    out = tmp_path / "pred.csv"
-    assert main(["predict", "--config", ini(), "--artifact", str(grnn_artifact),
-                 "--range", "2030-01-01..2030-01-02", "--out", str(out)]) == 0
+@pytest.mark.parametrize("model", ["grnn", "wlr_agrnn"])
+def test_predict_empty_range_checks_axes_then_writes_header_only(
+    tmp_path, small_corpus_dir, capsys, model
+):
+    """A range with no epoch still checks the artifact against the features:
+    trained with l = 8 path points, the artifact is refused at l = 4."""
+    options = "[model]\nmax_iterations = 2\n" if model == "wlr_agrnn" else ""
+
+    def config(l):
+        features = base_ini(small_corpus_dir).replace("receiver_only", f"path\nl = {l}")
+        return write_ini(tmp_path / f"l{l}.ini",
+                         f"{features}[split]\ntrain = {TRAIN_RANGE}\n{options}")
+
+    artifact, out = tmp_path / "m.json", tmp_path / "pred.csv"
+    assert main(["train", "--config", config(8), "--model", model, "--out", str(artifact)]) == 0
+    empty = ["--artifact", str(artifact), "--range", "2030-01-01..2030-01-02", "--out", str(out)]
+    assert main(["predict", "--config", config(8), *empty]) == 0
     assert out.read_bytes() == b"timestamp,td_pred_ns\r\n"
+    out.unlink()
+    capsys.readouterr()
+    assert main(["predict", "--config", config(4), *empty]) == 5
+    assert "compatibility error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_factor_mismatch_exit_5(tmp_path, small_corpus_dir, grnn_artifact, capsys):
@@ -916,15 +934,17 @@ def test_predict_without_range_exit_2(tmp_path, ini, grnn_artifact):
 # -- evaluate --------------------------------------------------------------------
 
 
-def test_evaluate_perfect_and_constant(tmp_path, ini, small_corpus_dir):
+def test_evaluate_perfect_and_mean(tmp_path, ini, small_corpus_dir):
+    """Trained on the test range itself: a GRNN whose tiny sigma predicts each
+    of its own epochs exactly, and a lasso whose huge alpha predicts the mean."""
     corpus_td = aggregate_hourly(parse_td_csv(small_corpus_dir / "td.csv"), 12)
     lo, hi = EpochHour.of(2024, 10, 15), EpochHour.of(2024, 10, 21)
-    span = [(e, float(v)) for e, v in zip(corpus_td.epochs, corpus_td.values) if lo <= e < hi]
-    td = np.array([v for _, v in span])
-    perfect = tmp_path / "perfect.json"
-    save_model(LookupModel(table=dict(span)), perfect)
-    mean_model = tmp_path / "mean.json"
-    save_model(ConstantModel(value=float(td.mean())), mean_model)
+    td = np.array([v for e, v in zip(corpus_td.epochs, corpus_td.values) if lo <= e < hi])
+    perfect, mean_model = tmp_path / "perfect.json", tmp_path / "mean.json"
+    for artifact, model in ((perfect, "name = grnn\nsigma = 1e-6\n"),
+                            (mean_model, "name = lasso_mpr\ndegree = 1\nalpha = 1e12\n")):
+        cfg = ini(f"[split]\ntrain = {TEST_RANGE}\n[model]\n{model}")
+        assert main(["train", "--config", cfg, "--out", str(artifact)]) == 0
 
     cfg = ini(f"[split]\ntest = {TEST_RANGE}\n")
     out = tmp_path / "eval.csv"
@@ -939,14 +959,12 @@ def test_evaluate_perfect_and_constant(tmp_path, ini, small_corpus_dir):
     assert rows["mean"][6] == "144"
 
 
-def test_evaluate_identical_artifacts_anova(tmp_path, ini):
-    artifact = tmp_path / "const.json"
-    save_model(ConstantModel(value=150.0), artifact)
+def test_evaluate_identical_artifacts_anova(tmp_path, ini, grnn_artifact):
     twin = tmp_path / "twin.json"
-    twin.write_bytes(artifact.read_bytes())
-    cfg = ini("[split]\ntest = 2024-10-01..2024-10-21\n")
+    twin.write_bytes(grnn_artifact.read_bytes())
+    cfg = ini("[split]\ntest = 2024-10-07..2024-10-28\n")
     out = tmp_path / "eval.csv"
-    assert main(["evaluate", "--config", cfg, "--artifacts", str(artifact),
+    assert main(["evaluate", "--config", cfg, "--artifacts", str(grnn_artifact),
                  str(twin), "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     marker = [i for i, line in enumerate(lines) if line.startswith("#")]
@@ -957,19 +975,15 @@ def test_evaluate_identical_artifacts_anova(tmp_path, ini):
 
 
 @pytest.mark.parametrize("train_split", ["", f"train = {TRAIN_RANGE}\n"])
-def test_evaluate_empty_test_range_exit_3(tmp_path, ini, capsys, train_split):
-    artifact = tmp_path / "const.json"
-    save_model(ConstantModel(value=0.0), artifact)
+def test_evaluate_empty_test_range_exit_3(tmp_path, ini, grnn_artifact, capsys, train_split):
     cfg = ini("[split]\ntest = 2030-01-01..2030-02-01\n" + train_split)
-    assert main(["evaluate", "--config", cfg, "--artifacts", str(artifact),
+    assert main(["evaluate", "--config", cfg, "--artifacts", str(grnn_artifact),
                  "--out", str(tmp_path / "e.csv")]) == 3
     assert "no aligned epoch falls in the test ranges" in capsys.readouterr().err
 
 
-def test_evaluate_without_test_split_exit_2(tmp_path, ini):
-    artifact = tmp_path / "const.json"
-    save_model(ConstantModel(value=0.0), artifact)
-    assert main(["evaluate", "--config", ini(), "--artifacts", str(artifact),
+def test_evaluate_without_test_split_exit_2(tmp_path, ini, grnn_artifact):
+    assert main(["evaluate", "--config", ini(), "--artifacts", str(grnn_artifact),
                  "--out", str(tmp_path / "e.csv")]) == 2
 
 

@@ -1,12 +1,15 @@
 """Every public module-level function or class of the library, and every
 public method or property of its classes, is used by the program itself.
 
-A definition in src/elorantd/*.py counts as used when a non-test file of
-src/ or perfbench/ references its name outside the definition: as a Name,
-an Attribute, an import alias, or an identifier string (perfbench names
-the functions it wraps by string).  Dunder methods are exempt.  Helpers
-that only tests call belong in tests/ (brute-force references in
-tests/oracles.py).
+A module-level definition in src/elorantd/*.py counts as used when a
+non-test file of src/ or perfbench/ references its name outside the
+definition: as a Name, an Attribute, an import alias, or an identifier
+string (perfbench names the functions it wraps by string).  A member
+counts as used only through an attribute access (x.member) or as the last
+part of a dotted identifier string ("Class.member"), so that a local
+variable or a dict key of the same name does not hide it.  Dunder methods
+are exempt.  Helpers that only tests call belong in tests/ (brute-force
+references in tests/oracles.py).
 """
 import ast
 import re
@@ -21,41 +24,45 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _names(node: ast.AST) -> set[str]:
+def _names(node: ast.AST, members: bool) -> set[str]:
+    """The names node references; with members, only attribute names and
+    the last parts of dotted identifier strings."""
     out: set[str] = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if IDENTIFIER.fullmatch(n.value) and not (members and "." not in n.value):
+                out.update(n.value.split(".")[-1:] if members else n.value.split("."))
+        elif members:
+            continue
+        elif isinstance(n, ast.Name):
+            out.add(n.id)
         elif isinstance(n, ast.alias):
             out.update(n.name.split("."))
             if n.asname:
                 out.add(n.asname)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            if IDENTIFIER.fullmatch(n.value):
-                out.update(n.value.split("."))
     return out
 
 
-def _references(stmt: ast.stmt) -> set[str]:
+def _references(stmt: ast.stmt, members: bool) -> set[str]:
     if isinstance(stmt, ast.ClassDef):
-        found = set().union(*(_names(n) for n in [*stmt.decorator_list, *stmt.bases,
-                                                  *stmt.keywords]))
+        found = set().union(*(_names(n, members) for n in [*stmt.decorator_list,
+                                                           *stmt.bases, *stmt.keywords]))
         for member in stmt.body:
-            found |= _references(member)
+            found |= _references(member, members)
     else:
-        found = _names(stmt)
+        found = _names(stmt, members)
     if isinstance(stmt, DEFINITIONS):
         found.discard(stmt.name)
     return found
 
 
-def references(tree: ast.Module) -> set[str]:
-    """Names a module references; a definition's own name inside its body
-    (recursion, a class naming itself, a method calling itself) does not
-    count."""
-    return set().union(*(_references(stmt) for stmt in tree.body))
+def references(tree: ast.Module, members: bool = False) -> set[str]:
+    """Names a module references (members: as member_references counts
+    them); a definition's own name inside its body (recursion, a class
+    naming itself, a method calling itself) does not count."""
+    return set().union(*(_references(stmt, members) for stmt in tree.body))
 
 
 def program_files(root: Path) -> list[Path]:
@@ -88,10 +95,10 @@ def public_members(root: Path) -> dict[str, str]:
     return found
 
 
-def unreferenced(root: Path, defined: dict[str, str]) -> list[str]:
+def unreferenced(root: Path, defined: dict[str, str], members: bool = False) -> list[str]:
     used: set[str] = set()
     for path in program_files(root):
-        used |= references(_parse(path))
+        used |= references(_parse(path), members)
     return sorted(f"{module}.{name}" for name, module in defined.items()
                   if name.rpartition(".")[2] not in used)
 
@@ -107,7 +114,7 @@ def test_every_public_library_member_is_used_outside_the_tests():
     assert {"WlrAgrnnModel.predict_batch", "GridSpec.nearest_cell",
             "EpochHour.from_hours"} <= set(members)
     assert not any(name.rpartition(".")[2].startswith("__") for name in members)
-    assert unreferenced(ROOT, members) == []
+    assert unreferenced(ROOT, members, members=True) == []
 
 
 def test_a_name_used_only_in_its_own_definition_is_flagged():
@@ -123,3 +130,16 @@ def test_a_name_used_only_in_its_own_definition_is_flagged():
     )
     assert {"loop", "Box", "spin", "size"}.isdisjoint(references(tree))
     assert {"used", "area"} <= references(tree)
+
+
+def test_a_member_is_used_only_through_an_attribute_or_a_dotted_string():
+    tree = ast.parse(
+        "def export(grid):\n    complete = fill(grid)\n    return complete\n"
+        "ROW = {'unit': 'ms', 'name': 'Model.predict_batch'}\n"
+        "TARGET = ('mod', 'select')\n"
+        "def total(box):\n    return box.area() + box.size\n"
+    )
+    used = references(tree, members=True)
+    assert {"complete", "unit", "ms", "select", "fill", "grid", "export"}.isdisjoint(used)
+    assert {"predict_batch", "area", "size"} <= used
+    assert {"complete", "unit", "select"} <= references(tree)

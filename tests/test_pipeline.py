@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from elorantd import baselines, models, pipeline
-from elorantd.artifacts import ConstantModel, LookupModel, load_model, save_model
+from elorantd.artifacts import load_model, save_model
 from elorantd.errors import (
     AxisMismatchError,
     ConfigError,
@@ -405,17 +405,6 @@ def test_moe_slices_follow_station_groups(corpus, small_scenario):
 # -- prediction and compatibility checks ------------------------------------------
 
 
-def test_predict_model_constant_and_lookup(rx_bundle):
-    bundle = sub_bundle(rx_bundle, 24)
-    np.testing.assert_array_equal(
-        predict_model(ConstantModel(value=3.5), bundle), np.full(24, 3.5)
-    )
-    table = dict(zip(bundle.epochs, bundle.td))
-    np.testing.assert_array_equal(
-        predict_model(LookupModel(table=table), bundle), bundle.td
-    )
-
-
 def test_predict_model_factor_mismatch(corpus, small_scenario, rx_bundle):
     cfg = small_scenario.config
     two = build_features(
@@ -465,10 +454,18 @@ def test_weekly_folds_respect_gaps():
     assert [len(f) for f in folds] == [10, 5]
 
 
-def test_evaluate_perfect_and_constant_models(rx_bundle):
+def perfect_and_mean_models(bundle):
+    """Trained on bundle: a GRNN whose tiny sigma gives each epoch only its
+    own bank row, so it predicts TD exactly there, and a lasso whose huge
+    alpha leaves only the intercept, the mean TD."""
+    perfect, _ = train_model("grnn", bundle, {"sigma": 1e-6})
+    mean_model, _ = train_model("lasso_mpr", bundle, {"degree": 1, "alpha": 1e12})
+    return perfect, mean_model
+
+
+def test_evaluate_perfect_and_mean_models(rx_bundle):
     bundle = sub_bundle(rx_bundle, 400)
-    perfect = LookupModel(table=dict(zip(bundle.epochs, bundle.td)))
-    mean_model = ConstantModel(value=float(bundle.td.mean()))
+    perfect, mean_model = perfect_and_mean_models(bundle)
     report = evaluate_models([("perfect", perfect), ("mean", mean_model)], bundle)
     by_name = {r.name: r for r in report.rows}
     assert by_name["perfect"].rmse == 0.0
@@ -479,7 +476,7 @@ def test_evaluate_perfect_and_constant_models(rx_bundle):
 
 
 def test_evaluate_identical_models_anova(rx_bundle):
-    model = ConstantModel(value=float(rx_bundle.td.mean()))
+    model, _ = train_model("grnn", sub_bundle(rx_bundle, 30))
     report = evaluate_models([("a", model), ("b", model)], rx_bundle)
     assert report.anova is not None
     assert report.anova.f_statistic == pytest.approx(0.0, abs=1e-12)
@@ -488,7 +485,7 @@ def test_evaluate_identical_models_anova(rx_bundle):
 
 def test_evaluate_single_fold_skips_anova(rx_bundle):
     bundle = sub_bundle(rx_bundle, 100)  # < one week: a single RMSE fold
-    model = ConstantModel(value=0.0)
+    model, _ = train_model("grnn", bundle)
     report = evaluate_models([("a", model), ("b", model)], bundle)
     assert report.anova is None
     assert all(len(r.fold_rmse) == 1 for r in report.rows)

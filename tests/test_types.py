@@ -150,10 +150,9 @@ def test_haversine_bounds_property(lat1, lon1, lat2, lon2):
     assert 0.0 <= d <= math.pi * EARTH_RADIUS_KM * (1 + 1e-12)
 
 
-def test_factor_columns_unique_and_units_present():
+def test_factor_columns_unique_and_bounds_ordered():
     cols = [f.column for f in ALL_FACTORS]
     assert len(set(cols)) == len(cols)
     for f in ALL_FACTORS:
-        assert f.unit
         lo, hi = f.bounds
         assert lo < hi
