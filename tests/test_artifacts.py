@@ -135,10 +135,7 @@ def test_load_rejects_missing_fields(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("kind", ["oracle", "constant", "lookup"])
-def test_load_rejects_unknown_kind(tmp_path, kind):
-    """constant and lookup were kinds of earlier versions that nothing trained."""
-    path = tmp_path / "kind.json"
+def write_kind(path, kind):
     doc = {
         "schema": SCHEMA,
         "kind": kind,
@@ -148,6 +145,29 @@ def test_load_rejects_unknown_kind(tmp_path, kind):
         "payload": {},
     }
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_load_rejects_unknown_kind(tmp_path):
+    path = tmp_path / "kind.json"
+    write_kind(path, "oracle")
+    with pytest.raises(ArtifactError, match="unknown artifact kind"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["constant", "lookup"])
+def test_load_rejects_retired_kind(tmp_path, kind):
+    """constant and lookup were kinds of earlier versions that nothing trained."""
+    path = tmp_path / "kind.json"
+    write_kind(path, kind)
+    with pytest.raises(ArtifactError, match=f"unknown artifact kind '{kind}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", [5, None, ["grnn"], {"name": "grnn"}])
+def test_load_rejects_kind_that_is_not_a_string(tmp_path, kind):
+    """A list or an object cannot even be looked up in the registry."""
+    path = tmp_path / "kind.json"
+    write_kind(path, kind)
     with pytest.raises(ArtifactError, match="unknown artifact kind"):
         load_model(path)
 
@@ -177,6 +197,18 @@ def test_load_rejects_malformed_header(kind, every_model, tmp_path, key, value):
     doc[key] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ArtifactError, match="malformed artifact header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+@pytest.mark.parametrize("key", ["factors", "location_mode", "meta"])
+def test_load_rejects_missing_header_field(kind, every_model, tmp_path, key):
+    path = tmp_path / "header.json"
+    save_model(every_model[kind], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc[key]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ArtifactError, match=f"malformed artifact header .*missing '{key}'"):
         load_model(path)
 
 

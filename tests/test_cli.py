@@ -875,6 +875,15 @@ def test_predict_training_epochs_low_residuals(
     assert resid_rmse < 0.8 * float(actual.std())
 
 
+def test_predict_empty_range_header_only(tmp_path, ini, grnn_artifact, capsys):
+    out = tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", "--config", ini(), "--artifact", str(grnn_artifact),
+                 "--range", "2030-01-01..2030-01-02", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"timestamp,td_pred_ns\r\n"
+    assert "predicted 0 epochs with grnn artifact" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("model", ["grnn", "wlr_agrnn"])
 def test_predict_empty_range_checks_axes_then_writes_header_only(
     tmp_path, small_corpus_dir, capsys, model
@@ -934,7 +943,7 @@ def test_predict_without_range_exit_2(tmp_path, ini, grnn_artifact):
 # -- evaluate --------------------------------------------------------------------
 
 
-def test_evaluate_perfect_and_mean(tmp_path, ini, small_corpus_dir):
+def test_evaluate_perfect_and_constant(tmp_path, ini, small_corpus_dir):
     """Trained on the test range itself: a GRNN whose tiny sigma predicts each
     of its own epochs exactly, and a lasso whose huge alpha predicts the mean."""
     corpus_td = aggregate_hourly(parse_td_csv(small_corpus_dir / "td.csv"), 12)

@@ -463,7 +463,7 @@ def perfect_and_mean_models(bundle):
     return perfect, mean_model
 
 
-def test_evaluate_perfect_and_mean_models(rx_bundle):
+def test_evaluate_perfect_and_constant_models(rx_bundle):
     bundle = sub_bundle(rx_bundle, 400)
     perfect, mean_model = perfect_and_mean_models(bundle)
     report = evaluate_models([("perfect", perfect), ("mean", mean_model)], bundle)

@@ -150,9 +150,13 @@ def test_haversine_bounds_property(lat1, lon1, lat2, lon2):
     assert 0.0 <= d <= math.pi * EARTH_RADIUS_KM * (1 + 1e-12)
 
 
-def test_factor_columns_unique_and_bounds_ordered():
+def test_factor_columns_unique_and_units_present():
+    """Every column name ends in its unit, the one place the unit is kept."""
+    units = {"hpa", "unitless", "pct", "mm", "cm", "hr", "c", "m", "deg", "ms"}
     cols = [f.column for f in ALL_FACTORS]
     assert len(set(cols)) == len(cols)
     for f in ALL_FACTORS:
+        stem, _, unit = f.column.rpartition("_")
+        assert stem and unit in units, f.column
         lo, hi = f.bounds
         assert lo < hi
