@@ -2,8 +2,9 @@
 
 BPNN: one tanh hidden layer, linear output, full-batch Adam on MSE.
 GRNN: the AGRNN Gaussian kernel of wlr_agrnn with one bandwidth tied
-across every input (Specht 1991), bandwidth by leave-one-out grid
-search; no iterative training, so its trace has exactly one entry.
+across every input (Specht 1991), its bandwidth by the WLR-AGRNN's
+golden-section search on the same leave-one-out objective; no iterative
+training, so its trace has exactly one entry.
 MoE: tanh experts, each over a slice of the input, combined through a
 softmax gate over a linear map of the full input, trained jointly.
 
@@ -32,10 +33,11 @@ from .errors import (
 from .features import ScalarStandardizer, Standardizer
 from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet
-from .wlr_agrnn import agrnn_predict_batch, kernel_regression, loo_shift, pairwise_sq_dists
+from .wlr_agrnn import agrnn_predict_batch, golden_section, loo_rss, loo_shift, pairwise_sq_dists
 
-GRNN_SIGMA_GRID_RANGE = (0.05, 5.0)
-GRNN_SIGMA_GRID_POINTS = 30
+# sigma is searched in log sigma over this range times sqrt(n inputs)
+GRNN_SIGMA_RANGE = (0.05, 5.0)
+GRNN_LOG_SIGMA_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -259,24 +261,7 @@ def grnn_predict_batch(
         raise EmptyBankError("bank has no rows")
     if q.ndim != 2 or q.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"queries {q.shape} vs bank {b.shape}")
-    if sigma <= 0:
-        raise ValueError("sigma must be strictly positive")
     return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)))
-
-
-def _loo_rss(shifted: np.ndarray, y: np.ndarray, sigma: float, out=None) -> float:
-    _, yhat, _ = kernel_regression(shifted, y, 0.5 / (sigma * sigma), out=out)
-    r = y - yhat
-    return float(np.dot(r, r))
-
-
-def grnn_sigma_grid(n_dims: int) -> tuple[float, ...]:
-    lo, hi = GRNN_SIGMA_GRID_RANGE
-    scale = math.sqrt(n_dims)
-    return tuple(
-        float(s) * scale
-        for s in np.logspace(math.log10(lo), math.log10(hi), GRNN_SIGMA_GRID_POINTS)
-    )
 
 
 def train_grnn(
@@ -286,24 +271,16 @@ def train_grnn(
     x, y = _check_xy(x, y)
     standardizer = Standardizer.fit(x)
     bank = standardizer.transform(x)
+    # one shifted distance matrix and one kernel buffer for every evaluation
+    shifted = loo_shift(pairwise_sq_dists(bank.T))
+    kernel = np.empty_like(shifted)
     sigma = cfg.sigma
     if sigma is None:
-        if bank.shape[0] < 2:
-            raise EmptyBankError("need at least 2 rows to select sigma")
-        # one shifted distance matrix and one kernel buffer for the whole grid
-        shifted = loo_shift(pairwise_sq_dists(bank.T))
-        kernel = np.empty_like(shifted)
-        # the first grid point with the least leave-one-out RSS
-        sigma, final_rss = min(
-            ((cand, _loo_rss(shifted, y, cand, kernel)) for cand in grnn_sigma_grid(bank.shape[1])),
-            key=lambda pair: pair[1],
-        )
-    else:
-        final_rss = (
-            _loo_rss(loo_shift(pairwise_sq_dists(bank.T)), y, sigma) if bank.shape[0] >= 2 else 0.0
-        )
+        lo, hi = (math.log(s * math.sqrt(bank.shape[1])) for s in GRNN_SIGMA_RANGE)
+        sigma = math.exp(golden_section(
+            lambda u: loo_rss(shifted, y, math.exp(u), out=kernel), lo, hi, GRNN_LOG_SIGMA_TOL))
     model = GrnnModel(bank=bank, y=y.copy(), sigma=float(sigma), standardizer=standardizer)
-    return model, TrainingTrace((final_rss,), True)
+    return model, TrainingTrace((loo_rss(shifted, y, sigma, out=kernel),), True)
 
 
 # -- Mixture of experts -------------------------------------------------------

@@ -103,10 +103,6 @@ class Standardizer:
             )
         return (x - self.mean) / self.sd
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z * self.sd + self.mean
-
 
 @dataclass(frozen=True)
 class ScalarStandardizer:

@@ -88,8 +88,9 @@ def as_tuple(**parts):
 FACTOR = Text(MetFactor.from_column, attrgetter("column"))
 
 
-_STANDARDIZER = Record(Standardizer, {"mean": Array(("n",)), "sd": Array(("n",))})
-_TARGET_SCALE = Record(ScalarStandardizer, {"mean": Scalar(float), "sd": Scalar(float)})
+_STANDARDIZER = Record(Standardizer, {"mean": Array(("n",)), "sd": Array(("n",), positive=True)})
+_TARGET_SCALE = Record(ScalarStandardizer, {"mean": Scalar(float),
+                                            "sd": Scalar(float, positive=True)})
 _LAYER = {  # affine or tanh layer over the n standardized inputs
     "w1": Array(("hidden", "n")),
     "b1": Array(("hidden",)),

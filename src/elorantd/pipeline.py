@@ -12,13 +12,22 @@ from pathlib import Path
 import numpy as np
 
 from . import models, wlr_agrnn
+from .artifacts import model_kind
 from .errors import (
     AxisMismatchError,
     ConfigError,
     DataError,
     EmptyIntersectionError,
 )
-from .gridmap import GridSpec, build_path_tensor, elevation_profile, sample_path
+from .gridmap import (
+    DEFAULT_BOX_PADDING_DEG,
+    DEFAULT_CELLSIZE_DEG,
+    DEFAULT_PATH_POINTS,
+    GridSpec,
+    build_path_tensor,
+    elevation_profile,
+    sample_path,
+)
 from .ingest import (
     DEFAULT_MIN_SAMPLES_PER_HOUR,
     ElevationGrid,
@@ -144,10 +153,10 @@ def build_features(
     location_mode: str,
     tx: GeoPoint,
     rx: GeoPoint,
-    l: int = 198,
+    l: int = DEFAULT_PATH_POINTS,
     min_samples: int = DEFAULT_MIN_SAMPLES_PER_HOUR,
-    cellsize: float = 0.01,
-    padding: float = 0.05,
+    cellsize: float = DEFAULT_CELLSIZE_DEG,
+    padding: float = DEFAULT_BOX_PADDING_DEG,
 ) -> FeatureBundle:
     """Aggregate, align, grid-map, and sample a corpus into model inputs."""
     factors = factor_set(factors)
@@ -286,12 +295,17 @@ def train_model(name: str, bundle: FeatureBundle, options: dict | None = None):
 
 
 def predict_model(model, bundle: FeatureBundle) -> np.ndarray:
-    """Per-epoch predictions for any artifact kind on a feature bundle."""
-    if isinstance(model, wlr_agrnn.WlrAgrnnModel):
-        _check_axes(model, bundle, expect_tensor=True)
-        return model.predict_batch(bundle.tensor)
-    _check_axes(model, bundle, expect_tensor=False)
-    return model.predict(bundle.flat)
+    """Per-epoch predictions for any artifact kind on a feature bundle; a
+    prediction that is not finite (an artifact's weights can overflow) is
+    a data error."""
+    tensor = isinstance(model, wlr_agrnn.WlrAgrnnModel)
+    _check_axes(model, bundle, expect_tensor=tensor)
+    pred = model.predict_batch(bundle.tensor) if tensor else model.predict(bundle.flat)
+    bad = np.count_nonzero(~np.isfinite(pred))
+    if bad:
+        raise DataError(f"{model_kind(model).name} artifact predicts {bad} non-finite values "
+                        f"of {pred.size}")
+    return pred
 
 
 def _check_axes(model, bundle: FeatureBundle, expect_tensor: bool) -> None:
@@ -355,6 +369,9 @@ def evaluate_models(named_models, bundle: FeatureBundle) -> EvalReport:
     rows = []
     for name, model in named_models:
         pred = predict_model(model, bundle)
+        total = rmse(pred, bundle.td)
+        if not np.isfinite(total):  # finite but huge predictions square to inf
+            raise DataError(f"{model_kind(model).name} artifact's errors overflow")
         fold_rmse = tuple(
             rmse(pred[idx], bundle.td[idx]) for idx in folds if idx.size >= 2
         )
@@ -362,7 +379,7 @@ def evaluate_models(named_models, bundle: FeatureBundle) -> EvalReport:
             EvalRow(
                 name=name,
                 kind=type(model).__name__,
-                rmse=rmse(pred, bundle.td),
+                rmse=total,
                 mae=mae(pred, bundle.td),
                 n_samples=len(bundle.epochs),
                 fold_rmse=fold_rmse,

@@ -24,6 +24,9 @@ import numpy as np
 from .artifacts import decode, encode
 from .errors import RankDeficientError
 from .gridmap import (
+    DEFAULT_BOX_PADDING_DEG,
+    DEFAULT_CELLSIZE_DEG,
+    DEFAULT_PATH_POINTS,
     GridSpec,
     PathFeatureTensor,
     PathPoints,
@@ -195,10 +198,10 @@ class ScenarioConfig:
     rx: GeoPoint = DEFAULT_RX
     station_count: int = 10
     station_jitter_deg: float = 0.04
-    l: int = 198
+    l: int = DEFAULT_PATH_POINTS
     factors: FactorSet = ALL_FACTORS
-    grid_cellsize: float = 0.01
-    grid_padding: float = 0.05
+    grid_cellsize: float = DEFAULT_CELLSIZE_DEG
+    grid_padding: float = DEFAULT_BOX_PADDING_DEG
     td_samples_per_hour: int = 60
     td_jitter_ns: float = 0.5
     noise_sd_ns: float = 10.0

@@ -155,24 +155,29 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
+def _shift_rows(d2: np.ndarray) -> np.ndarray:
+    """In place: each row of squared distances d2 minus its smallest entry,
+    so each row of exp(-s * d2) peaks at exactly 1; a row with no finite
+    entry becomes all 0.  Returns the mask of those rows."""
+    m = d2.min(axis=1)
+    far = ~np.isfinite(m)
+    d2[far] = 0.0
+    m[far] = 0.0
+    d2 -= m[:, None]
+    return far
+
+
 def loo_shift(d2: np.ndarray) -> np.ndarray:
     """In place: +inf on the diagonal of squared distances d2 (T, T), then
     each row minus its smallest off-diagonal entry.
 
     A bandwidth only scales the distances, so this one matrix serves every
-    bandwidth: each row of exp(-s * shifted) peaks at exactly 1.  A row
-    with no finite off-diagonal distance becomes 0 off the diagonal, so
-    that row alone falls back to uniform weights.
+    bandwidth.  A row with no finite off-diagonal distance becomes 0 off
+    the diagonal, so that row alone falls back to uniform weights.
     """
     np.fill_diagonal(d2, np.inf)
-    m = d2.min(axis=1)
-    far = ~np.isfinite(m)
-    if far.any():
-        rows = np.flatnonzero(far)
-        d2[rows] = 0.0
-        d2[rows, rows] = np.inf
-        m[rows] = 0.0
-    d2 -= m[:, None]
+    rows = np.flatnonzero(_shift_rows(d2))
+    d2[rows, rows] = np.inf
     return d2
 
 
@@ -187,6 +192,14 @@ def kernel_regression(
     np.exp(k, out=k)
     num, den = (k @ np.column_stack((y, np.ones_like(y)))).T
     return k, num / den, den
+
+
+def loo_rss(shifted: np.ndarray, y: np.ndarray, c: float, w=None, out=None) -> float:
+    """Residual sum of squares (weighted by w if given) of the leave-one-out
+    fit at bandwidth scale c on a loo_shift matrix, its kernel written to out."""
+    _, yhat, _ = kernel_regression(shifted, y, 0.5 / (c * c), out=out)
+    r = y - yhat
+    return float(np.dot(r, r) if w is None else np.dot(w * r, r))
 
 
 class SigmaSearch(NamedTuple):
@@ -234,17 +247,11 @@ def select_sigmas(
     # serves the whole search, and each evaluation is one exp and one product
     shifted = loo_shift(pairwise_sq_dists(u[live] / sd[live, None]))
     kernel = np.empty_like(shifted)
-
-    def objective(c: float) -> float:
-        _, yhat, _ = kernel_regression(shifted, y, 0.5 / (c * c), out=kernel)
-        r = y - yhat
-        return float(np.dot(w * r, r))
-
-    c_best = _golden_section(objective, *SIGMA_BOUNDS, tol)
+    c_best = golden_section(lambda c: loo_rss(shifted, y, c, w, kernel), *SIGMA_BOUNDS, tol)
     return SigmaSearch(c_best, np.where(live, c_best * sd, floor_sigma), live, shifted)
 
 
-def _golden_section(fn, lo: float, hi: float, tol: float) -> float:
+def golden_section(fn, lo: float, hi: float, tol: float) -> float:
     """Deterministic golden-section minimizer; returns the interval center."""
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
@@ -284,12 +291,7 @@ def agrnn_predict_batch(
     # take the fallback below, so the overflow itself is not reported
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(q / sigmas[:, None], u / sigmas[:, None])
-    m = d2.min(axis=1)
-    bad = ~np.isfinite(m)
-    d2[bad] = 0.0
-    m[bad] = 0.0
-    # shifted by the row minimum, every row's kernel peaks at exactly 1
-    d2 -= m[:, None]
+    bad = _shift_rows(d2)
     _, out, _ = kernel_regression(d2, y, out=d2)
     if bad.any():
         warnings.warn(

@@ -212,6 +212,25 @@ def test_load_rejects_missing_header_field(kind, every_model, tmp_path, key):
         load_model(path)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("grnn", ("standardizer", "sd", 0)), ("lasso_mpr", ("standardizer", "sd", 0)),
+    ("bpnn", ("target_scale", "sd")), ("moe", ("target_scale", "sd")),
+])
+@pytest.mark.parametrize("value", [0.0, -2.0])
+def test_load_rejects_non_positive_sd(kind, field, value, every_model, tmp_path):
+    """No fit writes an sd <= 0, and predictions would silently flip or overflow."""
+    path = tmp_path / "sd.json"
+    save_model(every_model[kind], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    node = doc["payload"]
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ArtifactError, match=f"malformed {kind} payload .*sd"):
+        load_model(path)
+
+
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(ArtifactError, match="cannot serialize"):
         save_model(object(), tmp_path / "x.json")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from elorantd import wlr_agrnn
 from elorantd.baselines import (
+    GRNN_SIGMA_RANGE,
     BpnnConfig,
     BpnnModel,
     GrnnConfig,
@@ -13,7 +15,6 @@ from elorantd.baselines import (
     _loss_and_grads,
     default_group_slices,
     grnn_predict_batch,
-    grnn_sigma_grid,
     train_bpnn,
     train_grnn,
     train_moe,
@@ -162,6 +163,8 @@ def test_grnn_overflowing_distance_picks_the_nearest_row():
 
 
 def test_grnn_sigma_selection_matches_loo_oracle():
+    """The searched sigma's brute-force leave-one-out RSS is no higher than
+    at any point of the 30-point log grid that chose sigma before."""
     rng = np.random.default_rng(8)
     x = rng.normal(size=(25, 2)) * [2.0, 5.0] + [10.0, -3.0]
     y = np.sin(x[:, 0]) * 10.0 + rng.normal(0, 0.5, size=25)
@@ -177,11 +180,33 @@ def test_grnn_sigma_selection_matches_loo_oracle():
             total += (y[t] - pred) ** 2
         return total
 
-    grid = grnn_sigma_grid(2)
-    values = [loo_rss(s) for s in grid]
-    best = grid[int(np.argmin(values))]
-    assert model.sigma == pytest.approx(best, rel=1e-12)
-    assert trace.losses[0] == pytest.approx(min(values), rel=1e-9)
+    lo, hi = GRNN_SIGMA_RANGE
+    grid = np.logspace(math.log10(lo), math.log10(hi), 30) * math.sqrt(2)
+    assert lo * math.sqrt(2) <= model.sigma <= hi * math.sqrt(2)
+    assert loo_rss(model.sigma) <= min(loo_rss(s) for s in grid)
+    assert trace.losses[0] == pytest.approx(loo_rss(model.sigma), rel=1e-9)
+
+
+def test_grnn_search_makes_fifteen_kernel_evaluations(monkeypatch):
+    """Golden section on log sigma over a factor of 100 at tol 0.02 takes
+    14 evaluations, and the trace one more; an explicit sigma takes one."""
+    calls = []
+    inner = wlr_agrnn.kernel_regression
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(wlr_agrnn, "kernel_regression", counted)
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(20, 3))
+    y = rng.normal(size=20)
+    model, _ = train_grnn(x, y)
+    assert len(calls) == 15
+    assert calls[-1] == 0.5 / (model.sigma * model.sigma)
+    calls.clear()
+    train_grnn(x, y, GrnnConfig(sigma=2.5))
+    assert calls == [0.5 / (2.5 * 2.5)]
 
 
 def test_grnn_explicit_sigma_respected():

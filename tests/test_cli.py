@@ -1047,14 +1047,21 @@ def test_sweep_honours_model_tol_and_max_sweeps(tmp_path, ini):
     assert outputs["loose"].read_bytes() != default
 
 
-def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, ini):
+@pytest.mark.parametrize("model, command", [
+    ("name = lasso_mpr\ndegree = 3\n", ["sweep", "--kind", "alpha"]),
+    ("name = grnn\n[split]\ntrain = 2024-10-01..2024-10-21\n", ["train"]),
+], ids=["lasso_sweep", "grnn_train"])
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, ini, model, command):
     """The alpha sweep's lanes share matrix products whose BLAS may split
-    them over threads; the CSV must not change with the thread count."""
-    cfg = ini("[model]\nname = lasso_mpr\ndegree = 3\n")
+    them over threads; the CSV must not change with the thread count.  A
+    GRNN's sigma is set by comparing leave-one-out sums, which round with
+    the thread count in their last digits (so its trace CSV may differ),
+    and its artifact must not change either."""
+    cfg = ini(f"[model]\n{model}")
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"alphas{threads}.csv"
-        proc = console(["sweep", "--config", cfg, "--kind", "alpha", "--out", str(out)],
+        out = tmp_path / f"out{threads}"
+        proc = console([command[0], "--config", cfg, *command[1:], "--out", str(out)],
                        OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())

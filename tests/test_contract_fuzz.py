@@ -8,6 +8,7 @@ traceback, and a DEM elevation of +-1e308 m, outside the plausible range,
 or a non-UTF-8 byte in exit 3.  (scenario.meta has its own mutation test
 in test_cli.py, the INI file its own too.)
 """
+import csv
 import dataclasses
 import itertools
 import json
@@ -210,7 +211,8 @@ def test_corpus_mutation_console_exit_without_traceback(tmp_path, fuzz_corpus, f
 # cases cut the file short, replace it with text that is not JSON, or put
 # a non-UTF-8 byte in it.  Every case runs through predict and evaluate
 # and must end in exit 0, 3 or 5 with no traceback; a file that is not a
-# JSON document in exit 3.
+# JSON document in exit 3.  An exit 0 writes only finite numbers: an
+# artifact whose predictions overflow exits 3.
 
 ARTIFACT_KINDS = {"lasso_mpr": "degree = 1\n", "wlr_agrnn": "max_iterations = 3\n",
                   "bpnn": "max_iterations = 3\n", "grnn": "", "moe": "max_iterations = 3\n"}
@@ -302,6 +304,20 @@ def artifact_mutations(saved: dict, seed: int = SEED) -> list[tuple[str, bytes]]
     return cases
 
 
+def non_finite_cells(path: Path) -> list[str]:
+    """The cells of a CSV file that read as a number that is not finite."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = [cell for row in csv.reader(fh) for cell in row]
+    bad = []
+    for cell in cells:
+        try:
+            if not math.isfinite(float(cell)):
+                bad.append(cell)
+        except ValueError:  # a timestamp or a label
+            pass
+    return bad
+
+
 def artifact_commands(config: str, artifact: Path, out: Path) -> dict[str, list[str]]:
     return {"predict": ["predict", "--config", config, "--artifact", str(artifact),
                         "--out", str(out)],
@@ -338,11 +354,11 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
 ):
     """In process through predict and evaluate on the test split.  A numpy
     warning is shown as on the console, as one line: a huge but finite
-    weight loads, and its predictions may overflow."""
+    weight loads, and its predictions may overflow, which exits 3."""
     source, _ = fuzz_corpus
     config = artifact_ini(tmp_path / "run.ini", source)
-    artifact = tmp_path / "m.json"
-    argvs = artifact_commands(config, artifact, tmp_path / "out.csv")
+    artifact, out = tmp_path / "m.json", tmp_path / "out.csv"
+    argvs = artifact_commands(config, artifact, out)
     for kind, data in saved_artifacts.items():  # each unmutated artifact works
         artifact.write_bytes(data)
         for command, argv in argvs.items():
@@ -351,12 +367,15 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
     for label, data in artifact_mutations(saved_artifacts):
         artifact.write_bytes(data)
         for command, argv in argvs.items():
+            out.unlink(missing_ok=True)
             try:
                 code = main(argv)
             except Exception as exc:  # noqa: BLE001 - any escape is the failure
                 pytest.fail(f"{label}: {command} raised {exc!r}")
             err = capsys.readouterr().err
             assert code in ARTIFACT_EXITS and "Traceback" not in err, (label, command, code, err)
+            if code == 0:
+                assert not non_finite_cells(out), (label, command, non_finite_cells(out))
             if "cut at" in label or "not JSON" in label or "non-UTF-8" in label:
                 assert code == 3, (label, command, err)
             codes[code] += 1

@@ -437,6 +437,17 @@ def test_predict_model_mode_mismatch(rx_bundle):
         predict_model(model, disguised)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_predict_model_refuses_non_finite_predictions(rx_bundle):
+    """Finite but huge artifact weights that no fit writes overflow: a data
+    error naming the kind, where inf predictions were returned."""
+    model, _ = train_model("lasso_mpr", sub_bundle(rx_bundle, 30), {"degree": 1})
+    beta = model.beta.copy()
+    beta[1:3] = 1e308
+    with pytest.raises(DataError, match=r"lasso_mpr artifact predicts \d+ non-finite values"):
+        predict_model(dataclasses.replace(model, beta=beta), rx_bundle)
+
+
 # -- evaluation --------------------------------------------------------------------
 
 
@@ -489,6 +500,16 @@ def test_evaluate_single_fold_skips_anova(rx_bundle):
     report = evaluate_models([("a", model), ("b", model)], bundle)
     assert report.anova is None
     assert all(len(r.fold_rmse) == 1 for r in report.rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_evaluate_refuses_overflowing_errors(rx_bundle):
+    """A GRNN predicts a weighted mean of its stored TD, so a stored TD of
+    1e306 ns gives finite predictions whose squared errors overflow."""
+    model, _ = train_model("grnn", sub_bundle(rx_bundle, 30))
+    huge = dataclasses.replace(model, y=np.full(30, 1e306))
+    with pytest.raises(DataError, match="grnn artifact's errors overflow"):
+        evaluate_models([("huge", huge)], rx_bundle)
 
 
 def test_evaluate_requires_models(rx_bundle):
