@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError
+from .errors import DataError
 from .models import FACTOR, KINDS, Array, Items, ModelKind, Record, Scalar, Table, Text
 from .types import factor_set, parse_location_mode
 
@@ -50,6 +50,8 @@ def _bind(dims: dict, axis: str, size: int, where: str) -> None:
         raise ValueError(f"{where}: axis {axis} is {size} here, {dims[axis]} elsewhere")
 
 
+# a positive field is a normal float: no fit writes less, and a subnormal divisor overflows
+_TINY = np.finfo(float).tiny
 _SCALAR_NAMES = {float: "finite number", int: "64-bit integer", str: "string",
                  bool: "boolean (true or false)", dict: "JSON object"}
 
@@ -88,8 +90,9 @@ def decode(spec, raw, dims: dict, where: str):
             raise ValueError(f"{where}: shape {value.shape} does not have axes {spec.axes}")
         for axis, size in zip(spec.axes, value.shape):
             _bind(dims, axis, size, where)
-        if not np.isfinite(value).all() or (spec.positive and not (value > 0).all()):
-            raise ValueError(f"{where}: non-finite{' or non-positive' * spec.positive} value")
+        if not np.isfinite(value).all() or (spec.positive and not (value >= _TINY).all()):
+            detail = " or non-positive or subnormal" * spec.positive
+            raise ValueError(f"{where}: non-finite{detail} value")
         return value
     if isinstance(spec, Text):
         if not isinstance(raw, str):
@@ -110,8 +113,8 @@ def decode(spec, raw, dims: dict, where: str):
         raw = float(raw)  # JSON has one number type
     if (type(raw) is not spec.type or (spec.type is float and not math.isfinite(raw))
             or (spec.type is int and not -2 ** 63 <= raw < 2 ** 63)
-            or (spec.positive and not raw > 0)):
-        raise ValueError(f"{where}: {raw!r} is not a{' positive' * spec.positive} "
+            or (spec.positive and not raw >= _TINY)):
+        raise ValueError(f"{where}: {raw!r} is not a{' positive normal' * spec.positive} "
                          f"{_SCALAR_NAMES[spec.type]}")
     return raw
 
@@ -120,7 +123,7 @@ def model_kind(model) -> ModelKind:
     """The registry entry of a model's class."""
     kind = next((k for k in KINDS.values() if isinstance(model, k.model)), None)
     if kind is None:
-        raise ArtifactError(f"cannot serialize model type {type(model).__name__}")
+        raise DataError(f"cannot serialize model type {type(model).__name__}")
     return kind
 
 
@@ -145,27 +148,27 @@ def load_model(path):
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise ArtifactError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
-                            f"{exc.start} is not UTF-8 text") from None
+        raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
+                        f"{exc.start} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
-        raise ArtifactError(f"{path}: unknown artifact schema {schema!r}")
+        raise DataError(f"{path}: unknown artifact schema {schema!r}")
     for key in ("kind", "payload"):  # the header's fields are HEADER's
         if key not in doc:
-            raise ArtifactError(f"{path}: artifact missing field {key!r}")
+            raise DataError(f"{path}: artifact missing field {key!r}")
     kind = KINDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
     if kind is None:
-        raise ArtifactError(f"{path}: unknown artifact kind {doc['kind']!r}")
+        raise DataError(f"{path}: unknown artifact kind {doc['kind']!r}")
     try:
         header = decode(HEADER, doc, {}, "artifact")
         header["factors"] = factor_set(header["factors"])
     except ValueError as exc:
-        raise ArtifactError(f"{path}: malformed artifact header ({exc})") from None
+        raise DataError(f"{path}: malformed artifact header ({exc})") from None
     try:
         return kind.model(
             **decode(Record(dict, kind.payload), doc["payload"], {}, "payload"), **header
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed {doc['kind']} payload ({exc})") from None
+        raise DataError(f"{path}: malformed {doc['kind']} payload ({exc})") from None

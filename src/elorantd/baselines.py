@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyBankError,
-    NonFiniteLossError,
-)
+from .errors import DataError, NonFiniteLossError
 from .features import ScalarStandardizer, Standardizer
 from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet
@@ -84,16 +80,17 @@ class GrnnConfig:
         require_at_least(self, 0, "seed")
         # the kernel scale 0.5 / sigma^2 must be finite and positive
         sigma = self.sigma
-        if sigma is not None and not (sigma > 0 and 0 < sigma * sigma < math.inf):
-            raise ValueError(f"sigma must be positive with a finite, non-zero square, "
-                             f"got {sigma!r}")
+        if sigma is not None and not (sigma > 0 and sigma * sigma > 0
+                                      and 0 < 0.5 / (sigma * sigma) < math.inf):
+            raise ValueError(f"sigma must be positive with a finite, positive kernel scale "
+                             f"0.5 / sigma^2, got {sigma!r}")
 
 
 def _check_xy(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
+        raise DataError(f"features {x.shape} vs target {y.shape}")
     return x, y
 
 
@@ -258,9 +255,9 @@ def grnn_predict_batch(
     b = np.asarray(bank, dtype=float)
     y = np.asarray(y, dtype=float)
     if b.ndim != 2 or b.shape[0] == 0:
-        raise EmptyBankError("bank has no rows")
+        raise DataError("bank has no rows")
     if q.ndim != 2 or q.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"queries {q.shape} vs bank {b.shape}")
+        raise DataError(f"queries {q.shape} vs bank {b.shape}")
     return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)))
 
 

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ConstantColumnError, DimensionMismatchError
+from .errors import DataError
 
 
 def term_count(n_features: int, degree: int) -> int:
@@ -59,7 +59,7 @@ def poly_expand(x: np.ndarray, index: PolyTermIndex) -> np.ndarray:
     """Expand (n_samples, n_features) into [1 | monomial columns]."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != index.n_features:
-        raise DimensionMismatchError(
+        raise DataError(
             f"input shape {x.shape} does not match {index.n_features} features"
         )
     out = np.empty((x.shape[0], index.n_columns), dtype=float)
@@ -87,18 +87,18 @@ class Standardizer:
     def fit(cls, x: np.ndarray) -> "Standardizer":
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
-            raise DimensionMismatchError(f"need a 2-d matrix with >= 2 rows, got {x.shape}")
+            raise DataError(f"need a 2-d matrix with >= 2 rows, got {x.shape}")
         mean = x.mean(axis=0)
         sd = x.std(axis=0, ddof=1)
         bad = np.flatnonzero(sd == 0.0)
         if bad.size:
-            raise ConstantColumnError(str(int(bad[0])))
+            raise DataError(f"column {int(bad[0])} is constant; cannot standardize")
         return cls(mean=mean, sd=sd)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.mean.size:
-            raise DimensionMismatchError(
+            raise DataError(
                 f"input shape {x.shape} does not match {self.mean.size} columns"
             )
         return (x - self.mean) / self.sd
@@ -115,10 +115,10 @@ class ScalarStandardizer:
     def fit(cls, y: np.ndarray) -> "ScalarStandardizer":
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size < 2:
-            raise DimensionMismatchError(f"need a 1-d series with >= 2 values, got {y.shape}")
+            raise DataError(f"need a 1-d series with >= 2 values, got {y.shape}")
         sd = float(y.std(ddof=1))
         if sd == 0.0:
-            raise ConstantColumnError("target")
+            raise DataError("column target is constant; cannot standardize")
         return cls(mean=float(y.mean()), sd=sd)
 
     def transform(self, y: np.ndarray) -> np.ndarray:

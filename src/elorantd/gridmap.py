@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegeneratePathError,
-    NoElevationDataError,
-    NoObservationsError,
-    OutOfExtentError,
-)
+from .errors import ConfigError, DataError
 from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries
 from .optim import MAX_ARRAY_CELLS
 from .types import (
@@ -178,7 +172,7 @@ def assign_observations(
         sums[cell] = sums.get(cell, 0.0) + reported[sid]
         counts[cell] = counts.get(cell, 0) + 1
     if not sums:
-        raise NoObservationsError(f"no station reports {factor} at {epoch.isoformat()}")
+        raise DataError(f"no station reports {factor} at {epoch.isoformat()}")
     filled, assigned = spec.nrows * spec.ncols - len(sums), len(sums)
     if filled * assigned > MAX_ARRAY_CELLS:  # idw_fill's weights; refuse before the raster
         raise ConfigError(f"IDW weights of {filled} cells from {assigned} assigned cells would "
@@ -218,7 +212,7 @@ def idw_fill(partial: GridMap) -> GridMap:
     """Fill every unassigned cell from all assigned cells (global Shepard)."""
     rows_a, cols_a = np.nonzero(partial.assigned_mask)
     if rows_a.size == 0:
-        raise NoObservationsError("grid has no assigned cells")
+        raise DataError("grid has no assigned cells")
     values = partial.values.copy()
     rows_q, cols_q = np.nonzero(~partial.assigned_mask)
     if rows_q.size:
@@ -232,12 +226,12 @@ def sample_path(tx: GeoPoint, rx: GeoPoint, l: int = DEFAULT_PATH_POINTS) -> Pat
     if l < 2:
         raise ValueError("need at least 2 path points")
     if tx == rx:
-        raise DegeneratePathError("transmitter and receiver coincide")
+        raise DataError("transmitter and receiver coincide")
     v1 = _unit_vector(tx)
     v2 = _unit_vector(rx)
     omega = math.acos(max(-1.0, min(1.0, float(np.dot(v1, v2)))))
     if omega > math.pi - 1e-9:
-        raise DegeneratePathError("endpoints are antipodal; great circle is ambiguous")
+        raise DataError("endpoints are antipodal; great circle is ambiguous")
     points: list[GeoPoint] = []
     for k in range(l):
         f = k / (l - 1)
@@ -275,7 +269,7 @@ def elevation_profile(dem: ElevationGrid, path: PathPoints) -> np.ndarray:
     nrows, ncols = dem.nrows, dem.ncols
     for j, p in enumerate(path):
         if not dem.contains(p):
-            raise OutOfExtentError(j, p)
+            raise DataError(f"path point {j} at {p} outside DEM extent")
         # fractional position in cell-center coordinates, row 0 at the top
         gx = (p.lon - dem.origin.lon) / dem.cellsize - 0.5
         gy = (dem.origin.lat + nrows * dem.cellsize - p.lat) / dem.cellsize - 0.5
@@ -301,7 +295,7 @@ def elevation_profile(dem: ElevationGrid, path: PathPoints) -> np.ndarray:
             num += weight * value
             den += weight
         if den == 0.0:
-            raise NoElevationDataError(j)
+            raise DataError(f"all DEM neighbors of path point {j} are NODATA")
         out[j] = num / den
     return out
 
@@ -323,7 +317,7 @@ def path_tensor_from_arrays(
     """
     in_box = [(s, loc) for s, loc in enumerate(locations) if spec.contains(loc)]
     if not in_box:
-        raise NoObservationsError("no station inside the grid bounding box")
+        raise DataError("no station inside the grid bounding box")
     groups: dict[tuple[int, int], list[int]] = {}
     for s, loc in in_box:
         groups.setdefault(spec.nearest_cell(loc), []).append(s)

@@ -27,14 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateStationError,
-    EmptyIntersectionError,
-    InconsistentDimensionsError,
-    OutOfRangeError,
-    ParseError,
-    UnknownStationError,
-)
+from .errors import DataError, ParseError
 from .types import (
     ALL_FACTORS,
     TD_SANITY_BOUND_NS,
@@ -78,7 +71,7 @@ class StationRegistry:
         for sid, loc in self.entries:
             if sid == station_id:
                 return loc
-        raise UnknownStationError(station_id)
+        raise DataError(f"station id {station_id!r} not in registry")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -308,7 +301,7 @@ def parse_station_registry(path) -> StationRegistry:
             if not sid:
                 raise ParseError(path, lineno, "empty station id")
             if sid in seen:
-                raise DuplicateStationError(sid)
+                raise DataError(f"duplicate station id {sid!r}")
             seen.add(sid)
             try:
                 loc = GeoPoint(float(row[1]), float(row[2]))
@@ -361,7 +354,7 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
                 )
             sid = row[0].strip()
             if sid not in station_index:
-                raise UnknownStationError(sid)
+                raise DataError(f"station id {sid!r} not in registry")
             try:
                 hour = EpochHour.parse(row[1]).hours_since_epoch
             except ValueError as exc:
@@ -456,7 +449,7 @@ def _read_td_fixed(path) -> TdSamples | None:
                 return None
             micros[start:start + len(part)] = part
         return TdSamples(micros, np.ascontiguousarray(rows["td"]))
-    except (ValueError, OutOfRangeError, Warning):
+    except (ValueError, DataError, Warning):
         return None
 
 
@@ -507,9 +500,7 @@ def _read_td_rows(path) -> TdSamples:
             try:
                 when = parse_utc(row[0])
                 value = validate_td_ns(float(row[1]))
-            except (ValueError, OutOfRangeError) as exc:
-                if isinstance(exc, OutOfRangeError):
-                    raise
+            except (ValueError, DataError) as exc:
                 raise ParseError(path, lineno, str(exc)) from None
             if prev is not None and when <= prev:
                 raise ParseError(path, lineno, "timestamps must be strictly increasing")
@@ -570,7 +561,7 @@ def align_epochs(
     factors = factor_set(factors)
     ids = stations.ids
     if not set(ids) <= set(weather.station_ids):
-        raise EmptyIntersectionError(
+        raise DataError(
             f"no weather rows for stations {sorted(set(ids) - set(weather.station_ids))}"
         )
     td_hours = np.array([e.hours_since_epoch for e in td.epochs], dtype=np.int64)
@@ -582,7 +573,7 @@ def align_epochs(
     found[found] = weather.present[np.ix_(rows[found], stations_at, columns)].all(axis=(1, 2))
     kept = np.flatnonzero(found)
     if not kept.size:
-        raise EmptyIntersectionError(
+        raise DataError(
             "no epoch has TD plus every requested factor at every station"
         )
     values = weather.values[np.ix_(rows[kept], stations_at, columns)]
@@ -642,7 +633,7 @@ def parse_dem(path) -> ElevationGrid:
             raise ParseError(path, lineno, "bad elevation value") from None
         row_lines.append(lineno)
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
-        raise InconsistentDimensionsError(
+        raise DataError(
             f"{path}: declared {nrows}x{ncols}, found "
             f"{len(rows)} rows of widths {sorted({len(r) for r in rows})}"
         )

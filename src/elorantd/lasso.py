@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDesignError, DimensionMismatchError
+from .errors import ConfigError, DataError
 from .features import PolyTermIndex, Standardizer, poly_expand, term_count
 from .optim import MAX_ARRAY_CELLS, TrainingTrace, require_at_least
 from .stats import rmse
@@ -81,13 +81,13 @@ def descend(
     y = np.asarray(y, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise DimensionMismatchError(f"design {x.shape} vs target {y.shape}")
+        raise DataError(f"design {x.shape} vs target {y.shape}")
     if alphas.ndim != 1 or not np.all(alphas >= 0):
         raise ValueError("alphas must be a 1-d array of non-negative values")
     n_cols = x.shape[1]
     col_sq = np.einsum("tp,tp->p", x, x)
     if np.any(col_sq == 0.0):
-        raise DegenerateDesignError(
+        raise DataError(
             f"all-zero design column at index {int(np.flatnonzero(col_sq == 0.0)[0])}"
         )
     # row p times [B; 1] is coordinate p's unpenalized update in every lane:
@@ -173,7 +173,7 @@ def _train_lanes(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.size:
-        raise DimensionMismatchError(f"features {x.shape} vs target {y.shape}")
+        raise DataError(f"features {x.shape} vs target {y.shape}")
     (epochs, n_inputs), degree = x.shape, cfg.degree
     cols = term_count(n_inputs, degree) + 1
     # refuse before allocating the T x P design, its P x P Gram matrix or

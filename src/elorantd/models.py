@@ -33,7 +33,7 @@ from .types import GeoPoint, MetFactor
 @dataclass(frozen=True)
 class Scalar:
     """A JSON number, string, boolean or object (kept as read) of exactly this
-    type (an int is a float)."""
+    type (an int is a float); positive: at least the smallest normal float."""
 
     type: type
     positive: bool = False
@@ -41,7 +41,8 @@ class Scalar:
 
 @dataclass(frozen=True)
 class Array:
-    """A finite float array, one axis name per dimension."""
+    """A finite float array, one axis name per dimension; positive: each entry
+    at least the smallest normal float."""
 
     axes: tuple[str, ...]
     positive: bool = False

@@ -13,12 +13,7 @@ import numpy as np
 
 from . import models, wlr_agrnn
 from .artifacts import model_kind
-from .errors import (
-    AxisMismatchError,
-    ConfigError,
-    DataError,
-    EmptyIntersectionError,
-)
+from .errors import AxisMismatchError, ConfigError, DataError
 from .gridmap import (
     DEFAULT_BOX_PADDING_DEG,
     DEFAULT_CELLSIZE_DEG,
@@ -245,7 +240,7 @@ def subset_in_ranges(bundle: FeatureBundle, ranges, side: str) -> FeatureBundle:
     """The epochs of bundle inside ranges; none is an error naming side."""
     mask = mask_for_ranges(bundle.epochs, ranges)
     if not mask.any():
-        raise EmptyIntersectionError(f"no aligned epoch falls in the {side} ranges")
+        raise DataError(f"no aligned epoch falls in the {side} ranges")
     return bundle.subset(mask)
 
 

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantSeriesError,
-    EmptySeriesError,
-    InsufficientGroupsError,
-    LengthMismatchError,
-)
+from .errors import DataError
 from .types import FactorSet, MetFactor, factor_set
 
 _BETA_TOL = 1e-12
@@ -120,16 +115,16 @@ def pearson(x, y, factor: MetFactor | None = None) -> CorrelationResult:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatchError(f"series shapes {x.shape} vs {y.shape}")
+        raise DataError(f"series shapes {x.shape} vs {y.shape}")
     n = x.size
     if n < 3:
-        raise LengthMismatchError(f"need at least 3 samples, got {n}")
+        raise DataError(f"need at least 3 samples, got {n}")
     xd = x - x.mean()
     yd = y - y.mean()
     sx = float(np.sqrt(np.dot(xd, xd)))
     sy = float(np.sqrt(np.dot(yd, yd)))
     if sx == 0.0 or sy == 0.0:
-        raise ConstantSeriesError("pearson undefined for a constant series")
+        raise DataError("pearson undefined for a constant series")
     r = float(np.dot(xd, yd) / (sx * sy))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -156,9 +151,9 @@ def _check_pair(actual, predicted):
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape or a.ndim != 1:
-        raise LengthMismatchError(f"series shapes {a.shape} vs {p.shape}")
+        raise DataError(f"series shapes {a.shape} vs {p.shape}")
     if a.size == 0:
-        raise EmptySeriesError("empty series")
+        raise DataError("empty series")
     return a, p
 
 
@@ -176,7 +171,7 @@ def anova_oneway(groups) -> AnovaResult:
     """One-way ANOVA over >= 2 groups of >= 2 samples each."""
     arrays = [np.asarray(g, dtype=float) for g in groups]
     if len(arrays) < 2 or any(a.size < 2 for a in arrays):
-        raise InsufficientGroupsError("need >= 2 groups with >= 2 samples each")
+        raise DataError("need >= 2 groups with >= 2 samples each")
     k = len(arrays)
     n_total = sum(a.size for a in arrays)
     grand = sum(float(a.sum()) for a in arrays) / n_total

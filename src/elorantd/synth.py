@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import decode, encode
-from .errors import RankDeficientError
+from .errors import DataError
 from .gridmap import (
     DEFAULT_BOX_PADDING_DEG,
     DEFAULT_CELLSIZE_DEG,
@@ -538,7 +538,7 @@ def ols_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise RankDeficientError("design matrix is rank deficient") from None
+        raise DataError("design matrix is rank deficient") from None
     rhs = x.T @ y
     z = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.T, z)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import DataError
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -191,7 +191,7 @@ def validate_factor_value(factor: MetFactor, values) -> np.ndarray:
     """Return ``values`` as a float array if all lie inside the factor's
     validity range.
 
-    Raises OutOfRangeError naming the first offending value otherwise;
+    Raises DataError naming the first offending value and the column otherwise;
     used to reject corrupt weather columns.
     """
     v = np.asarray(values, dtype=float)
@@ -201,7 +201,8 @@ def validate_factor_value(factor: MetFactor, values) -> np.ndarray:
         checks.append((v != np.floor(v), "must be integer-valued"))
     for bad, reason in checks:
         if bad.any():
-            raise OutOfRangeError(factor, v[bad][0].item(), reason)
+            raise DataError(f"value {v[bad][0].item()!r} outside validity range of "
+                            f"{factor.column} ({reason})")
     return v
 
 
@@ -209,7 +210,8 @@ def validate_td_ns(value: float) -> float:
     """Sanity-check a time-difference value in nanoseconds."""
     v = float(value)
     if not math.isfinite(v) or abs(v) >= TD_SANITY_BOUND_NS:
-        raise OutOfRangeError("td_ns", value, "non-finite or beyond sub-second bound")
+        raise DataError(f"value {value!r} outside validity range of td_ns "
+                        "(non-finite or beyond sub-second bound)")
     return v
 
 

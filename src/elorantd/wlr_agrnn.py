@@ -29,13 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateBankError,
-    DimensionMismatchError,
-    EmptyBankError,
-    LengthMismatchError,
-    NonFiniteLossError,
-)
+from .errors import DataError, NonFiniteLossError
 from .features import Standardizer
 from .optim import Adam, TrainingTrace, loss_converged, require_at_least
 from .types import FactorSet, GeoPoint
@@ -131,7 +125,7 @@ def elevation_weight(xhat: np.ndarray, h_tilde: np.ndarray) -> np.ndarray:
     xhat = np.asarray(xhat, dtype=float)
     h_tilde = np.asarray(h_tilde, dtype=float)
     if xhat.shape[-1] != h_tilde.size:
-        raise LengthMismatchError(f"{xhat.shape[-1]} outputs vs {h_tilde.size} elevations")
+        raise DataError(f"{xhat.shape[-1]} outputs vs {h_tilde.size} elevations")
     return xhat * h_tilde
 
 
@@ -230,10 +224,10 @@ def select_sigmas(
     u = np.asarray(bank, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.ndim != 2 or u.shape[1] != y.size:
-        raise DimensionMismatchError(f"bank {u.shape} vs targets {y.shape}")
+        raise DataError(f"bank {u.shape} vs targets {y.shape}")
     t_count = u.shape[1]
     if t_count < 2:
-        raise DegenerateBankError("need at least 2 bank columns to select sigmas")
+        raise DataError("need at least 2 bank columns to select sigmas")
     if not tol > 0:
         raise ValueError(f"sigma search tolerance must be > 0, got {tol!r}")
     if w is None:
@@ -241,7 +235,7 @@ def select_sigmas(
     sd = u.std(axis=1, ddof=1)
     live = sd > 0.0
     if not live.any():
-        raise DegenerateBankError("every bank row is constant")
+        raise DataError("every bank row is constant")
     floor_sigma = 1e-6 * np.abs(u.mean(axis=1)) + 1e-12
     # sigma_j = c * sd_j scales every distance by 1/c^2: one shifted matrix
     # serves the whole search, and each evaluation is one exp and one product
@@ -280,9 +274,9 @@ def agrnn_predict_batch(
     y = np.asarray(y, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     if u.ndim != 2 or u.shape[1] == 0:
-        raise EmptyBankError("bank has no columns")
+        raise DataError("bank has no columns")
     if q.ndim != 2 or q.shape[0] != u.shape[0] or sigmas.shape != (u.shape[0],):
-        raise DimensionMismatchError(
+        raise DataError(
             f"queries {q.shape} vs bank {u.shape} vs sigmas {sigmas.shape}"
         )
     if np.any(sigmas <= 0):
@@ -386,7 +380,7 @@ class WlrAgrnnModel:
         x = np.asarray(x, dtype=float)
         n = self.params.w1.shape[1]
         if x.ndim != 3 or x.shape[1:] != (self.n_locations, n):
-            raise DimensionMismatchError(
+            raise DataError(
                 f"expected (M, {self.n_locations}, {n}) features, got {x.shape}"
             )
         z = self.standardizer.transform(x.reshape(-1, n)).reshape(x.shape)
@@ -422,12 +416,12 @@ def train(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 3 or x.shape[0] != y.size:
-        raise DimensionMismatchError(f"tensor {x.shape} vs target {y.shape}")
+        raise DataError(f"tensor {x.shape} vs target {y.shape}")
     t_count, l_count, n_factors = x.shape
     if t_count < 2:
-        raise DegenerateBankError("need at least 2 training epochs")
+        raise DataError("need at least 2 training epochs")
     if np.asarray(elevations).shape != (l_count,):
-        raise LengthMismatchError(
+        raise DataError(
             f"{np.asarray(elevations).size} elevations for {l_count} locations"
         )
     h_tilde = transform_elevation(elevations, cfg.elevation_mode)

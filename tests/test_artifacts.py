@@ -12,7 +12,7 @@ from elorantd.artifacts import (
     model_kind,
     save_model,
 )
-from elorantd.errors import ArtifactError
+from elorantd.errors import DataError
 from elorantd.types import FACTORS_3, GeoPoint
 
 
@@ -117,21 +117,21 @@ def test_wlr_points_round_trip(every_model, tmp_path):
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ArtifactError, match="not valid JSON"):
+    with pytest.raises(DataError, match="not valid JSON"):
         load_model(path)
 
 
 def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps({"schema": "other/9", "kind": "grnn"}), encoding="utf-8")
-    with pytest.raises(ArtifactError, match="schema"):
+    with pytest.raises(DataError, match="schema"):
         load_model(path)
 
 
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"schema": SCHEMA, "kind": "grnn"}), encoding="utf-8")
-    with pytest.raises(ArtifactError, match="missing field"):
+    with pytest.raises(DataError, match="missing field"):
         load_model(path)
 
 
@@ -150,7 +150,7 @@ def write_kind(path, kind):
 def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "kind.json"
     write_kind(path, "oracle")
-    with pytest.raises(ArtifactError, match="unknown artifact kind"):
+    with pytest.raises(DataError, match="unknown artifact kind"):
         load_model(path)
 
 
@@ -159,7 +159,7 @@ def test_load_rejects_retired_kind(tmp_path, kind):
     """constant and lookup were kinds of earlier versions that nothing trained."""
     path = tmp_path / "kind.json"
     write_kind(path, kind)
-    with pytest.raises(ArtifactError, match=f"unknown artifact kind '{kind}'"):
+    with pytest.raises(DataError, match=f"unknown artifact kind '{kind}'"):
         load_model(path)
 
 
@@ -168,7 +168,7 @@ def test_load_rejects_kind_that_is_not_a_string(tmp_path, kind):
     """A list or an object cannot even be looked up in the registry."""
     path = tmp_path / "kind.json"
     write_kind(path, kind)
-    with pytest.raises(ArtifactError, match="unknown artifact kind"):
+    with pytest.raises(DataError, match="unknown artifact kind"):
         load_model(path)
 
 
@@ -178,7 +178,7 @@ def test_load_rejects_malformed_payload(every_model, tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc["payload"]["beta"]
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ArtifactError, match="malformed lasso_mpr payload"):
+    with pytest.raises(DataError, match="malformed lasso_mpr payload"):
         load_model(path)
 
 
@@ -196,7 +196,7 @@ def test_load_rejects_malformed_header(kind, every_model, tmp_path, key, value):
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc[key] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ArtifactError, match="malformed artifact header"):
+    with pytest.raises(DataError, match="malformed artifact header"):
         load_model(path)
 
 
@@ -208,7 +208,7 @@ def test_load_rejects_missing_header_field(kind, every_model, tmp_path, key):
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc[key]
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ArtifactError, match=f"malformed artifact header .*missing '{key}'"):
+    with pytest.raises(DataError, match=f"malformed artifact header .*missing '{key}'"):
         load_model(path)
 
 
@@ -227,12 +227,28 @@ def test_load_rejects_non_positive_sd(kind, field, value, every_model, tmp_path)
         node = node[key]
     node[field[-1]] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ArtifactError, match=f"malformed {kind} payload .*sd"):
+    with pytest.raises(DataError, match=f"malformed {kind} payload .*sd"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", [("standardizer", "sd", 0), ("sigma",)])
+def test_load_rejects_subnormal_grnn_scale(field, every_model, tmp_path):
+    """No fit writes a subnormal sd or sigma; dividing by one overflows, and
+    predict would answer every query with its nearest bank row."""
+    path = tmp_path / "grnn.json"
+    save_model(every_model["grnn"], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    node = doc["payload"]
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = 1e-320
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed grnn payload .*(subnormal|positive normal)"):
         load_model(path)
 
 
 def test_save_rejects_foreign_objects(tmp_path):
-    with pytest.raises(ArtifactError, match="cannot serialize"):
+    with pytest.raises(DataError, match="cannot serialize"):
         save_model(object(), tmp_path / "x.json")
 
 
@@ -240,7 +256,8 @@ def test_save_rejects_foreign_objects(tmp_path):
 def test_load_rejects_non_artifact(tmp_path, text):
     path = tmp_path / "x.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ArtifactError):
+    fragment = "not valid JSON" if text == "not json {" else "unknown artifact schema None"
+    with pytest.raises(DataError, match=fragment):
         load_model(path)
 
 
@@ -277,7 +294,7 @@ def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
         else:
             node[where[-1]] = float("nan")
         path.write_text(json.dumps(broken), encoding="utf-8")
-        with pytest.raises(ArtifactError):
+        with pytest.raises(DataError, match=f"malformed {kind} payload"):
             load_model(path)
             pytest.fail(f"{action} at {where} loaded")
 
@@ -288,7 +305,7 @@ def test_load_rejects_moe_slice_that_misses_its_expert(every_model, tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["payload"]["group_slices"][0] = [0, 2]  # the expert's w1 reads 3 inputs
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ArtifactError, match="does not fit"):
+    with pytest.raises(DataError, match="does not fit"):
         load_model(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,7 @@ from elorantd.baselines import (
     train_grnn,
     train_moe,
 )
-from elorantd.errors import (
-    DimensionMismatchError,
-    EmptyBankError,
-    NonFiniteLossError,
-)
+from elorantd.errors import DataError, NonFiniteLossError
 from elorantd.features import ScalarStandardizer, Standardizer
 from elorantd.stats import rmse
 from elorantd.synth import ols_oracle
@@ -220,9 +217,9 @@ def test_grnn_explicit_sigma_respected():
 
 
 def test_grnn_error_paths():
-    with pytest.raises(EmptyBankError):
+    with pytest.raises(DataError, match="bank has no rows"):
         grnn_predict_batch(np.ones((1, 2)), np.empty((0, 2)), np.empty(0), 1.0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"queries \(1, 3\) vs bank \(4, 2\)"):
         grnn_predict_batch(np.ones((1, 3)), np.ones((4, 2)), np.ones(4), 1.0)
     with pytest.raises(ValueError):
         grnn_predict_batch(np.ones((1, 2)), np.ones((4, 2)), np.ones(4), -1.0)
@@ -332,7 +329,7 @@ def test_baseline_config_validation(config, bad):
         config(**bad)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf")])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("inf"), 1e-160])
 def test_grnn_config_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
         GrnnConfig(sigma=sigma)
@@ -459,7 +456,8 @@ def test_all_baselines_return_model_and_trace():
         assert one_row.shape == (1,)
         assert one_row[0] == pytest.approx(batch[3], rel=1e-12)
         for bad in (x[0], x[:, :1], np.hstack((x, x))):
-            with pytest.raises(DimensionMismatchError):
+            with pytest.raises(DataError, match=f"input shape {re.escape(str(bad.shape))} "
+                                                "does not match 2 columns"):
                 model.predict(bad)
 
 

@@ -16,6 +16,14 @@ import elorantd
 from elorantd import cli, models, synth
 from elorantd.artifacts import encode, load_model
 from elorantd.cli import main
+from elorantd.errors import (
+    AxisMismatchError,
+    ConfigError,
+    DataError,
+    ElorantdError,
+    NonFiniteLossError,
+    ParseError,
+)
 from elorantd.ingest import aggregate_hourly, parse_td_csv
 from elorantd.models import option_types
 from elorantd.types import EpochHour, MetFactor
@@ -65,6 +73,41 @@ def noiseless_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("noiseless")
     synth.write_corpus(synth.generate_scenario(cfg), out)
     return out
+
+
+# -- exit codes -----------------------------------------------------------------
+
+EXIT_TABLE = {
+    ElorantdError: (3, "data error:"),
+    ConfigError: (2, "config error:"),
+    DataError: (3, "data error:"),
+    ParseError: (3, "data error:"),
+    NonFiniteLossError: (4, "numeric error:"),
+    AxisMismatchError: (5, "compatibility error:"),
+    OSError: (3, "data error:"),
+}
+
+
+def error_classes(cls=ElorantdError):
+    """cls and every class derived from it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("error", [*error_classes(), OSError], ids=lambda cls: cls.__name__)
+def test_exit_code_and_prefix_of_every_error_class(error, monkeypatch, capsys):
+    """A class without a row here fails: every error the CLI can meet has
+    one documented exit code and stderr prefix."""
+    exc = error("td.csv", 6, "boom") if error is ParseError else error("boom")
+
+    def load_settings(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_settings", load_settings)
+    code, prefix = EXIT_TABLE[error]
+    assert main(["ingest", "--config", "run.ini"]) == code
+    assert capsys.readouterr().err == f"{prefix} {exc}\n"
 
 
 # -- synth ----------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elorantd.errors import ConstantColumnError, DimensionMismatchError
+from elorantd.errors import DataError
 from elorantd.features import (
     PolyTermIndex,
     ScalarStandardizer,
@@ -41,7 +41,7 @@ def test_poly_expand_zero_vector():
 
 def test_poly_expand_dimension_check():
     index = PolyTermIndex.build(3, 2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"input shape \(5, 2\) does not match 3 features"):
         poly_expand(np.zeros((5, 2)), index)
 
 
@@ -95,9 +95,8 @@ def test_standardizer_fit_set_is_centered():
 def test_standardizer_rejects_constant_column():
     x = np.ones((10, 2))
     x[:, 0] = np.arange(10.0)
-    with pytest.raises(ConstantColumnError, match="column 1 is constant") as info:
+    with pytest.raises(DataError, match="column 1 is constant"):
         Standardizer.fit(x)
-    assert info.value.column == "1"
 
 
 def test_scalar_standardizer():
@@ -105,7 +104,7 @@ def test_scalar_standardizer():
     s = ScalarStandardizer.fit(y)
     np.testing.assert_allclose(s.transform(y), [-1.0, 0.0, 1.0])
     np.testing.assert_allclose(s.inverse(s.transform(y)), y, rtol=1e-12)
-    with pytest.raises(ConstantColumnError):
+    with pytest.raises(DataError, match="column target is constant"):
         ScalarStandardizer.fit(np.ones(5))
 
 

@@ -4,13 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elorantd.errors import (
-    ConfigError,
-    DegeneratePathError,
-    NoElevationDataError,
-    NoObservationsError,
-    OutOfExtentError,
-)
+from elorantd.errors import ConfigError, DataError
 from elorantd.gridmap import (
     GridMap,
     GridSpec,
@@ -90,7 +84,7 @@ def test_assign_no_observations():
         ("S1", EPOCH, MetFactor.HUMIDITY): 50.0,
         ("S1", EpochHour.of(2024, 10, 1, 1), MetFactor.TEMPERATURE): 10.0,
     })
-    with pytest.raises(NoObservationsError):
+    with pytest.raises(DataError, match="no station reports MetFactor.TEMPERATURE at 2024-10-01"):
         assign_observations(spec, registry, weather, EPOCH, MetFactor.TEMPERATURE)
 
 
@@ -254,9 +248,9 @@ def test_sample_path_monotone_distance_from_tx():
 
 
 def test_sample_path_degenerate():
-    with pytest.raises(DegeneratePathError):
+    with pytest.raises(DataError, match="transmitter and receiver coincide"):
         sample_path(DEFAULT_TX, DEFAULT_TX, l=10)
-    with pytest.raises(DegeneratePathError):
+    with pytest.raises(DataError, match="endpoints are antipodal"):
         sample_path(GeoPoint(10.0, 20.0), GeoPoint(-10.0, -160.0), l=10)
     with pytest.raises(ValueError):
         sample_path(DEFAULT_TX, DEFAULT_RX, l=1)
@@ -309,13 +303,13 @@ def test_elevation_nodata_renormalizes():
 
 def test_elevation_all_nodata_is_error():
     dem = unit_dem([[np.nan, np.nan], [np.nan, np.nan]])
-    with pytest.raises(NoElevationDataError):
+    with pytest.raises(DataError, match="all DEM neighbors of path point 0 are NODATA"):
         elevation_profile(dem, (GeoPoint(37.0, 128.0),))
 
 
 def test_elevation_out_of_extent():
     dem = unit_dem([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(OutOfExtentError):
+    with pytest.raises(DataError, match="path point 0 at .* outside DEM extent"):
         elevation_profile(dem, (GeoPoint(10.0, 10.0),))
 
 

@@ -4,14 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from elorantd.errors import (
-    DuplicateStationError,
-    EmptyIntersectionError,
-    InconsistentDimensionsError,
-    OutOfRangeError,
-    ParseError,
-    UnknownStationError,
-)
+from elorantd.errors import DataError, ParseError
 from elorantd.ingest import (
     ELEVATION_RANGE_M,
     ElevationGrid,
@@ -80,7 +73,7 @@ def test_parse_station_registry_empty_data(tmp_path):
 def test_parse_station_registry_duplicate(tmp_path):
     path = tmp_path / "stations.csv"
     path.write_text("station_id,lat,lon\nA,36,127\nA,36.5,127.5\n")
-    with pytest.raises(DuplicateStationError):
+    with pytest.raises(DataError, match="duplicate station id 'A'"):
         parse_station_registry(path)
 
 
@@ -119,7 +112,7 @@ def test_parse_weather_unknown_station(tmp_path, registry):
     path.write_text(
         "station_id,timestamp,humidity_pct\nNOPE,2024-10-01T00:00:00Z,55\n"
     )
-    with pytest.raises(UnknownStationError):
+    with pytest.raises(DataError, match="station id 'NOPE' not in registry"):
         parse_weather_csv(path, registry)
 
 
@@ -137,7 +130,7 @@ def test_parse_weather_cloud_cover_bounds(tmp_path, registry):
     bad.write_text(
         "station_id,timestamp,cloud_cover_unitless\nST01,2024-10-01T00:00:00Z,11\n"
     )
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DataError, match="value 11.0 outside .* of cloud_cover_unitless"):
         parse_weather_csv(bad, registry)
 
 
@@ -155,7 +148,7 @@ def test_parse_weather_rejects_one_bad_value_among_good_rows(tmp_path, registry,
     lines[7] = lines[7].rsplit(",", 1)[0] + "," + cell
     path = tmp_path / "weather.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DataError, match=f"value {float(cell)!r} outside .* of {column} "):
         parse_weather_csv(path, registry)
 
 
@@ -313,7 +306,7 @@ def test_weather_store_rejects_out_of_range_present_values(registry):
     values[0, 0, 0], present[0, 0, 0] = 1000.0, True  # one valid pressure
     WeatherSeries(np.array([0]), registry.ids, values, present)  # absent: not checked
     present[0, 1, ALL_FACTORS.index(MetFactor.HUMIDITY)] = True
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DataError, match="value 1000000.0 outside validity range of humidity_pct"):
         WeatherSeries(np.array([0]), registry.ids, values, present)
 
 
@@ -357,16 +350,17 @@ def test_parse_td_faults_report_their_line(tmp_path, text, line):
 def test_parse_td_rejects_non_finite_and_out_of_bound_values(tmp_path, cell):
     path = tmp_path / "td.csv"
     path.write_text(f"timestamp,td_ns\n{TD_ROW0}\n2024-10-01T00:00:01Z,{cell}\n")
-    with pytest.raises(OutOfRangeError) as info:
+    with pytest.raises(ParseError) as info:
         parse_td_csv(path)
-    assert repr(float(cell)) in str(info.value)
+    assert info.value.line == 3
+    assert f"value {float(cell)!r} outside validity range of td_ns" in str(info.value)
 
 
 def td_outcome(read, path):
     """The samples a reader returns, or the type, line and text of its error."""
     try:
         return read(path)
-    except (ParseError, OutOfRangeError) as exc:
+    except DataError as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
@@ -540,7 +534,7 @@ def test_td_samples_reject_broken_columns():
     with pytest.raises(ValueError):
         TdSamples(micros, values[:1])
     for bad in (np.nan, np.inf, 1e9, -1e9):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(DataError, match=f"{bad!r}\\)? outside validity range of td_ns"):
             TdSamples(micros, np.array([1.0, bad]))
 
 
@@ -666,7 +660,7 @@ def test_align_epochs_empty_intersection(registry):
     factors = factor_set([MetFactor.TEMPERATURE])
     weather = _weather_grid(registry, factors, [EPOCH0])
     td = td_series({EpochHour.parse("2025-03-01T00:00:00Z"): 1.0})
-    with pytest.raises(EmptyIntersectionError):
+    with pytest.raises(DataError, match="no epoch has TD plus every requested factor"):
         align_epochs(weather, td, factors, registry)
 
 
@@ -730,7 +724,7 @@ def test_parse_dem_inconsistent_dimensions(tmp_path):
         "ncols 3\nnrows 1\nxllcorner 127.0\nyllcorner 36.0\ncellsize 0.5\n"
         "NODATA_value -9999\n1.0 2.0\n"
     )
-    with pytest.raises(InconsistentDimensionsError):
+    with pytest.raises(DataError, match="declared .* found"):
         parse_dem(path)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elorantd import lasso
-from elorantd.errors import ConfigError, DegenerateDesignError, DimensionMismatchError
+from elorantd.errors import ConfigError, DataError
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
 from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.lasso import (
@@ -219,7 +219,7 @@ def test_alpha_max_kills_everything():
 def test_degenerate_design_rejected():
     design = np.zeros((10, 2))
     design[:, 0] = 1.0
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(DataError, match="all-zero design column at index 1"):
         descend(design, np.ones(10), [0.1])
 
 
@@ -277,9 +277,9 @@ def test_predict_wrong_width():
     rng = np.random.default_rng(2)
     x, y = random_regression(rng, 30, 3)
     model, _ = train(x, y, LassoConfig(degree=1, alpha=0.1))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"input shape \(2, 4\) does not match 3 columns"):
         model.predict(np.ones((2, 4)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"input shape \(3,\) does not match 3 columns"):
         model.predict(np.ones(3))  # one row must still be a (1, n) batch
     one_row = model.predict(x[5:6])
     assert one_row.shape == (1,) and one_row[0] == pytest.approx(model.predict(x)[5], rel=1e-12)

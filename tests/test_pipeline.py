@@ -6,12 +6,7 @@ import pytest
 
 from elorantd import baselines, models, pipeline
 from elorantd.artifacts import load_model, save_model
-from elorantd.errors import (
-    AxisMismatchError,
-    ConfigError,
-    DataError,
-    EmptyIntersectionError,
-)
+from elorantd.errors import AxisMismatchError, ConfigError, DataError
 from elorantd.pipeline import (
     FeatureBundle,
     build_features,
@@ -210,10 +205,10 @@ def test_split_bundle(rx_bundle):
 
 
 def test_split_bundle_empty_sides(rx_bundle):
-    with pytest.raises(EmptyIntersectionError):
+    with pytest.raises(DataError, match="no aligned epoch falls in the train ranges"):
         split_bundle(rx_bundle, parse_range_list("2030-01-01..2030-02-01"),
                      parse_range_list("2024-10-15..2024-10-18"))
-    with pytest.raises(EmptyIntersectionError):
+    with pytest.raises(DataError, match="no aligned epoch falls in the test ranges"):
         split_bundle(rx_bundle, parse_range_list("2024-10-01..2024-10-08"),
                      parse_range_list("2030-01-01..2030-02-01"))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elorantd.artifacts import decode, encode
-from elorantd.errors import RankDeficientError
+from elorantd.errors import DataError
 from elorantd.ingest import (
     aggregate_hourly,
     parse_dem,
@@ -348,7 +348,7 @@ def test_ols_oracle_hand_solved_system():
 
 def test_ols_oracle_rank_deficient():
     x = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0)])
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(DataError, match="design matrix is rank deficient"):
         ols_oracle(x, np.ones(5))
 
 

@@ -1,16 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from elorantd import wlr_agrnn
-from elorantd.errors import (
-    DegenerateBankError,
-    DimensionMismatchError,
-    EmptyBankError,
-    LengthMismatchError,
-    NonFiniteLossError,
-)
+from elorantd.errors import DataError, NonFiniteLossError
 from elorantd.stats import rmse
 from elorantd.wlr_agrnn import (
     SIGMA_BOUNDS,
@@ -93,7 +88,7 @@ def test_raw_mode_passthrough():
 
 
 def test_elevation_weight_length_check():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="3 outputs vs 4 elevations"):
         elevation_weight(np.ones(3), np.ones(4))
 
 
@@ -154,9 +149,9 @@ def test_golden_section_matches_brute_force():
 
 def test_select_sigmas_degenerate_cases():
     y = np.arange(4.0)
-    with pytest.raises(DegenerateBankError):
+    with pytest.raises(DataError, match="need at least 2 bank columns to select sigmas"):
         select_sigmas(np.ones((2, 1)), np.ones(1))
-    with pytest.raises(DegenerateBankError):
+    with pytest.raises(DataError, match="every bank row is constant"):
         select_sigmas(np.ones((2, 4)), y)  # every row constant
 
 
@@ -270,7 +265,7 @@ def test_agrnn_overflowing_distances_fall_back_to_the_nearest_column():
 
 
 def test_agrnn_empty_bank():
-    with pytest.raises(EmptyBankError):
+    with pytest.raises(DataError, match="bank has no columns"):
         agrnn_predict_batch(np.ones((2, 1)), np.empty((2, 0)), np.empty(0), np.ones(2))
 
 
@@ -340,7 +335,8 @@ def test_predict_batch_matches_per_epoch_oracle():
     np.testing.assert_allclose(model.predict_batch(probe), expect, rtol=1e-10)
     assert model.predict_batch(probe[2:3])[0] == pytest.approx(expect[2], rel=1e-10)
     for bad in (probe[0], probe[:, :2], probe[..., :1]):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=f"expected \\(M, 3, 2\\) features, got "
+                                            f"{re.escape(str(bad.shape))}"):
             model.predict_batch(bad)
 
 
@@ -594,7 +590,7 @@ def test_train_rejects_non_finite_inputs():
     x, y, elevations, _ = linear_scenario(rng, t_count=10)
     x[0, 0, 0] = np.nan
     cfg = TrainConfig(max_iterations=5, hidden=2)
-    with pytest.raises((NonFiniteLossError, DegenerateBankError)):
+    with pytest.raises((NonFiniteLossError, DataError)):
         train(x, y, elevations, cfg)
 
 
