@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .ingest import read_utf8
 from .models import FACTOR, KINDS, Array, Items, ModelKind, Record, Scalar, Table, Text
 from .types import factor_set, parse_location_mode
 
@@ -146,10 +147,7 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
-                        f"{exc.start} is not UTF-8 text") from None
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None

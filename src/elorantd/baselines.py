@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NonFiniteLossError
+from .errors import DataError
 from .features import ScalarStandardizer, Standardizer
-from .optim import Adam, TrainingTrace, loss_converged, require_at_least
+from .optim import AdamConfig, TrainingTrace, finite_kernel_scale, fit_adam, require_at_least
 from .types import FactorSet
 from .wlr_agrnn import agrnn_predict_batch, golden_section, loo_rss, loo_shift, pairwise_sq_dists
 
@@ -37,20 +37,7 @@ GRNN_LOG_SIGMA_TOL = 0.02
 
 
 @dataclass(frozen=True)
-class _AdamConfig:
-    learning_rate: float = 0.001
-    max_iterations: int = 2000
-    tol: float = 1e-8
-    patience: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
-        require_at_least(self, 1, "patience")
-
-
-@dataclass(frozen=True)
-class BpnnConfig(_AdamConfig):
+class BpnnConfig(AdamConfig):
     hidden: int = 16
 
     def __post_init__(self):
@@ -59,7 +46,7 @@ class BpnnConfig(_AdamConfig):
 
 
 @dataclass(frozen=True)
-class MoeConfig(_AdamConfig):
+class MoeConfig(AdamConfig):
     experts: int = 4
     expert_hidden: int = 8
 
@@ -78,12 +65,9 @@ class GrnnConfig:
 
     def __post_init__(self):
         require_at_least(self, 0, "seed")
-        # the kernel scale 0.5 / sigma^2 must be finite and positive
-        sigma = self.sigma
-        if sigma is not None and not (sigma > 0 and sigma * sigma > 0
-                                      and 0 < 0.5 / (sigma * sigma) < math.inf):
+        if self.sigma is not None and not finite_kernel_scale(self.sigma):
             raise ValueError(f"sigma must be positive with a finite, positive kernel scale "
-                             f"0.5 / sigma^2, got {sigma!r}")
+                             f"0.5 / sigma^2, got {self.sigma!r}")
 
 
 def _check_xy(x, y):
@@ -124,9 +108,9 @@ def _forward(experts, group_slices, gate, z: np.ndarray):
 
 
 def _loss_and_grads(params: list[np.ndarray], group_slices, z: np.ndarray, ys: np.ndarray):
-    """MSE and its gradient (None if the MSE is not finite); params are (w1, b1,
-    w2, b2) per expert, b2 of shape (1,), then the gate's (w, b) if two or more.
-    A diverging run overflows here; the caller reports it, so numpy does not."""
+    """MSE and its gradient; params are (w1, b1, w2, b2) per expert, b2 of
+    shape (1,), then the gate's (w, b) if two or more.  A diverging run
+    overflows here; fit_adam reports it, so numpy does not."""
     with np.errstate(over="ignore", invalid="ignore"):
         k_count = len(group_slices)
         experts = [params[4 * k: 4 * k + 4] for k in range(k_count)]
@@ -134,8 +118,6 @@ def _loss_and_grads(params: list[np.ndarray], group_slices, z: np.ndarray, ys: n
         t_count = z.shape[0]
         err = pred - ys
         loss = float(np.dot(err, err) / t_count)
-        if not math.isfinite(loss):
-            return loss, None
         delta = 2.0 * err / t_count
         grads: list[np.ndarray] = []
         for k, ((_, _, w2, _), (lo, hi), h) in enumerate(zip(experts, group_slices, hiddens)):
@@ -149,7 +131,7 @@ def _loss_and_grads(params: list[np.ndarray], group_slices, z: np.ndarray, ys: n
         return loss, grads
 
 
-def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: _AdamConfig, name: str):
+def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: AdamConfig, name: str):
     """Adam on the MSE of one tanh expert per input slice, softmax-gated
     when two or more; returns experts, gate, both scalings and the trace."""
     _check_slices(group_slices, x.shape[1], [hi - lo for lo, hi in group_slices])
@@ -172,23 +154,9 @@ def _fit_tanh_mixture(x, y, group_slices, hidden: int, cfg: _AdamConfig, name: s
     if k_count > 1:
         lim_g = 1.0 / math.sqrt(z.shape[1])
         params += [rng.uniform(-lim_g, lim_g, size=(k_count, z.shape[1])), np.zeros(k_count)]
-    adam = Adam(lr=cfg.learning_rate)
-    losses: list[float] = []
-    for _ in range(cfg.max_iterations):
-        loss, grads = _loss_and_grads(params, group_slices, z, ys)
-        if not math.isfinite(loss):
-            raise NonFiniteLossError(f"{name} loss became non-finite")
-        losses.append(loss)
-        adam.step(params, grads)
-        if loss_converged(losses, cfg.tol, cfg.patience):
-            break
-    if not losses:
-        losses.append(_loss_and_grads(params, group_slices, z, ys)[0])
-    if not all(np.isfinite(p).all() for p in params):  # a saturated tanh hides it from the loss
-        raise NonFiniteLossError(f"{name} weights became non-finite")
+    trace = fit_adam(params, lambda it: _loss_and_grads(params, group_slices, z, ys), cfg, name)
     experts = tuple((*params[4 * k: 4 * k + 3], float(params[4 * k + 3][0]))
                     for k in range(k_count))
-    trace = TrainingTrace(tuple(losses), loss_converged(losses, cfg.tol, cfg.patience))
     return experts, tuple(params[4 * k_count:]), standardizer, target_scale, trace
 
 
@@ -241,6 +209,10 @@ class GrnnModel:
     factors: FactorSet = ()
     location_mode: str = "receiver_only"
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not finite_kernel_scale(self.sigma):
+            raise ValueError(f"sigma {self.sigma!r} has no finite kernel scale 0.5 / sigma^2")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """(M, n) raw inputs -> (M,) predictions."""

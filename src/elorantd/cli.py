@@ -40,7 +40,7 @@ from .gridmap import (
     export_gridmap_csv,
     idw_fill,
 )
-from .ingest import DEFAULT_MIN_SAMPLES_PER_HOUR, aggregate_hourly, align_epochs
+from .ingest import DEFAULT_MIN_SAMPLES_PER_HOUR, aggregate_hourly, align_epochs, read_utf8
 from .optim import MAX_ARRAY_CELLS, require_at_least
 from .pipeline import (
     Corpus,
@@ -231,9 +231,9 @@ def load_settings(config_path: str | None) -> RunSettings:
     # no DEFAULT section: its keys would reach every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        parser.read_string(read_utf8(path), source=str(path))
+    except (DataError, OSError, configparser.Error) as exc:  # each names the file
+        raise ConfigError(str(exc)) from None
     raw = {section: dict(parser[section]) for section in parser.sections()}
     unknown = [section for section in raw if section not in SECTIONS and section != "model"]
     if unknown:
@@ -337,8 +337,8 @@ def cmd_synth(args, s: RunSettings) -> int:
     else:
         try:
             cfg = synth.load_scenario_config(scenario_name)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"synth.scenario: {scenario_name}: {exc}") from None
+        except (OSError, DataError) as exc:  # each names the file
+            raise ConfigError(f"synth.scenario: {exc}") from None
     # precedence: --seed flag, then [synth] seed, then the seed embedded
     # in the scenario (so regenerating from a meta file reproduces it)
     seed = args.seed if args.seed is not None else s.synth.seed

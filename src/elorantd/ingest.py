@@ -265,20 +265,24 @@ class ElevationGrid:
         )
 
 
+def read_utf8(path) -> str:
+    """The text of the file at path; a byte that is not UTF-8 is a ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+
+
 @contextmanager
 def _read_text(path):
-    """path open as UTF-8 text for a row reader; a byte that is not UTF-8
-    is a ParseError at its line."""
+    """path open as UTF-8 text for a row reader; errors as in read_utf8."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
-                             f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+        read_utf8(path)
         raise
 
 

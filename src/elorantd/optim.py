@@ -1,10 +1,12 @@
-"""Adam, the training trace, the early-stopping rule and config range checks."""
+"""The Adam fit and its options, the training trace, the stop rule and config range checks."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteLossError
 
 # float64 cells (2 GiB) in any one array built from settings: a design or Gram
 # matrix, a generated scenario array, a grid raster, its IDW weights, a path tensor
@@ -17,6 +19,14 @@ def require_at_least(cfg, low: float, *names: str, strict: bool = False) -> None
         value = getattr(cfg, name)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def finite_kernel_scale(sigmas) -> bool:
+    """Each sigma is positive, with a finite, positive kernel scale 0.5 / sigma^2."""
+    s = np.asarray(sigmas, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 0.5 / (s * s)
+    return bool(np.all((s > 0) & (scale > 0) & (scale < np.inf)))
 
 
 def loss_converged(losses: list[float], tol: float, patience: int) -> bool:
@@ -46,33 +56,54 @@ class TrainingTrace:
         return len(self.losses)
 
 
-class Adam:
-    """Standard Adam with bias correction; state per parameter array."""
+@dataclass(frozen=True)
+class AdamConfig:
+    """The options of a full-batch Adam fit (fit_adam); a trainer's config
+    subclasses it, redeclaring the defaults that differ."""
 
-    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    learning_rate: float = 0.001
+    max_iterations: int = 2000
+    tol: float = 1e-8
+    patience: int = 5
+    seed: int = 0
 
-    def __init__(self, lr: float = 0.001):
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
-        self.lr = lr
-        self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+    def __post_init__(self):
+        require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
+        require_at_least(self, 1, "patience")
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update params in place; an overflow leaves inf or nan for the trainer to report."""
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-        if len(params) != len(self._m) or len(params) != len(grads):
-            raise ValueError("parameter/gradient structure changed between steps")
-        self.t += 1
-        b1t = 1.0 - self.BETA1 ** self.t
-        b2t = 1.0 - self.BETA2 ** self.t
+
+def fit_adam(params: list[np.ndarray], step, cfg: AdamConfig, name: str) -> TrainingTrace:
+    """Full-batch Adam with bias correction (Kingma & Ba 2015), params updated in place.
+
+    step(it) returns the loss at the current params and one gradient per param.
+    Each iteration steps, records the loss, updates, and stops once
+    loss_converged holds; max_iterations 0 records the initial loss alone.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    losses: list[float] = []
+    converged = False
+    for it in range(max(cfg.max_iterations, 1)):
+        loss, grads = step(it)
+        if not math.isfinite(loss):
+            raise NonFiniteLossError(f"{name} loss became non-finite at iteration {it}")
+        losses.append(loss)
+        if it == cfg.max_iterations:
+            break
+        b1t = 1.0 - beta1 ** (it + 1)
+        b2t = 1.0 - beta2 ** (it + 1)
+        # an overflow leaves inf or nan, which the next loss or the end reports
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, g, m, v in zip(params, grads, self._m, self._v):
-                m *= self.BETA1
-                m += (1.0 - self.BETA1) * g
-                v *= self.BETA2
-                v += (1.0 - self.BETA2) * g * g
-                p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
+            for p, g, m_p, v_p in zip(params, grads, m, v):
+                m_p *= beta1
+                m_p += (1.0 - beta1) * g
+                v_p *= beta2
+                v_p += (1.0 - beta2) * g * g
+                p -= cfg.learning_rate * (m_p / b1t) / (np.sqrt(v_p / b2t) + eps)
+        converged = loss_converged(losses, cfg.tol, cfg.patience)
+        if converged:
+            break
+    if not all(np.isfinite(p).all() for p in params):  # a saturated tanh keeps its loss finite
+        raise NonFiniteLossError(f"{name} loss became non-finite at iteration {len(losses)}")
+    return TrainingTrace(tuple(losses), converged)

@@ -71,13 +71,8 @@ def load_corpus(directory) -> Corpus:
     for fname in ("stations.csv", "weather.csv", "td.csv", "dem.asc"):
         if not (root / fname).is_file():
             raise DataError(f"corpus {root} is missing {fname}")
-    scenario = None
     meta_path = root / "scenario.meta"
-    if meta_path.is_file():
-        try:
-            scenario = load_scenario_config(meta_path)
-        except ValueError as exc:
-            raise DataError(f"{meta_path}: {exc}") from None
+    scenario = load_scenario_config(meta_path) if meta_path.is_file() else None
     registry = parse_station_registry(root / "stations.csv")
     return Corpus(
         directory=root,

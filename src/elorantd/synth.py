@@ -40,6 +40,7 @@ from .ingest import (
     StationRegistry,
     TdSamples,
     WeatherSeries,
+    read_utf8,
     write_dem,
     write_station_registry,
     write_td_csv,
@@ -517,13 +518,16 @@ def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    """Decode a scenario.meta; ValueError, naming the bad value's path, if
-    it is not JSON, not this schema, or holds a malformed or out-of-range value."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = raw.get("schema") if isinstance(raw, dict) else None
-    if schema != SCENARIO_SCHEMA:
-        raise ValueError(f"scenario.schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
-    return decode(SCENARIO_LAYOUT, raw, {}, "scenario")
+    """Decode a scenario.meta; a DataError naming the file (and the bad value's path)
+    if it is not UTF-8 JSON of this schema or holds a malformed or out-of-range value."""
+    try:
+        raw = json.loads(read_utf8(path))
+        schema = raw.get("schema") if isinstance(raw, dict) else None
+        if schema != SCENARIO_SCHEMA:
+            raise ValueError(f"scenario.schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
+        return decode(SCENARIO_LAYOUT, raw, {}, "scenario")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- brute-force oracles --------------------------------------------------------

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, NonFiniteLossError
 from .features import Standardizer
-from .optim import Adam, TrainingTrace, loss_converged, require_at_least
+from .optim import AdamConfig, TrainingTrace, finite_kernel_scale, fit_adam, require_at_least
 from .types import FactorSet, GeoPoint
 
 SIGMA_BOUNDS = (0.1, 3.0)
@@ -75,20 +75,17 @@ class WlrParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
+class TrainConfig(AdamConfig):
     max_iterations: int = 200
     tol: float = 1e-6
-    patience: int = 5
     hidden: int = 8
     elevation_mode: str = "floored_normalized"  # or "raw"
     weight_scheme: str = "uniform"  # or "inverse_residual"
     sigma_tol: float = 0.02
-    seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, 0, "learning_rate", "max_iterations", "tol", "seed")
-        require_at_least(self, 1, "patience", "hidden")
+        super().__post_init__()
+        require_at_least(self, 1, "hidden")
         require_at_least(self, 0, "sigma_tol", strict=True)
         if self.elevation_mode not in ("floored_normalized", "raw"):
             raise ValueError(f"unknown elevation mode {self.elevation_mode!r}")
@@ -315,9 +312,9 @@ def wrss_and_grads(
     search: SigmaSearch,
     w: np.ndarray,
     reweight: bool = False,
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[float, list[np.ndarray], np.ndarray]:
     """Leave-one-out WRSS of bank (l, T) at the searched sigmas, analytic
-    gradients w.r.t. w1 and w2, and the weights the loss used.
+    gradients [w1, w2], and the weights the loss used.
 
     One kernel at the searched scale serves all three; reweight first
     replaces w by the inverse_residual weights of its predictions.  The
@@ -351,7 +348,7 @@ def wrss_and_grads(
     # follow from P = sum g_xhat z (sum g_xhat, the bias gradient, is zero)
     n = x.shape[-1]
     p = g_xhat.reshape(-1) @ x.reshape(-1, n)
-    return loss, {"w1": np.outer(params.w2, p), "w2": params.w1 @ p}, w
+    return loss, [np.outer(params.w2, p), params.w1 @ p], w
 
 
 @dataclass(frozen=True)
@@ -370,6 +367,10 @@ class WlrAgrnnModel:
     factors: FactorSet = ()
     location_mode: str = "path"
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not finite_kernel_scale(self.sigmas):
+            raise ValueError("every sigma must have a finite, positive kernel scale 0.5 / sigma^2")
 
     @property
     def n_locations(self) -> int:
@@ -429,31 +430,23 @@ def train(
     z = standardizer.transform(x.reshape(-1, n_factors)).reshape(x.shape)
     rng = np.random.default_rng(cfg.seed)
     params = WlrParams.init(n_factors, cfg.hidden, rng)
-    adam = Adam(lr=cfg.learning_rate)
     w = np.ones(t_count)
-    losses: list[float] = []
     scales: list[float] = []
-    for it in range(cfg.max_iterations):
+
+    def step(it: int):
+        nonlocal w
         bank = _bank(params, z, h_tilde)
+        # the search's T x T matrix is freed on return, before the next is built
         search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
-        reweight = (cfg.weight_scheme == "inverse_residual" and it > 0
-                    and it % WEIGHT_EVERY == 0)
+        reweight = cfg.weight_scheme == "inverse_residual" and it > 0 and it % WEIGHT_EVERY == 0
         loss, grads, w = wrss_and_grads(params, z, y, h_tilde, bank, search, w, reweight)
-        if not math.isfinite(loss):
-            raise NonFiniteLossError(f"WRSS became non-finite at iteration {it}")
-        losses.append(loss)
         scales.append(search.c)
-        # free this search's T x T matrix before the next one is built
-        del search
-        adam.step([params.w1, params.w2], [grads["w1"], grads["w2"]])
-        if loss_converged(losses, cfg.tol, cfg.patience):
-            break
+        return loss, grads
+
+    trace = fit_adam([params.w1, params.w2], step, cfg, "WLR-AGRNN")
     # final bank/sigmas consistent with the final parameters
     bank = _bank(params, z, h_tilde)
     search = select_sigmas(bank, y, w, tol=cfg.sigma_tol)
-    if not losses:
-        losses.append(wrss_and_grads(params, z, y, h_tilde, bank, search, w)[0])
-        scales.append(search.c)
     model = WlrAgrnnModel(
         params=params.copy(),
         h_tilde=h_tilde,
@@ -467,5 +460,4 @@ def train(
         standardizer=standardizer,
         points=points,
     )
-    converged = loss_converged(losses, cfg.tol, cfg.patience)
-    return model, TrainingTrace(tuple(losses), converged, tuple(scales))
+    return model, replace(trace, sigma_scales=tuple(scales))

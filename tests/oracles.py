@@ -22,6 +22,28 @@ def wlr_forward(params, x) -> float:
     return sum(float(params.w2[i]) * hidden[i] for i in range(len(hidden))) + float(params.b2)
 
 
+def adam_oracle(theta, loss_and_grad, lr: float, steps: int,
+                beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as Kingma & Ba (2015), Algorithm 1, entry by entry on a list of
+    floats: steps updates of theta, each by the gradient at the current
+    theta.  loss_and_grad(theta) returns (loss, gradient list); returns the
+    final theta and the loss before each update."""
+    theta = [float(v) for v in theta]
+    m = [0.0] * len(theta)
+    v = [0.0] * len(theta)
+    losses = []
+    for t in range(1, steps + 1):
+        loss, g = loss_and_grad(theta)
+        losses.append(loss)
+        for i in range(len(theta)):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            theta[i] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+    return theta, losses
+
+
 def soft_threshold(z: float, gamma: float) -> float:
     """The scalar lasso shrinkage: z moved gamma toward 0, and 0 within +-gamma."""
     if z > gamma:

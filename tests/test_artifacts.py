@@ -231,19 +231,33 @@ def test_load_rejects_non_positive_sd(kind, field, value, every_model, tmp_path)
         load_model(path)
 
 
-@pytest.mark.parametrize("field", [("standardizer", "sd", 0), ("sigma",)])
-def test_load_rejects_subnormal_grnn_scale(field, every_model, tmp_path):
-    """No fit writes a subnormal sd or sigma; dividing by one overflows, and
-    predict would answer every query with its nearest bank row."""
+@pytest.mark.parametrize("field, value", [
+    (("standardizer", "sd", 0), 1e-320), (("sigma",), 1e-320), (("sigma",), 1e-300),
+])
+def test_load_rejects_subnormal_grnn_scale(field, value, every_model, tmp_path):
+    """No fit writes a subnormal sd or sigma, or a sigma whose kernel scale
+    0.5 / sigma^2 overflows; dividing by one overflows, and predict would
+    answer every query with its nearest bank row."""
     path = tmp_path / "grnn.json"
     save_model(every_model["grnn"], path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     node = doc["payload"]
     for key in field[:-1]:
         node = node[key]
-    node[field[-1]] = 1e-320
+    node[field[-1]] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(DataError, match="malformed grnn payload .*(subnormal|positive normal)"):
+    with pytest.raises(DataError,
+                       match="malformed grnn payload .*(subnormal|positive normal|kernel scale)"):
+        load_model(path)
+
+
+def test_load_rejects_a_wlr_bandwidth_with_no_finite_kernel_scale(every_model, tmp_path):
+    path = tmp_path / "wlr.json"
+    save_model(every_model["wlr_agrnn"], path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["payload"]["sigmas"][0] = 1e-300
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed wlr_agrnn payload .*kernel scale"):
         load_model(path)
 
 

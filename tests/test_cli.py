@@ -310,11 +310,16 @@ def test_every_scenario_meta_mutation_exits_2_from_synth_and_3_from_train(
                   ("dem as a list", json.dumps({**doc, "dem": []})),
                   ("duration_hours 1e12", json.dumps(doc).replace('"duration_hours": 480',
                                                                   '"duration_hours": 1e12'))]
+    pretty = json.dumps(doc, indent=2)
+    at = pretty.index('"seed"')
+    utf8_line = pretty.count("\n", 0, at) + 1
+    whole_file.append(("non-UTF-8 byte", pretty[:at].encode() + b"\xff" + pretty[at:].encode()))
     cases = whole_file + [(label, json.dumps(bad))
                           for label, bad in scenario_meta_mutations(doc, factors)]
     for label, text in cases:
-        meta.write_text(text)
-        (corpus / "scenario.meta").write_text(text)
+        data = text if isinstance(text, bytes) else text.encode()
+        meta.write_bytes(data)
+        (corpus / "scenario.meta").write_bytes(data)
         assert main(["synth", "--scenario", str(meta), "--out", str(tmp_path / "out")]) == 2, label
         assert main(["train", "--config", ini, "--corpus", str(corpus), "--model", "grnn",
                      "--out", str(tmp_path / "m.json")]) == 3, label
@@ -322,6 +327,8 @@ def test_every_scenario_meta_mutation_exits_2_from_synth_and_3_from_train(
         assert "Traceback" not in err, label
         assert err.count("config error: synth.scenario:") == 1, (label, err)
         assert err.count("data error:") == 1 and "scenario.meta" in err, (label, err)
+        if label == "non-UTF-8 byte":  # reported at the byte's line by both commands
+            assert err.count(f"scenario.meta:{utf8_line}: byte 0xff is not UTF-8 text") == 2, err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "m.json").exists()
 
@@ -707,6 +714,7 @@ def test_every_ini_mutation_ends_in_a_documented_exit_from_every_command(
             pytest.fail(f"{label}: {command} raised {exc!r}")
         err = capsys.readouterr().err
         assert code in expect and "Traceback" not in err, (label, command, code, err)
+        return err
 
     for label, sections in ini_mutations(base):
         config.write_text(ini_text(sections), encoding="utf-8")
@@ -718,7 +726,11 @@ def test_every_ini_mutation_ends_in_a_documented_exit_from_every_command(
     for label, raw in ini_file_cases(base):
         config.write_bytes(raw)
         for command in commands:
-            run(label, command, expect=(2,))
+            err = run(label, command, expect=(2,))
+            assert "PosixPath" not in err, (label, command, err)
+            if label == "non-UTF-8 byte":  # reported at the byte's line
+                line = raw.count(b"\n")
+                assert f"{config}:{line}: byte 0xff is not UTF-8 text" in err, (command, err)
 
 
 # a bad location mode, the two tracebacks of an overflowing grid, and a huge l

@@ -378,6 +378,9 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
                 assert not non_finite_cells(out), (label, command, non_finite_cells(out))
             if "cut at" in label or "not JSON" in label or "non-UTF-8" in label:
                 assert code == 3, (label, command, err)
+            if "non-UTF-8" in label:  # reported at the byte's line
+                line = data.count(b"\n", 0, int(label.rpartition(" ")[2])) + 1
+                assert f"m.json:{line}: byte 0xff is not UTF-8 text" in err, (label, err)
             codes[code] += 1
     assert all(codes.values()), codes  # each documented exit is reached
 

@@ -6,7 +6,7 @@ import pytest
 
 from elorantd import baselines, models, pipeline
 from elorantd.artifacts import load_model, save_model
-from elorantd.errors import AxisMismatchError, ConfigError, DataError
+from elorantd.errors import AxisMismatchError, ConfigError, DataError, NonFiniteLossError
 from elorantd.pipeline import (
     FeatureBundle,
     build_features,
@@ -275,6 +275,21 @@ def test_train_model_labels_every_kind_and_a_round_trip_keeps_the_labels(
 def test_train_model_unknown_name(rx_bundle):
     with pytest.raises(ConfigError, match="unknown model"):
         train_model("forest", sub_bundle(rx_bundle, 30))
+
+
+@pytest.mark.parametrize("name", ["wlr_agrnn", "bpnn", "moe"])
+def test_every_adam_kind_shares_the_stop_rule(name, rx_bundle):
+    """Zero iterations record the initial loss; a tol above every change
+    stops after patience + 1 losses; a learning rate that diverges is a
+    numeric failure."""
+    bundle = sub_bundle(rx_bundle, 60)
+    small = {"experts": 2} if name == "moe" else {}
+    _, trace = train_model(name, bundle, {**small, "max_iterations": 0})
+    assert trace.iterations == 1 and not trace.converged
+    _, trace = train_model(name, bundle, {**small, "tol": 1e300, "patience": 3})
+    assert trace.iterations == 4 and trace.converged
+    with pytest.raises(NonFiniteLossError):
+        train_model(name, bundle, {**small, "learning_rate": 1e300, "max_iterations": 5})
 
 
 _ADAM_DEFAULTS = dict(learning_rate=0.001, max_iterations=2000, tol=1e-8, patience=5, seed=0)

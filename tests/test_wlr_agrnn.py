@@ -359,8 +359,8 @@ def test_wrss_uniform_weights_equal_rss():
             for t in range(6)]
     assert loss1 == pytest.approx(float(np.sum((y - yhat) ** 2)), rel=1e-12)
     assert loss2 == pytest.approx(2.0 * loss1, rel=1e-12)
-    for name in ("w1", "w2"):
-        np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
+    for grad2, grad1 in zip(g2, g1, strict=True):
+        np.testing.assert_allclose(grad2, 2.0 * grad1, rtol=1e-12)
 
 
 def test_loo_exclusion_keeps_loss_positive_at_tiny_sigma():
@@ -384,10 +384,10 @@ def check_gradients_against_the_oracle(params, x, y, h, w, eps=1e-5):
     assert w_used is w
     assert loss == pytest.approx(wrss_loss(params, x, y, h, sigmas, w), rel=1e-12)
     # the biases do not move the loss (test_bias_shift_changes_nothing)
-    assert set(grads) == {"w1", "w2"}
+    assert [g.shape for g in grads] == [params.w1.shape, params.w2.shape]
     fd_all: list[float] = []
     an_all: list[float] = []
-    for name in ("w1", "w2"):
+    for name, grad in zip(("w1", "w2"), grads):
         arr = getattr(params, name)
         for idx in np.ndindex(arr.shape):
             p_hi, p_lo = params.copy(), params.copy()
@@ -395,7 +395,7 @@ def check_gradients_against_the_oracle(params, x, y, h, w, eps=1e-5):
             getattr(p_lo, name)[idx] -= eps
             fd_all.append((wrss_loss(p_hi, x, y, h, sigmas, w)
                            - wrss_loss(p_lo, x, y, h, sigmas, w)) / (2.0 * eps))
-            an_all.append(float(grads[name][idx]))
+            an_all.append(float(grad[idx]))
     # absolute floor covers finite-difference cancellation noise, which
     # scales with the loss value, not with the gradient components
     np.testing.assert_allclose(an_all, fd_all, rtol=1e-4, atol=1e-7 * max(1.0, loss))
@@ -443,8 +443,8 @@ def test_a_constant_location_adds_no_loss_and_no_gradient():
     (c1, loss1, g1), (c2, loss2, g2) = runs
     assert c2 == c1
     assert loss2 == loss1
-    for name in ("w1", "w2"):
-        np.testing.assert_allclose(g2[name], g1[name], rtol=1e-12)
+    for grad2, grad1 in zip(g2, g1, strict=True):
+        np.testing.assert_allclose(grad2, grad1, rtol=1e-12)
 
 
 # -- what the model learns: sigma_j = c * sd_j cancels the rest ----------------
@@ -626,6 +626,23 @@ def test_trace_records_the_sigma_scale_of_each_iteration():
     assert again.sigma_scales == trace.sigma_scales
 
 
+def test_sigma_scales_hold_one_search_per_loss():
+    """At learning rate 0 the bank never moves, so every entry is the c of
+    select_sigmas on the initial bank; zero iterations give one entry, and
+    a run that stops early one entry per recorded loss."""
+    rng = np.random.default_rng(33)
+    x, y, elevations, _ = linear_scenario(rng, t_count=20)
+    model, trace = train(x, y, elevations, TrainConfig(learning_rate=0.0, max_iterations=5,
+                                                       tol=0.0, hidden=3, seed=6))
+    z = model.standardizer.transform(x.reshape(-1, 2)).reshape(x.shape)
+    initial = bank_of(WlrParams.init(2, 3, np.random.default_rng(6)), z, model.h_tilde)
+    assert trace.sigma_scales == (select_sigmas(initial, y).c,) * 5
+    for cfg, count in ((TrainConfig(max_iterations=0, hidden=3), 1),
+                       (TrainConfig(learning_rate=0.01, tol=1e300, patience=2, hidden=3), 3)):
+        _, trace = train(x, y, elevations, cfg)
+        assert len(trace.sigma_scales) == len(trace.losses) == count
+
+
 def test_training_holds_the_biases_at_zero():
     rng = np.random.default_rng(27)
     x, y, elevations, _ = linear_scenario(rng, t_count=20)
@@ -659,7 +676,8 @@ def test_train_inverse_residual_scheme_reweights():
 def test_each_iteration_builds_one_distance_matrix(monkeypatch):
     """k iterations forward the experts, build and shift one T x T matrix
     k + 1 times (the last for the final selection), and the trace holds
-    the c each search returned."""
+    the c each search returned; zero iterations take one step for the
+    initial loss and the final selection."""
     calls = {"_forward_all": 0, "pairwise_sq_dists": 0, "loo_shift": 0}
     for name in calls:
         inner = getattr(wlr_agrnn, name)
@@ -686,8 +704,7 @@ def test_each_iteration_builds_one_distance_matrix(monkeypatch):
         searched.clear()
         cfg = TrainConfig(learning_rate=0.01, max_iterations=k, tol=0.0, hidden=3, seed=9)
         _, trace = train(x, y, elevations, cfg)
-        assert calls == dict.fromkeys(calls, k + 1)
-        # with no iteration, the one loss comes from the final selection
+        assert calls == dict.fromkeys(calls, max(k, 1) + 1)
         assert trace.sigma_scales == tuple(searched[:max(k, 1)])
 
 
