@@ -230,7 +230,7 @@ def grnn_predict_batch(
         raise DataError("bank has no rows")
     if q.ndim != 2 or q.shape[1] != b.shape[1]:
         raise DataError(f"queries {q.shape} vs bank {b.shape}")
-    return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)))
+    return agrnn_predict_batch(q.T, b.T, y, np.full(b.shape[1], float(sigma)), "grnn")
 
 
 def train_grnn(

@@ -325,9 +325,173 @@ def write_station_registry(registry: StationRegistry, path) -> None:
             writer.writerow([sid, repr(loc.lat), repr(loc.lon)])
 
 
+# -- stamped CSV in bulk ------------------------------------------------------
+# weather.csv and td.csv as the writers write them: one np.loadtxt call
+# into fixed byte fields and floats, then the stamps from their digits.
+# Anything the checks cannot vouch for goes to the file's row loop, which
+# reports each fault at its line.
+
+# the stamp the writers write for a whole second, as bytes: 0 marks a
+# digit, then the NUL that pads a 20-byte stamp in a 21-byte field
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
+_STAMP_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
+# byte ranges of year, month, day, hour, minute and second in the stamp
+_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_STAMP_CHUNK = 1 << 15  # stamps converted per step, so temporaries stay small
+
+
+def _read_stamped(path, dtype_of) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, micros) of a CSV file read in bulk, or None.
+
+    dtype_of maps the header line, as bytes with its line end, to the
+    record dtype of every other line, or to None.  The record's
+    "timestamp" field (S21) must hold a whole-second YYYY-MM-DDTHH:MM:SSZ
+    stamp; micros is each stamp's microseconds since the Unix epoch.
+    Blank lines are skipped; a NUL byte, a cell that is not a number, a
+    wrong field count or an impossible date gives None."""
+    newlines = 0
+    with open(path, "rb") as fh:
+        dtype = dtype_of(fh.readline())
+        if dtype is None:
+            return None
+        # small chunks keep the scan's buffer below the rows' size
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            # numpy's byte-string fields drop trailing NULs, which could hide junk
+            if b"\0" in chunk:
+                return None
+            newlines += chunk.count(b"\n")
+    # a bound on the rows lets loadtxt allocate them once, where growing
+    # them step by step leaves holes in the heap that raise the peak RSS
+    max_rows = newlines + 2
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file with no rows
+            # and on a blank line, which the row loops skip as well
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                              encoding="utf-8", ndmin=1, max_rows=max_rows)
+    except (ValueError, Warning):
+        return None
+    if len(rows) == max_rows:  # a lone \r ends a line too: rows may be left unread
+        return None
+    at = rows.dtype.fields["timestamp"][1]
+    raw = rows.view(np.uint8).reshape(-1, rows.itemsize)[:, at:at + len(_STAMP)]
+    # column by column, so that no temporary is the size of the stamps
+    if any((raw[:, j] - _STAMP[j]).max() > _STAMP_SLACK[j] for j in range(len(_STAMP))):
+        return None
+    micros = np.empty(len(rows), dtype=np.int64)
+    for start in range(0, len(rows), _STAMP_CHUNK):
+        part = _stamp_micros(raw[start:start + _STAMP_CHUNK])
+        if part is None:
+            return None
+        micros[start:start + len(part)] = part
+    return rows, micros
+
+
+def _stamp_field(raw: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The decimal number in bytes lo:hi of each stamp."""
+    out = np.zeros(len(raw), dtype=np.int32)
+    for j in range(lo, hi):
+        out = out * 10 + (raw[:, j] - ord("0"))
+    return out
+
+
+def _stamp_micros(raw: np.ndarray) -> np.ndarray | None:
+    """Microseconds since the Unix epoch of digit-checked stamps, one row of
+    bytes each; None if one is not a real time from year 1 on (datetime has
+    no year 0).  Computed from the digits, because numpy's string to
+    datetime64 cast can crash the process on an invalid date in a large
+    array (numpy 2.4: SIGSEGV on "2024-02-30T25:00:00" among 1,000 stamps)."""
+    year, month, day, hour, minute, second = (
+        _stamp_field(raw, lo, hi) for lo, hi in _STAMP_FIELDS
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
+    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                  & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)):
+        return None
+    # days since 1970-01-01 in the proleptic Gregorian calendar, counting
+    # the year from March (Hinnant, "chrono-Compatible Low-Level Date Algorithms")
+    y = year - (month <= 2)
+    days = (y * 365 + y // 4 - y // 100 + y // 400
+            + (153 * ((month + 9) % 12) + 2) // 5 + day - 1 - 719468).astype(np.int64)
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * MICROS_PER_SECOND
+
+
 # -- weather ------------------------------------------------------------------
 
+_FACTOR_COLUMNS = frozenset(f.column for f in ALL_FACTORS)
+
+
 def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
+    """A file whose rows are all <registered id>,YYYY-MM-DDTHH:00:00Z and one
+    number per factor column, with no blank cell, is read in bulk; any
+    other file is read row by row, which accepts blank cells and every
+    ISO-8601 UTC form and reports faults at their line."""
+    series = _read_weather_fixed(path, registry)
+    return series if series is not None else _read_weather_rows(path, registry)
+
+
+def _weather_dtype(header: bytes, id_width: int) -> np.dtype | None:
+    """The record dtype of a weather file's rows, its fields named by the
+    header's columns, if the row loop reads the header line to those
+    columns without fault; None otherwise."""
+    if not header.endswith(b"\n"):
+        return None
+    text = header[:-2] if header.endswith(b"\r\n") else header[:-1]
+    if not text.isascii():
+        return None
+    # no quote, so splitting at commas is what the csv module does
+    names = text.decode("ascii").split(",")
+    if (names[:2] != ["station_id", "timestamp"] or len(names) < 3
+            or not _FACTOR_COLUMNS.issuperset(names[2:]) or len(set(names)) != len(names)):
+        return None
+    return np.dtype([("station_id", f"S{id_width}"), ("timestamp", "S21")]
+                    + [(name, "f8") for name in names[2:]])
+
+
+def _read_weather_fixed(path, registry: StationRegistry) -> WeatherSeries | None:
+    """The series if every row is <registered id>,YYYY-MM-DDTHH:00:00Z,<float>,...
+    with no blank cell and every check passes; None otherwise, so that the
+    row loop reports the fault.  Each factor column is written straight
+    into the (hour, station, factor) cube."""
+    # the ids a cell matches byte for byte exactly when the row loop's
+    # stripped cell matches them (loadtxt neither strips nor unquotes)
+    station_of = {sid.encode("ascii"): s for s, sid in enumerate(registry.ids)
+                  if sid.isascii() and sid == sid.strip() and '"' not in sid}
+    if not station_of:
+        return None
+    # one byte wider than the longest id, so that a longer id is not cut to a match
+    width = max(map(len, station_of)) + 1
+    read = _read_stamped(path, partial(_weather_dtype, id_width=width))
+    if read is None:
+        return None
+    rows, micros = read
+    row_hours, past_hour = np.divmod(micros, MICROS_PER_HOUR)
+    if past_hour.any():
+        return None
+    ids, id_rows = np.unique(rows["station_id"], return_inverse=True)
+    stations = [station_of.get(sid) for sid in ids.tolist()]
+    if None in stations:
+        return None
+    row_stations = np.array(stations)[id_rows]
+    hours, row_hours = np.unique(row_hours, return_inverse=True)
+    shape = (len(hours), len(registry), len(ALL_FACTORS))
+    values, present = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    for name in rows.dtype.names[2:]:
+        f = ALL_FACTORS.index(MetFactor(name))
+        values[row_hours, row_stations, f] = rows[name]
+        present[row_hours, row_stations, f] = True
+    if np.count_nonzero(present[:, :, f]) != len(rows):  # a repeated (station, hour)
+        return None
+    try:
+        return WeatherSeries(hours, registry.ids, values, present)
+    except DataError:
+        return None
+
+
+def _read_weather_rows(path, registry: StationRegistry) -> WeatherSeries:
     """Rows are checked one by one, then each factor column at once.  Rows are
     kept in flat typed columns, in file order: one int key per row, hour
     times the station count plus the station's index, and the row's values
@@ -410,14 +574,7 @@ def write_weather_csv(series: WeatherSeries, path, factors: FactorSet = ALL_FACT
 # -- 1 Hz TD ------------------------------------------------------------------
 
 _TD_HEADER = (b"timestamp,td_ns\n", b"timestamp,td_ns\r\n")
-# the stamp write_td_csv writes for a whole second, as bytes: 0 marks a
-# digit, then the NUL that pads a 20-byte stamp in a 21-byte field
-_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
-_STAMP_SLACK = np.where(_STAMP == ord("0"), 9, 0).astype(np.uint8)
-# byte ranges of year, month, day, hour, minute and second in the stamp
-_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_STAMP_CHUNK = 1 << 15  # stamps converted per step, so temporaries stay small
+_TD_DTYPE = np.dtype([("timestamp", "S21"), ("td_ns", "f8")])
 
 
 def parse_td_csv(path) -> TdSamples:
@@ -431,60 +588,14 @@ def parse_td_csv(path) -> TdSamples:
 def _read_td_fixed(path) -> TdSamples | None:
     """The log if every row is YYYY-MM-DDTHH:MM:SSZ,<float> and every check
     passes; None otherwise, so that the row loop reports the fault."""
-    with open(path, "rb") as fh:
-        if fh.readline() not in _TD_HEADER:
-            return None
-        # numpy's byte-string fields drop trailing NULs, which could hide junk
-        if any(b"\0" in chunk for chunk in iter(partial(fh.read, 1 << 20), b"")):
-            return None
+    read = _read_stamped(path, lambda header: _TD_DTYPE if header in _TD_HEADER else None)
+    if read is None:
+        return None
+    rows, micros = read
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns on a log with no rows
-            rows = np.loadtxt(path, dtype=[("stamp", "S21"), ("td", "f8")], delimiter=",",
-                              skiprows=1, comments=None, encoding="utf-8", ndmin=1)
-        raw = rows.view(np.uint8).reshape(-1, rows.itemsize)
-        # column by column, so that no temporary is the size of the stamps
-        if any((raw[:, j] - _STAMP[j]).max() > _STAMP_SLACK[j] for j in range(len(_STAMP))):
-            return None
-        micros = np.empty(len(rows), dtype=np.int64)
-        for start in range(0, len(rows), _STAMP_CHUNK):
-            part = _stamp_micros(raw[start:start + _STAMP_CHUNK])
-            if part is None:
-                return None
-            micros[start:start + len(part)] = part
-        return TdSamples(micros, np.ascontiguousarray(rows["td"]))
-    except (ValueError, DataError, Warning):
+        return TdSamples(micros, np.ascontiguousarray(rows["td_ns"]))
+    except (ValueError, DataError):
         return None
-
-
-def _stamp_field(raw: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The decimal number in bytes lo:hi of each stamp."""
-    out = np.zeros(len(raw), dtype=np.int32)
-    for j in range(lo, hi):
-        out = out * 10 + (raw[:, j] - ord("0"))
-    return out
-
-
-def _stamp_micros(raw: np.ndarray) -> np.ndarray | None:
-    """Microseconds since the Unix epoch of digit-checked stamps, one row of
-    bytes each; None if one is not a real time from year 1 on (datetime has
-    no year 0).  Computed from the digits, because numpy's string to
-    datetime64 cast can crash the process on an invalid date in a large
-    array (numpy 2.4: SIGSEGV on "2024-02-30T25:00:00" among 1,000 stamps)."""
-    year, month, day, hour, minute, second = (
-        _stamp_field(raw, lo, hi) for lo, hi in _STAMP_FIELDS
-    )
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
-    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                  & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)):
-        return None
-    # days since 1970-01-01 in the proleptic Gregorian calendar, counting
-    # the year from March (Hinnant, "chrono-Compatible Low-Level Date Algorithms")
-    y = year - (month <= 2)
-    days = (y * 365 + y // 4 - y // 100 + y // 400
-            + (153 * ((month + 9) % 12) + 2) // 5 + day - 1 - 719468).astype(np.int64)
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * MICROS_PER_SECOND
 
 
 def _read_td_rows(path) -> TdSamples:

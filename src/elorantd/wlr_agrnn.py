@@ -263,9 +263,15 @@ def golden_section(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def agrnn_predict_batch(
-    queries: np.ndarray, bank: np.ndarray, y: np.ndarray, sigmas: np.ndarray
+    queries: np.ndarray, bank: np.ndarray, y: np.ndarray, sigmas: np.ndarray,
+    kind: str = "wlr_agrnn",
 ) -> np.ndarray:
-    """queries (l, M) against bank (l, T); returns (M,) predictions."""
+    """queries (l, M) against bank (l, T); returns (M,) predictions.
+
+    A query whose kernel weights all underflow takes its nearest bank
+    column's target, with a warning.  If every query of a non-empty batch
+    would, the model cannot be applied to these inputs: a DataError
+    naming its kind."""
     u = np.asarray(bank, dtype=float)
     q = np.asarray(queries, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -283,6 +289,9 @@ def agrnn_predict_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(q / sigmas[:, None], u / sigmas[:, None])
     bad = _shift_rows(d2)
+    if bad.size and bad.all():
+        raise DataError(f"{kind} kernel weights underflowed for all {bad.size} queries: "
+                        "its bandwidth or standardizer scale is too small for these inputs")
     _, out, _ = kernel_regression(d2, y, out=d2)
     if bad.any():
         warnings.warn(

@@ -139,13 +139,15 @@ def test_grnn_output_bounded_by_targets():
 
 
 def test_grnn_overflowing_distance_falls_back_like_agrnn():
-    # the squared distance overflows to inf, so no kernel weight is finite
+    # the first query's squared distances overflow to inf, so none of its
+    # kernel weights is finite; the second query's are
     bank = np.array([[0.0], [1.0]])
     y = np.array([5.0, 9.0])
+    queries = np.array([[1e200], [0.5]])
     with pytest.warns(UserWarning, match="nearest bank column") as caught:
-        out = grnn_predict_batch(np.array([[1e200]]), bank, y, 1.0)
+        out = grnn_predict_batch(queries, bank, y, 1.0)
     with pytest.warns(UserWarning, match="nearest bank column"):
-        expect = agrnn_predict_batch(np.array([[1e200]]), bank.T, y, np.ones(1))
+        expect = agrnn_predict_batch(queries.T, bank.T, y, np.ones(1))
     assert [w.category for w in caught] == [UserWarning]
     assert np.isfinite(out).all()
     np.testing.assert_array_equal(out, expect)
@@ -155,8 +157,15 @@ def test_grnn_overflowing_distance_picks_the_nearest_row():
     bank = np.array([[-1e152], [1e152]])
     y = np.array([5.0, 9.0])
     with pytest.warns(UserWarning, match="nearest bank column"):
-        out = grnn_predict_batch(np.array([[1e155]]), bank, y, 1.0)
-    np.testing.assert_array_equal(out, [9.0])
+        out = grnn_predict_batch(np.array([[1e155], [0.0]]), bank, y, 1.0)
+    np.testing.assert_array_equal(out, [9.0, 7.0])
+
+
+def test_grnn_refuses_a_batch_whose_every_query_would_fall_back():
+    bank = np.array([[-1e152], [1e152]])
+    y = np.array([5.0, 9.0])
+    with pytest.raises(DataError, match="grnn kernel weights underflowed for all 2 queries"):
+        grnn_predict_batch(np.array([[1e155], [-1e155]]), bank, y, 1.0)
 
 
 def test_grnn_sigma_selection_matches_loo_oracle():

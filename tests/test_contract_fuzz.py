@@ -211,8 +211,8 @@ def test_corpus_mutation_console_exit_without_traceback(tmp_path, fuzz_corpus, f
 # cases cut the file short, replace it with text that is not JSON, or put
 # a non-UTF-8 byte in it.  Every case runs through predict and evaluate
 # and must end in exit 0, 3 or 5 with no traceback; a file that is not a
-# JSON document in exit 3.  An exit 0 writes only finite numbers: an
-# artifact whose predictions overflow exits 3.
+# JSON document in exit 3, and so does each of EXIT_3_FIELDS.  An exit 0
+# writes only finite numbers: an artifact whose predictions overflow exits 3.
 
 ARTIFACT_KINDS = {"lasso_mpr": "degree = 1\n", "wlr_agrnn": "max_iterations = 3\n",
                   "bpnn": "max_iterations = 3\n", "grnn": "", "moe": "max_iterations = 3\n"}
@@ -221,6 +221,13 @@ ARTIFACT_VALUES = ("", math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320,
 VALUES_PER_FIELD = 2
 CUTS = 3  # truncations per kind
 ARTIFACT_EXITS = (0, 3, 5)
+# (kind, field, value) that loads, yet sends every query to the
+# nearest-column fallback: one bank target for every epoch
+EXIT_3_FIELDS = (("grnn", ("payload", "standardizer", "sd", 0), 1e-300),)
+
+
+def field_label(kind: str, path: tuple, value) -> str:
+    return f"{kind}: {'.'.join(map(str, path))} = {value!r}"
 
 
 def artifact_ini(path: Path, corpus_dir, extra: str = "") -> str:
@@ -301,6 +308,9 @@ def artifact_mutations(saved: dict, seed: int = SEED) -> list[tuple[str, bytes]]
         cases.append((f"{kind}: not JSON", b"schema: elorantd.model/1\n"))
         at = rng.randrange(len(data))
         cases.append((f"{kind}: non-UTF-8 byte at {at}", data[:at] + NON_UTF8 + data[at:]))
+    for kind, path, value in EXIT_3_FIELDS:
+        cases.append((field_label(kind, path, value),
+                      _mutated(json.loads(saved[kind]), path, rng, lambda _, new=value: new)))
     return cases
 
 
@@ -333,7 +343,7 @@ def test_artifact_mutations_are_seeded_and_cover_every_kind(saved_artifacts):
         fields = list(_fields_of(json.loads(data)))
         lists = sum(isinstance(value, list) for _, value in fields)
         assert len(labels) == (len(fields) * VALUES_PER_FIELD + lists * len(LENGTH_CHANGES)
-                               + CUTS + 2)
+                               + CUTS + 2 + sum(k == kind for k, _, _ in EXIT_3_FIELDS))
         for path, _ in fields:
             assert any(label.startswith(f"{kind}: {'.'.join(path) or 'document'} ")
                        for label in labels)
@@ -364,6 +374,7 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
         for command, argv in argvs.items():
             assert main(argv) == 0, (kind, command, capsys.readouterr().err)
     codes = dict.fromkeys(ARTIFACT_EXITS, 0)
+    exit_3_fields = {field_label(*case) for case in EXIT_3_FIELDS}
     for label, data in artifact_mutations(saved_artifacts):
         artifact.write_bytes(data)
         for command, argv in argvs.items():
@@ -376,7 +387,8 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
             assert code in ARTIFACT_EXITS and "Traceback" not in err, (label, command, code, err)
             if code == 0:
                 assert not non_finite_cells(out), (label, command, non_finite_cells(out))
-            if "cut at" in label or "not JSON" in label or "non-UTF-8" in label:
+            if ("cut at" in label or "not JSON" in label or "non-UTF-8" in label
+                    or label in exit_3_fields):
                 assert code == 3, (label, command, err)
             if "non-UTF-8" in label:  # reported at the byte's line
                 line = data.count(b"\n", 0, int(label.rpartition(" ")[2])) + 1

@@ -1,5 +1,6 @@
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from elorantd.ingest import (
     WeatherSeries,
     _read_td_fixed,
     _read_td_rows,
+    _read_weather_fixed,
+    _read_weather_rows,
     aggregate_hourly,
     align_epochs,
     parse_dem,
@@ -286,6 +289,21 @@ def test_weather_parse_heap_peak_is_under_half_the_row_dict_parse(tmp_path):
     assert peak <= ROW_DICT_PEAK_BYTES // 2, peak
 
 
+def test_bulk_weather_parse_heap_peak_is_no_higher_than_the_row_loop(tmp_path):
+    path = tmp_path / "weather.csv"
+    registry = dense_weather_file(path, 300, 10)
+    assert _read_weather_fixed(path, registry) is not None  # the bulk path reads it
+    peaks = {}
+    for read in (parse_weather_csv, _read_weather_rows):
+        tracemalloc.start()
+        try:
+            read(path, registry)
+            peaks[read.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["parse_weather_csv"] <= peaks["_read_weather_rows"], peaks
+
+
 def test_weather_store_equality_ignores_absent_values_only(registry):
     t = MetFactor.TEMPERATURE
     a = weather_from_cells(registry.ids, {("ST01", EPOCH0, t): 10.0})
@@ -356,23 +374,31 @@ def test_parse_td_rejects_non_finite_and_out_of_bound_values(tmp_path, cell):
     assert f"value {float(cell)!r} outside validity range of td_ns" in str(info.value)
 
 
-def td_outcome(read, path):
-    """The samples a reader returns, or the type, line and text of its error."""
+def outcome(read, path):
+    """What a reader returns, or the type, line and text of its error."""
     try:
         return read(path)
     except DataError as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-def assert_readers_agree(path) -> bool:
+def assert_readers_agree(path, registry: StationRegistry | None = None) -> bool:
     """The bulk reader accepts only what the row loop reads to the same
-    samples; parse_td_csv gives the row loop's samples or error.  Returns
+    result, and the parser gives the row loop's result or error: for the
+    TD log, or for a weather file when a registry is given.  Returns
     whether the bulk reader accepted the file."""
-    fixed = _read_td_fixed(path)
-    rows = td_outcome(_read_td_rows, path)
+    if registry is None:
+        bulk, row_loop, parse = _read_td_fixed, _read_td_rows, parse_td_csv
+    else:
+        bulk, row_loop, parse = (partial(read, registry=registry) for read in
+                                 (_read_weather_fixed, _read_weather_rows, parse_weather_csv))
+    fixed = bulk(path)
+    rows = outcome(row_loop, path)
     if fixed is not None:
         assert fixed == rows
-    assert td_outcome(parse_td_csv, path) == rows
+        if registry is not None:  # the present values bit for bit
+            assert fixed.values[fixed.present].tobytes() == rows.values[rows.present].tobytes()
+    assert outcome(parse, path) == rows
     return fixed is not None
 
 
@@ -473,6 +499,176 @@ def test_bulk_td_reader_agrees_with_the_row_loop_on_seeded_mutations(tmp_path):
         newline = "\r\n" if case % 3 == 0 else "\n"
         path.write_bytes(newline.join(["timestamp,td_ns", *lines, ""]).encode())
         accepted += assert_readers_agree(path)
+    assert 20 <= accepted <= 130  # both readers were exercised
+
+
+# -- the bulk weather reader against the row loop ---------------------------
+
+WEATHER_HEADER = "station_id,timestamp,cloud_cover_unitless,temperature_c,humidity_pct"
+
+
+def weather_rows(hours: int, stations=("ST01", "ST02")) -> list[str]:
+    """Rows in the writer's shape, station by station, from EPOCH0 on."""
+    return [f"{sid},{hours_after(EPOCH0, h).isoformat()},{(h + k) % 11}.0,{h % 40 - 9.5!r},"
+            f"{40.0 + 0.25 * (h % 200)!r}" for k, sid in enumerate(stations) for h in range(hours)]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "row,bulk",
+    [
+        ("ST01,2024-10-01T05:00:00Z,3.0,12.5,55.0", True),
+        ("ST01,2024-10-01T05:00:00Z,3, -1.5 ,55", True),  # spaces around a cell
+        ("ST01,2024-10-01T05:00:00Z,3.0,12.5, +1.5e-3 ", True),
+        ("ST01,2024-10-01T05:00:00Z,3.0,,55.0", False),  # a blank cell
+        ("ST01,2024-10-01T05:00:00Z,,,", False),
+        (" ST01,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),  # spaces around an id
+        ("ST01 ,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),
+        ('"ST01",2024-10-01T05:00:00Z,3.0,12.5,55.0', False),  # quoted fields
+        ('ST01,"2024-10-01T05:00:00Z",3.0,12.5,55.0', False),
+        ('ST01,2024-10-01T05:00:00Z,3.0,"12.5",55.0', False),
+        ("NOPE,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),  # an unknown id
+        ("ST011,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),  # one character longer
+        ("S3X,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),
+        ("ST0\u00e9,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),  # non-ASCII ids
+        ("ST\u20ac1,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),
+        ("ST01\0,2024-10-01T05:00:00Z,3.0,12.5,55.0", False),  # a NUL byte
+        ("ST01,2024-10-01T05:00:00Z,3.0,12.5,55.0\0", False),
+        ("ST02,2024-10-01T01:00:00Z,3.0,12.5,55.0", False),  # a repeated (station, hour)
+        ("ST01,2024-10-01T05:30:00Z,3.0,12.5,55.0", False),  # not a whole hour
+        ("ST01,2024-10-01T05:00:00+00:00,3.0,12.5,55.0", False),
+        ("ST01,2024-10-01T05:00:00z,3.0,12.5,55.0", False),  # lowercase z
+        ("ST01,2024-10-01T05:00:00Z,1_0,12.5,55.0", False),  # Python's float reads 1_0
+        ("ST01,2024-10-01T05:00:00Z,3.0,nan,55.0", False),
+        ("ST01,2024-10-01T05:00:00Z,3.0,inf,55.0", False),
+        ("ST01,2024-10-01T05:00:00Z,3.0,99.0,55.0", False),  # out of range
+        ("ST01,2024-10-01T05:00:00Z,3.5,12.5,55.0", False),  # not integer-valued
+        ("ST01,2024-10-01T05:00:00Z,3.0,12.5", False),  # field count
+        ("ST01,2024-10-01T05:00:00Z,3.0,12.5,55.0,1", False),
+        ("   ", False),  # a whitespace-only line
+        ("ST01,2024-02-30T05:00:00Z,3.0,12.5,55.0", False),
+    ],
+)
+def test_bulk_weather_reader_agrees_with_the_row_loop(tmp_path, row, bulk, newline):
+    registry = StationRegistry(tuple((sid, GeoPoint(36.0, 127.0 + k)) for k, sid in
+                                     enumerate(("ST01", "ST02", "S3"))))
+    path = tmp_path / "weather.csv"
+    lines = [WEATHER_HEADER, *weather_rows(4), row, "", "S3,2024-10-01T06:00:00Z,0,0,0"]
+    path.write_bytes(newline.join([*lines, ""]).encode())
+    assert assert_readers_agree(path, registry) == bulk
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bulk_weather_reader_skips_blank_lines_and_needs_no_final_newline(
+    tmp_path, registry, newline
+):
+    path = tmp_path / "weather.csv"
+    rows = weather_rows(3)
+    path.write_bytes(newline.join([WEATHER_HEADER, "", *rows[:2], "", "", *rows[2:]]).encode())
+    assert assert_readers_agree(path, registry)
+    assert parse_weather_csv(path, registry).present.sum() == 3 * len(rows)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bulk_weather_reader_leaves_an_out_of_range_value_to_the_row_loop(
+    tmp_path, registry, newline
+):
+    rows = weather_rows(6)
+    rows[8] = rows[8].rsplit(",", 1)[0] + ",100.5"
+    path = tmp_path / "weather.csv"
+    path.write_bytes(newline.join([WEATHER_HEADER, *rows, ""]).encode())
+    assert not assert_readers_agree(path, registry)
+    with pytest.raises(DataError) as info:
+        parse_weather_csv(path, registry)
+    assert type(info.value) is DataError
+    assert str(info.value) == ("value 100.5 outside validity range of humidity_pct "
+                               "(outside [0.0, 100.0])")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bulk_weather_reader_refuses_an_invalid_date_among_many_rows(
+    tmp_path, registry, newline
+):
+    rows = weather_rows(700)
+    assert len(rows) > 1000
+    rows[900] = rows[900][:5] + "2024-02-30" + rows[900][15:]
+    path = tmp_path / "weather.csv"
+    path.write_bytes(newline.join([WEATHER_HEADER, *rows, ""]).encode())
+    assert not assert_readers_agree(path, registry)
+    with pytest.raises(ParseError) as info:
+        parse_weather_csv(path, registry)
+    assert info.value.line == 902
+
+
+@pytest.mark.parametrize(
+    "header",
+    [WEATHER_HEADER.replace("temperature_c", "temperature_c "),
+     WEATHER_HEADER.replace("humidity_pct", '"humidity_pct"'),
+     WEATHER_HEADER + ",temperature_c", WEATHER_HEADER + ",wind", "station_id,timestamp"],
+)
+def test_bulk_weather_reader_leaves_odd_headers_to_the_row_loop(tmp_path, registry, header):
+    path = tmp_path / "weather.csv"
+    path.write_text("\n".join([header, *weather_rows(2), ""]))
+    assert not assert_readers_agree(path, registry)
+    if '"' in header:  # a quoted column is valid CSV, read by the row loop
+        assert parse_weather_csv(path, registry).present.sum() == 3 * 4
+
+
+def test_bulk_readers_leave_rows_split_by_a_lone_carriage_return_to_the_row_loop(
+    tmp_path, registry
+):
+    """Universal newlines end a line at a lone \r: such a file holds more
+    rows than newlines, more than the bulk readers allocate for."""
+    td = tmp_path / "td.csv"
+    td.write_bytes(("timestamp,td_ns\n" + "\r".join(
+        f"2024-10-01T00:00:0{k}Z,{k}.5" for k in range(6)) + "\n").encode())
+    assert not assert_readers_agree(td)
+    assert len(parse_td_csv(td)) == 6
+    weather = tmp_path / "weather.csv"
+    weather.write_bytes((WEATHER_HEADER + "\n" + "\r".join(weather_rows(3)) + "\n").encode())
+    assert not assert_readers_agree(weather, registry)
+    assert parse_weather_csv(weather, registry).present.sum() == 3 * 6
+
+
+WEATHER_MUTATIONS = (
+    lambda line: " " + line,
+    lambda line: line.replace("ST01", "ST011").replace("ST02", "ST021"),
+    lambda line: line.replace("ST0", "ST\u00e9"),
+    lambda line: '"' + line.replace(",", '",', 1),
+    lambda line: line.replace("Z", "z"),
+    lambda line: line.replace("Z", "+00:00"),
+    lambda line: line.replace(":00:00Z", ":30:00Z"),
+    lambda line: line[:16] + "1" + line[17:],  # hour 1x: may repeat a (station, hour)
+    lambda line: line.replace("ST01", "ST02") if "ST01" in line else line.replace("ST02", "ST01"),
+    lambda line: line[:5] + "\0" + line[5:],
+    lambda line: line[:-2] + "_" + line[-2:],
+    lambda line: line.rsplit(",", 1)[0] + ",",
+    lambda line: line.rsplit(",", 1)[0] + ",nan",
+    lambda line: line.rsplit(",", 1)[0] + ",-1e9",
+    lambda line: line.rsplit(",", 1)[0] + ", +1.5e-3 ",
+    lambda line: line.replace(",", ", "),
+    lambda line: line + ",1",
+    lambda line: line + "\n",
+    lambda line: "   ",
+    lambda line: line.replace(",", "\r", 1),
+    lambda line: line[:10] + "13" + line[12:],  # month 13
+    lambda line: line[:10] + "02-30" + line[15:],
+)
+
+
+def test_bulk_weather_reader_agrees_with_the_row_loop_on_seeded_mutations(tmp_path, registry):
+    rng = np.random.default_rng(23)
+    clean = weather_rows(20)
+    path = tmp_path / "weather.csv"
+    accepted = 0
+    for case in range(150):
+        lines = list(clean)
+        for _ in range(rng.integers(0, 3)):
+            k = int(rng.integers(len(lines)))
+            lines[k] = WEATHER_MUTATIONS[int(rng.integers(len(WEATHER_MUTATIONS)))](lines[k])
+        newline = "\r\n" if case % 3 == 0 else "\n"
+        path.write_bytes(newline.join([WEATHER_HEADER, *lines, ""]).encode())
+        accepted += assert_readers_agree(path, registry)
     assert 20 <= accepted <= 130  # both readers were exercised
 
 

@@ -264,6 +264,16 @@ def test_agrnn_overflowing_distances_fall_back_to_the_nearest_column():
     np.testing.assert_array_equal(out, [9.0, 5.0, 7.0])
 
 
+def test_agrnn_refuses_a_batch_whose_every_query_would_fall_back():
+    bank = np.array([[-1e152, 1e152]])
+    y = np.array([5.0, 9.0])
+    for queries in ([[1e155]], [[1e155, -1e155]]):
+        with pytest.raises(DataError, match=f"wlr_agrnn kernel weights underflowed for all "
+                                            f"{len(queries[0])} queries"):
+            agrnn_predict_batch(np.array(queries), bank, y, np.array([1.0]))
+    assert agrnn_predict_batch(np.empty((1, 0)), bank, y, np.array([1.0])).shape == (0,)
+
+
 def test_agrnn_empty_bank():
     with pytest.raises(DataError, match="bank has no columns"):
         agrnn_predict_batch(np.ones((2, 1)), np.empty((2, 0)), np.empty(0), np.ones(2))
