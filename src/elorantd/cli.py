@@ -40,7 +40,13 @@ from .gridmap import (
     export_gridmap_csv,
     idw_fill,
 )
-from .ingest import DEFAULT_MIN_SAMPLES_PER_HOUR, aggregate_hourly, align_epochs, read_utf8
+from .ingest import (
+    DEFAULT_MIN_SAMPLES_PER_HOUR,
+    aggregate_hourly,
+    align_epochs,
+    read_utf8,
+    write_csv,
+)
 from .optim import MAX_ARRAY_CELLS, require_at_least
 from .pipeline import (
     Corpus,
@@ -271,13 +277,6 @@ def _bundle(args, s: RunSettings):
     )
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -380,7 +379,7 @@ def cmd_ingest(args, s: RunSettings) -> int:
                     + [_fmt(v) for v in aligned.values[t, sidx]]
                     + [_fmt(aligned.td[t])]
                 )
-        _write_csv(args.out, header, rows)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -390,7 +389,7 @@ def cmd_gridmap(args, s: RunSettings) -> int:
     tx, rx = s.corpus.tx_rx(corpus)
     try:
         factor = MetFactor.from_column(args.factor)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
         epoch = EpochHour.parse(args.epoch)
@@ -424,7 +423,7 @@ def cmd_correlate(args, s: RunSettings) -> int:
         )
         print(f"{c.factor.column:16s} r={c.r:+.4f}  p={c.p:.3g}  "
               f"{'selected' if c.factor in selected else '-'}")
-    _write_csv(args.out, ["factor", "r", "p", "selected"], rows)
+    write_csv(args.out, ["factor", "r", "p", "selected"], rows)
     print(f"selected {len(selected)} of {len(correlations)} factors "
           f"(|r| >= {s.correlate.r_min}, p <= {s.correlate.p_max})")
     print(f"wrote {args.out}")
@@ -442,7 +441,7 @@ def cmd_train(args, s: RunSettings) -> int:
     model, trace = train_model(name, train, options)
     save_model(model, args.out)
     trace_path = args.trace or (str(args.out) + ".trace.csv")
-    _write_csv(
+    write_csv(
         trace_path,
         ["iteration", "loss"],
         [[str(i), _fmt(loss)] for i, loss in enumerate(trace.losses)],
@@ -469,7 +468,7 @@ def cmd_predict(args, s: RunSettings) -> int:
     subset = bundle.subset(mask_for_ranges(bundle.epochs, ranges))
     pred = predict_model(model, subset)
     rows = [[e.isoformat(), _fmt(v)] for e, v in zip(subset.epochs, pred)]
-    _write_csv(args.out, ["timestamp", "td_pred_ns"], rows)
+    write_csv(args.out, ["timestamp", "td_pred_ns"], rows)
     print(f"predicted {len(rows)} epochs with {model_kind(model).name} artifact")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -531,7 +530,7 @@ def cmd_sweep(args, s: RunSettings) -> int:
     fit, val = holdout_split(bundle, s.sweep.holdout_fraction)
     table = lasso.sweep(fit.flat, fit.td, val.flat, val.td, cfg, kind, grid)
     best = lasso.argmin_table(table)
-    _write_csv(args.out, [kind, "rmse_ns"], [[fmt(k), _fmt(v)] for k, v in table])
+    write_csv(args.out, [kind, "rmse_ns"], [[fmt(k), _fmt(v)] for k, v in table])
     if args.svg:
         write_svg_line_chart(
             args.svg,

@@ -8,14 +8,13 @@ cells keep their values bit-exactly.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries
+from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries, write_csv
 from .optim import MAX_ARRAY_CELLS
 from .types import (
     ALL_FACTORS,
@@ -144,6 +143,16 @@ class PathFeatureTensor:
             raise ValueError(f"tensor shape {self.values.shape} != axes {expected}")
 
 
+def _stations_by_cell(spec: GridSpec, locations) -> dict[tuple[int, int], list[int]]:
+    """The indices of the locations inside spec's box, grouped by nearest
+    cell: cells sorted, indices ascending within a cell."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s, loc in enumerate(locations):
+        if spec.contains(loc):
+            groups.setdefault(spec.nearest_cell(loc), []).append(s)
+    return dict(sorted(groups.items()))
+
+
 def assign_observations(
     spec: GridSpec,
     registry: StationRegistry,
@@ -163,24 +172,22 @@ def assign_observations(
         for s, sid in enumerate(weather.station_ids)
         if weather.present[t, s, f]
     }
-    sums: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for sid, loc in registry.entries:
-        if not spec.contains(loc) or sid not in reported:
-            continue
-        cell = spec.nearest_cell(loc)
-        sums[cell] = sums.get(cell, 0.0) + reported[sid]
-        counts[cell] = counts.get(cell, 0) + 1
-    if not sums:
+    # registry order, so each cell's sum adds its stations in that order
+    values_at = [reported[sid] for sid, _ in registry.entries if sid in reported]
+    groups = _stations_by_cell(spec, [loc for sid, loc in registry.entries if sid in reported])
+    if not groups:
         raise DataError(f"no station reports {factor} at {epoch.isoformat()}")
-    filled, assigned = spec.nrows * spec.ncols - len(sums), len(sums)
+    filled, assigned = spec.nrows * spec.ncols - len(groups), len(groups)
     if filled * assigned > MAX_ARRAY_CELLS:  # idw_fill's weights; refuse before the raster
         raise ConfigError(f"IDW weights of {filled} cells from {assigned} assigned cells would "
                           f"exceed {MAX_ARRAY_CELLS} cells; use a coarser grid_cellsize")
     values = np.full((spec.nrows, spec.ncols), np.nan)
     mask = np.zeros((spec.nrows, spec.ncols), dtype=bool)
-    for cell, total in sums.items():
-        values[cell] = total / counts[cell]
+    for cell, members in groups.items():
+        total = 0.0
+        for s in members:
+            total += values_at[s]
+        values[cell] = total / len(members)
         mask[cell] = True
     return GridMap(spec, factor, epoch, values, mask)
 
@@ -315,18 +322,14 @@ def path_tensor_from_arrays(
     weights are computed once and applied to all epochs with one matmul.
     station_values has shape (n_epochs, n_stations, n_factors).
     """
-    in_box = [(s, loc) for s, loc in enumerate(locations) if spec.contains(loc)]
-    if not in_box:
+    groups = _stations_by_cell(spec, locations)
+    if not groups:
         raise DataError("no station inside the grid bounding box")
-    groups: dict[tuple[int, int], list[int]] = {}
-    for s, loc in in_box:
-        groups.setdefault(spec.nearest_cell(loc), []).append(s)
-    cells_a = sorted(groups)
     # per-cell station means, shape (T, C, n)
     cell_values = np.stack(
-        [station_values[:, groups[cell], :].mean(axis=1) for cell in cells_a], axis=1
+        [station_values[:, members, :].mean(axis=1) for members in groups.values()], axis=1
     )
-    rows_a, cols_a = np.array(cells_a).T
+    rows_a, cols_a = np.array(list(groups)).T
     rows_q, cols_q = np.array([spec.nearest_cell(p) for p in points], dtype=int).reshape(-1, 2).T
     weights = idw_weights(spec, rows_q, cols_q, rows_a, cols_a)
     values = np.einsum("jc,tcn->tjn", weights, cell_values)
@@ -348,12 +351,8 @@ def build_path_tensor(
 
 def export_gridmap_csv(grid: GridMap, path) -> None:
     """Raster rows north-to-south, cells west-to-east."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lat", "lon", "value"])
-        for r in range(grid.spec.nrows):
-            lat = float(grid.spec.center_lat(r))
-            for c in range(grid.spec.ncols):
-                writer.writerow(
-                    [repr(lat), repr(float(grid.spec.center_lon(c))), repr(float(grid.values[r, c]))]
-                )
+    lats = map(repr, grid.spec.center_lat(np.arange(grid.spec.nrows)).tolist())
+    lons = list(map(repr, grid.spec.center_lon(np.arange(grid.spec.ncols)).tolist()))
+    write_csv(path, ["lat", "lon", "value"],
+              ([lat, lon, repr(value)]
+               for lat, row in zip(lats, grid.values) for lon, value in zip(lons, row.tolist())))

@@ -19,7 +19,6 @@ import csv
 import math
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -275,54 +274,71 @@ def read_utf8(path) -> str:
                          f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
 
 
-@contextmanager
-def _read_text(path):
-    """path open as UTF-8 text for a row reader; errors as in read_utf8."""
+def _csv_rows(path, header_fault):
+    """The header, then (line number, row) for each non-blank row of a CSV file.
+
+    header_fault maps the header row (None for an empty file) to the text
+    of its fault, or to None when it is good.  A bad header, a row whose
+    field count is not the header's and a byte that is not UTF-8 are
+    ParseErrors at their line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            fault = header_fault(header)
+            if fault:
+                raise ParseError(path, 1, fault)
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(path, lineno,
+                                     f"expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
     except UnicodeDecodeError:
         read_utf8(path)
         raise
 
 
+def _header_is(*names: str):
+    """The header_fault of a CSV file whose header must be exactly names."""
+    return lambda header: (None if header == list(names)
+                           else f"expected header {','.join(names)}, got {header}")
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV file of the header row, then each row; cells are strings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # -- station registry --------------------------------------------------------
 
 def parse_station_registry(path) -> StationRegistry:
-    entries: list[tuple[str, GeoPoint]] = []
-    seen: set[str] = set()
-    with _read_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["station_id", "lat", "lon"]:
-            raise ParseError(path, 1, f"expected header station_id,lat,lon, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(path, lineno, f"expected 3 fields, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise ParseError(path, lineno, "empty station id")
-            if sid in seen:
-                raise DataError(f"duplicate station id {sid!r}")
-            seen.add(sid)
-            try:
-                loc = GeoPoint(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-            entries.append((sid, loc))
+    entries: dict[str, GeoPoint] = {}
+    rows = _csv_rows(path, _header_is("station_id", "lat", "lon"))
+    next(rows)
+    for lineno, row in rows:
+        sid = row[0].strip()
+        if not sid:
+            raise ParseError(path, lineno, "empty station id")
+        if sid in entries:
+            raise ParseError(path, lineno, f"duplicate station id {sid!r}")
+        try:
+            entries[sid] = GeoPoint(float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     if not entries:
         raise ParseError(path, 2, "registry has no data rows")
-    return StationRegistry(tuple(entries))
+    return StationRegistry(tuple(entries.items()))
 
 
 def write_station_registry(registry: StationRegistry, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "lat", "lon"])
-        for sid, loc in registry.entries:
-            writer.writerow([sid, repr(loc.lat), repr(loc.lon)])
+    write_csv(path, ["station_id", "lat", "lon"],
+              ([sid, repr(loc.lat), repr(loc.lon)] for sid, loc in registry.entries))
 
 
 # -- stamped CSV in bulk ------------------------------------------------------
@@ -421,9 +437,6 @@ def _stamp_micros(raw: np.ndarray) -> np.ndarray | None:
 
 # -- weather ------------------------------------------------------------------
 
-_FACTOR_COLUMNS = frozenset(f.column for f in ALL_FACTORS)
-
-
 def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
     """A file whose rows are all <registered id>,YYYY-MM-DDTHH:00:00Z and one
     number per factor column, with no blank cell, is read in bulk; any
@@ -431,6 +444,21 @@ def parse_weather_csv(path, registry: StationRegistry) -> WeatherSeries:
     ISO-8601 UTC form and reports faults at their line."""
     series = _read_weather_fixed(path, registry)
     return series if series is not None else _read_weather_rows(path, registry)
+
+
+def _weather_header_fault(header: list[str] | None) -> str | None:
+    """What is wrong with a weather file's header row, or None."""
+    if not header or header[:2] != ["station_id", "timestamp"]:
+        return "expected header starting station_id,timestamp"
+    try:
+        columns = [MetFactor.from_column(name) for name in header[2:]]
+    except ValueError as exc:
+        return str(exc)
+    if not columns:
+        return "no factor columns declared"
+    if len(set(columns)) != len(columns):
+        return "repeated factor column"
+    return None
 
 
 def _weather_dtype(header: bytes, id_width: int) -> np.dtype | None:
@@ -444,8 +472,7 @@ def _weather_dtype(header: bytes, id_width: int) -> np.dtype | None:
         return None
     # no quote, so splitting at commas is what the csv module does
     names = text.decode("ascii").split(",")
-    if (names[:2] != ["station_id", "timestamp"] or len(names) < 3
-            or not _FACTOR_COLUMNS.issuperset(names[2:]) or len(set(names)) != len(names)):
+    if _weather_header_fault(names):
         return None
     return np.dtype([("station_id", f"S{id_width}"), ("timestamp", "S21")]
                     + [(name, "f8") for name in names[2:]])
@@ -500,45 +527,28 @@ def _read_weather_rows(path, registry: StationRegistry) -> WeatherSeries:
     n_stations = len(registry)
     keys, seen = array("q"), set()
     cell_values, cell_present = array("d"), bytearray()
-    with _read_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["station_id", "timestamp"]:
-            raise ParseError(path, 1, "expected header starting station_id,timestamp")
+    rows = _csv_rows(path, _weather_header_fault)
+    columns = [MetFactor(name) for name in next(rows)[2:]]
+    for lineno, row in rows:
+        sid = row[0].strip()
+        if sid not in station_index:
+            raise ParseError(path, lineno, f"station id {sid!r} not in registry")
         try:
-            columns = [MetFactor.from_column(name) for name in header[2:]]
+            hour = EpochHour.parse(row[1]).hours_since_epoch
         except ValueError as exc:
-            raise ParseError(path, 1, str(exc)) from None
-        if not columns:
-            raise ParseError(path, 1, "no factor columns declared")
-        if len(set(columns)) != len(columns):
-            raise ParseError(path, 1, "repeated factor column")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns) + 2:
-                raise ParseError(
-                    path, lineno, f"expected {len(columns) + 2} fields, got {len(row)}"
-                )
-            sid = row[0].strip()
-            if sid not in station_index:
-                raise DataError(f"station id {sid!r} not in registry")
+            raise ParseError(path, lineno, str(exc)) from None
+        key = hour * n_stations + station_index[sid]
+        if key in seen:
+            raise ParseError(path, lineno, f"second row for {sid} at {row[1].strip()}")
+        seen.add(key)
+        for cell in row[2:]:
+            cell = cell.strip()
             try:
-                hour = EpochHour.parse(row[1]).hours_since_epoch
-            except ValueError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-            key = hour * n_stations + station_index[sid]
-            if key in seen:
-                raise ParseError(path, lineno, f"second row for {sid} at {row[1].strip()}")
-            seen.add(key)
-            for cell in row[2:]:
-                cell = cell.strip()
-                try:
-                    cell_values.append(float(cell) if cell else math.nan)
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad number {cell!r}") from None
-                cell_present.append(bool(cell))
-            keys.append(key)
+                cell_values.append(float(cell) if cell else math.nan)
+            except ValueError:
+                raise ParseError(path, lineno, f"bad number {cell!r}") from None
+            cell_present.append(bool(cell))
+        keys.append(key)
 
     row_hours, row_stations = np.divmod(np.frombuffer(keys, dtype=np.int64), n_stations)
     row_values = np.frombuffer(cell_values, dtype=float).reshape(-1, len(columns))
@@ -559,16 +569,17 @@ def write_weather_csv(series: WeatherSeries, path, factors: FactorSet = ALL_FACT
     factors = factor_set(factors)
     columns = [ALL_FACTORS.index(f) for f in factors]
     stamps = [EpochHour.from_hours(int(h)).isoformat() for h in series.hours]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "timestamp"] + [f.column for f in factors])
+
+    def rows():
         for sid in sorted(series.station_ids):
             s = series.station_ids.index(sid)
             values = series.values[:, s, columns].tolist()
             present = series.present[:, s, columns].tolist()
             for t in np.flatnonzero(series.present[:, s].any(axis=1)):
                 cells = ["" if not p else repr(v) for v, p in zip(values[t], present[t])]
-                writer.writerow([sid, stamps[t], *cells])
+                yield [sid, stamps[t], *cells]
+
+    write_csv(path, ["station_id", "timestamp"] + [f.column for f in factors], rows())
 
 
 # -- 1 Hz TD ------------------------------------------------------------------
@@ -601,27 +612,20 @@ def _read_td_fixed(path) -> TdSamples | None:
 def _read_td_rows(path) -> TdSamples:
     micros: list[int] = []
     values: list[float] = []
-    with _read_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "td_ns"]:
-            raise ParseError(path, 1, f"expected header timestamp,td_ns, got {header}")
-        prev: datetime | None = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(path, lineno, f"expected 2 fields, got {len(row)}")
-            try:
-                when = parse_utc(row[0])
-                value = validate_td_ns(float(row[1]))
-            except (ValueError, DataError) as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-            if prev is not None and when <= prev:
-                raise ParseError(path, lineno, "timestamps must be strictly increasing")
-            prev = when
-            micros.append((when - UNIX_EPOCH) // MICROSECOND)
-            values.append(value)
+    rows = _csv_rows(path, _header_is("timestamp", "td_ns"))
+    next(rows)
+    prev: datetime | None = None
+    for lineno, (stamp, cell) in rows:
+        try:
+            when = parse_utc(stamp)
+            value = validate_td_ns(float(cell))
+        except (ValueError, DataError) as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        if prev is not None and when <= prev:
+            raise ParseError(path, lineno, "timestamps must be strictly increasing")
+        prev = when
+        micros.append((when - UNIX_EPOCH) // MICROSECOND)
+        values.append(value)
     return TdSamples(np.array(micros, dtype=np.int64), np.array(values, dtype=float))
 
 
@@ -715,8 +719,7 @@ def parse_dem(path) -> ElevationGrid:
     header: dict[str, float] = {}
     header_line: dict[str, int] = {}
     rows: list[list[float]] = []
-    with _read_text(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path).splitlines()
     lineno = 0
     for lineno, line in enumerate(lines[:6], start=1):
         parts = line.split()

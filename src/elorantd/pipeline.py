@@ -48,7 +48,6 @@ HOURS_PER_FOLD = 168  # contiguous weekly folds for the ANOVA comparison
 class Corpus:
     """Raw parsed corpus directory contents."""
 
-    directory: Path
     registry: StationRegistry
     weather: WeatherSeries
     td_samples: TdSamples
@@ -75,7 +74,6 @@ def load_corpus(directory) -> Corpus:
     scenario = load_scenario_config(meta_path) if meta_path.is_file() else None
     registry = parse_station_registry(root / "stations.csv")
     return Corpus(
-        directory=root,
         registry=registry,
         weather=parse_weather_csv(root / "weather.csv", registry),
         td_samples=parse_td_csv(root / "td.csv"),
@@ -338,7 +336,6 @@ class EvalRow:
 class EvalReport:
     rows: tuple[EvalRow, ...]
     anova: object = None  # AnovaResult when >= 2 models and >= 2 folds
-    fold_edges: tuple[str, ...] = ()
 
 
 def weekly_folds(epochs) -> list[np.ndarray]:
@@ -378,7 +375,4 @@ def evaluate_models(named_models, bundle: FeatureBundle) -> EvalReport:
     anova = None
     if len(rows) >= 2 and all(len(r.fold_rmse) >= 2 for r in rows):
         anova = anova_oneway([list(r.fold_rmse) for r in rows])
-    edges = tuple(
-        bundle.epochs[idx[0]].isoformat() for idx in folds if idx.size >= 2
-    )
-    return EvalReport(rows=tuple(rows), anova=anova, fold_edges=edges)
+    return EvalReport(rows=tuple(rows), anova=anova)

@@ -16,37 +16,34 @@ from .types import FactorSet, MetFactor, factor_set
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 500
+_LENTZ_TINY = 1e-300
+
+
+def _lentz_step(aa: float, c: float, d: float) -> tuple[float, float]:
+    """c and d after one modified-Lentz step with partial numerator aa."""
+    d = 1.0 + aa * d
+    if abs(d) < _LENTZ_TINY:
+        d = _LENTZ_TINY
+    c = 1.0 + aa / c
+    if abs(c) < _LENTZ_TINY:
+        c = _LENTZ_TINY
+    return c, 1.0 / d
 
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
+    if abs(d) < _LENTZ_TINY:
+        d = _LENTZ_TINY
     d = 1.0 / d
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        c, d = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETA_TOL:

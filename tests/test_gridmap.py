@@ -441,12 +441,19 @@ def test_haversine_arrays_match_scalar():
 
 
 def test_export_gridmap_csv_order(tmp_path):
-    spec = GridSpec(lat_min=36.0, lat_max=36.02, lon_min=127.0, lon_max=127.02, cellsize=0.01)
-    grid = idw_fill(spread_grid(spec, [(0, 0)], [5.0]))
-    out = tmp_path / "map.csv"
-    export_gridmap_csv(grid, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "lat,lon,value"
-    assert len(lines) == 1 + spec.nrows * spec.ncols
-    lats = [float(line.split(",")[0]) for line in lines[1:]]
-    assert lats == sorted(lats, reverse=True)
+    small = GridSpec(lat_min=36.0, lat_max=36.02, lon_min=127.0, lon_max=127.02, cellsize=0.01)
+    for spec in (small, GridSpec.around(DEFAULT_TX, DEFAULT_RX)):
+        grid = idw_fill(spread_grid(spec, [(0, 0)], [5.0]))
+        out = tmp_path / "map.csv"
+        export_gridmap_csv(grid, out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "lat,lon,value"
+        assert len(lines) == 1 + spec.nrows * spec.ncols
+        lats = [float(line.split(",")[0]) for line in lines[1:]]
+        assert lats == sorted(lats, reverse=True)
+        # each cell's centre computed on its own, as a scalar
+        assert lines[1:] == [
+            f"{float(spec.center_lat(r))!r},{float(spec.center_lon(c))!r},"
+            f"{float(grid.values[r, c])!r}"
+            for r in range(spec.nrows) for c in range(spec.ncols)
+        ]

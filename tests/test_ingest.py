@@ -672,6 +672,53 @@ def test_bulk_weather_reader_agrees_with_the_row_loop_on_seeded_mutations(tmp_pa
     assert 20 <= accepted <= 130  # both readers were exercised
 
 
+# -- every row fault of the three row readers names its line -----------------
+
+STATIONS_OK = "station_id,lat,lon\nST01,36,127\n"
+WEATHER_OK = "station_id,timestamp,temperature_c\nST01,2024-10-01T00:00:00Z,1.0\n"
+TD_OK = f"timestamp,td_ns\n{TD_ROW0}\n"
+
+
+@pytest.mark.parametrize(
+    "name,data,line,message",
+    [
+        ("stations.csv", "id,lat,lon\nST01,36,127\n", 1, "expected header station_id,lat,lon"),
+        ("stations.csv", STATIONS_OK + "ST02,36\n", 3, "expected 3 fields, got 2"),
+        ("stations.csv", STATIONS_OK + " ,36,127\n", 3, "empty station id"),
+        ("stations.csv", STATIONS_OK + "\nST01,36.5,127.5\n", 4, "duplicate station id 'ST01'"),
+        ("stations.csv", STATIONS_OK + "ST02,north,127\n", 3, "could not convert"),
+        ("stations.csv", STATIONS_OK.encode() + b"ST\xff,36,127\n", 3, "byte 0xff is not UTF-8"),
+        ("weather.csv", "station_id,time,temperature_c\n", 1, "expected header starting"),
+        ("weather.csv", "station_id,timestamp,wind\n", 1, "unknown meteorological factor"),
+        ("weather.csv", WEATHER_OK + "ST02,2024-10-01T00:00:00Z\n", 3, "expected 3 fields, got 2"),
+        ("weather.csv", WEATHER_OK + "\nNOPE,2024-10-01T00:00:00Z,1.0\n", 4,
+         "station id 'NOPE' not in registry"),
+        ("weather.csv", WEATHER_OK + "ST02,2024-10-01T00:30:00Z,1.0\n", 3, ""),
+        ("weather.csv", WEATHER_OK + "ST02,2024-10-01T00:00:00Z,warm\n", 3, "bad number 'warm'"),
+        ("weather.csv", WEATHER_OK + "ST01,2024-10-01T00:00:00Z,2.0\n", 3,
+         "second row for ST01 at 2024-10-01T00:00:00Z"),
+        ("weather.csv", WEATHER_OK.encode() + b"ST02,2024-10-01T00:00:00Z,\xfe\n", 3,
+         "byte 0xfe is not UTF-8"),
+        ("td.csv", "time,td_ns\n" + TD_ROW0 + "\n", 1, "expected header timestamp,td_ns"),
+        ("td.csv", TD_OK + "2024-10-01T00:00:01Z\n", 3, "expected 2 fields, got 1"),
+        ("td.csv", TD_OK + "2024-13-01T00:00:01Z,1.0\n", 3, ""),
+        ("td.csv", TD_OK + "2024-10-01T00:00:01Z,1.0ns\n", 3, "could not convert"),
+        ("td.csv", TD_OK + "\n2024-10-01T00:00:00Z,1.0\n", 4,
+         "timestamps must be strictly increasing"),
+        ("td.csv", TD_OK.encode() + b"\xc3(,1.0\n", 3, "byte 0xc3 is not UTF-8"),
+    ],
+)
+def test_row_faults_name_their_file_and_line(tmp_path, registry, name, data, line, message):
+    path = tmp_path / name
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+    parse = {"stations.csv": parse_station_registry, "td.csv": parse_td_csv,
+             "weather.csv": partial(parse_weather_csv, registry=registry)}[name]
+    with pytest.raises(ParseError) as info:
+        parse(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"{path}:{line}: {message}")
+
+
 def test_td_roundtrip(tmp_path):
     samples = [
         (utc(2024, 10, 1, 0, 0, 0), 100.25),
