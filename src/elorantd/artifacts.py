@@ -4,6 +4,8 @@ Artifacts are self-describing (schema + kind + axis metadata) and
 deterministic: keys are sorted and floats round-trip exactly through
 JSON's shortest-repr formatting, so identical training runs produce
 byte-identical files.  Loading checks every field ``models.KINDS`` declares.
+write_document and read_document frame every JSON document the program
+saves, artifacts and scenario.meta alike.
 """
 from __future__ import annotations
 
@@ -138,21 +140,31 @@ def model_document(model) -> dict:
     }
 
 
+def write_document(path, doc: dict) -> None:
+    """A JSON document as UTF-8 text: sorted keys, two-space indent, one newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_document(path, schema: str, what: str) -> dict:
+    """The JSON object at path whose "schema" is schema; a DataError naming the
+    file if it is not UTF-8 JSON, not an object, or of another schema (what
+    names the document in that fault)."""
+    try:
+        doc = json.loads(read_utf8(path))
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, or deep nesting
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise DataError(f"{path}: unknown {what} schema {found!r}")
+    return doc
+
+
 def save_model(model, path) -> None:
-    doc = model_document(model)
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_document(path, model_document(model))
 
 
 def load_model(path):
-    try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != SCHEMA:
-        raise DataError(f"{path}: unknown artifact schema {schema!r}")
+    doc = read_document(path, SCHEMA, "artifact")
     for key in ("kind", "payload"):  # the header's fields are HEADER's
         if key not in doc:
             raise DataError(f"{path}: artifact missing field {key!r}")

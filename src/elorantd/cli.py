@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import sys
 import warnings
@@ -91,6 +90,18 @@ def _parse_factors(text: str) -> FactorSet:
     if not columns:
         raise ValueError("at least one factor is required")
     return factor_set(MetFactor.from_column(c) for c in columns)
+
+
+def _fmt(value) -> str:
+    return repr(float(value))
+
+
+# [sweep] kind -> (grid of the LassoConfig field it varies, CSV format of a
+# grid value, chart x label, log x axis)
+SWEEP_AXES = {
+    "alpha": (lasso.default_alpha_grid(), _fmt, "alpha (log scale)", True),
+    "degree": (lasso.DEGREE_GRID, str, "polynomial degree m", False),
+}
 
 
 # -- INI sections: each key is a field, typed by models.section_config ----------
@@ -202,7 +213,7 @@ class SweepSection:
     holdout_fraction: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in ("alpha", "degree"):
+        if self.kind not in SWEEP_AXES:
             raise ValueError(f"kind must be alpha or degree, got {self.kind!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction!r}")
@@ -275,10 +286,6 @@ def _bundle(args, s: RunSettings):
         min_samples=s.corpus.min_samples(corpus), cellsize=f.grid_cellsize,
         padding=f.grid_padding,
     )
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 # -- charts ------------------------------------------------------------------
@@ -407,11 +414,11 @@ def cmd_gridmap(args, s: RunSettings) -> int:
 
 
 def cmd_correlate(args, s: RunSettings) -> int:
+    # screening mirrors a single observation point: the receiver's series,
+    # whatever location mode [features] configures
+    s = replace(s, features=replace(s.features, location_mode="receiver_only"))
     corpus, bundle = _bundle(args, s)
-    # receiver-site series: correlation screening mirrors a single
-    # observation point, so collapse the location axis by its last entry
-    # (receiver end) when a multi-point mode is configured
-    series = bundle.tensor[:, -1, :]
+    series = bundle.tensor[:, 0, :]
     correlations = []
     for i, f in enumerate(bundle.factors):
         correlations.append(pearson(series[:, i], bundle.td, factor=f))
@@ -481,24 +488,16 @@ def cmd_evaluate(args, s: RunSettings) -> int:
     corpus, bundle = _bundle(args, s)
     test = s.split.select(bundle, "test", "evaluation")
     report = evaluate_models(named, test)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "kind", "factors", "location_mode", "rmse_ns", "mae_ns", "n_test_epochs"]
-        )
-        factors_label = "|".join(f.column for f in test.factors)
-        for row in report.rows:
-            writer.writerow(
-                [row.name, row.kind, factors_label, test.location_mode,
-                 _fmt(row.rmse), _fmt(row.mae), str(row.n_samples)]
-            )
-        if report.anova is not None:
-            fh.write("# one-way ANOVA across models over weekly-fold RMSE\n")
-            writer.writerow(["f_statistic", "p_value", "df_between", "df_within"])
-            writer.writerow(
-                [_fmt(report.anova.f_statistic), _fmt(report.anova.p),
-                 str(report.anova.df_between), str(report.anova.df_within)]
-            )
+    factors_label = "|".join(f.column for f in test.factors)
+    rows = [[row.name, row.kind, factors_label, test.location_mode,
+             _fmt(row.rmse), _fmt(row.mae), str(row.n_samples)] for row in report.rows]
+    if report.anova is not None:
+        rows += [["# one-way ANOVA across models over weekly-fold RMSE"],
+                 ["f_statistic", "p_value", "df_between", "df_within"],
+                 [_fmt(report.anova.f_statistic), _fmt(report.anova.p),
+                  str(report.anova.df_between), str(report.anova.df_within)]]
+    write_csv(args.out, ["model", "kind", "factors", "location_mode", "rmse_ns", "mae_ns",
+                         "n_test_epochs"], rows)
     width = max(len(r.name) for r in report.rows)
     for row in report.rows:
         print(f"{row.name:{width}s}  rmse={row.rmse:10.4f} ns  mae={row.mae:10.4f} ns  "
@@ -508,14 +507,6 @@ def cmd_evaluate(args, s: RunSettings) -> int:
               f"over {len(report.rows[0].fold_rmse)} weekly folds")
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-# [sweep] kind -> (grid of the LassoConfig field it varies, CSV format of a
-# grid value, chart x label, log x axis)
-SWEEP_AXES = {
-    "alpha": (lasso.default_alpha_grid(), _fmt, "alpha (log scale)", True),
-    "degree": (lasso.DEGREE_GRID, str, "polynomial degree m", False),
-}
 
 
 def cmd_sweep(args, s: RunSettings) -> int:

@@ -289,7 +289,9 @@ def _csv_rows(path, header_fault):
             if fault:
                 raise ParseError(path, 1, fault)
             yield header
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:  # a row starts on the line after the last one's end
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):

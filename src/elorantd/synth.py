@@ -13,7 +13,6 @@ of that code.  The test-only oracles live in tests/oracles.py.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import decode, encode
+from .artifacts import decode, encode, read_document, write_document
 from .errors import DataError
 from .gridmap import (
     DEFAULT_BOX_PADDING_DEG,
@@ -40,7 +39,6 @@ from .ingest import (
     StationRegistry,
     TdSamples,
     WeatherSeries,
-    read_utf8,
     write_dem,
     write_station_registry,
     write_td_csv,
@@ -511,20 +509,15 @@ def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
     write_dem(scenario.dem, paths["dem"])
     meta = {"schema": SCENARIO_SCHEMA, "path_length_km": scenario.path_length_km,
             **encode(SCENARIO_LAYOUT, scenario.config)}
-    paths["meta"].write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_document(paths["meta"], meta)
     return paths
 
 
 def load_scenario_config(path) -> ScenarioConfig:
     """Decode a scenario.meta; a DataError naming the file (and the bad value's path)
     if it is not UTF-8 JSON of this schema or holds a malformed or out-of-range value."""
+    raw = read_document(path, SCENARIO_SCHEMA, "scenario")
     try:
-        raw = json.loads(read_utf8(path))
-        schema = raw.get("schema") if isinstance(raw, dict) else None
-        if schema != SCENARIO_SCHEMA:
-            raise ValueError(f"scenario.schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
         return decode(SCENARIO_LAYOUT, raw, {}, "scenario")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

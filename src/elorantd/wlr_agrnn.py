@@ -36,6 +36,7 @@ from .types import FactorSet, GeoPoint
 
 SIGMA_BOUNDS = (0.1, 3.0)
 ELEVATION_FLOOR_M = 1.0
+ELEVATION_MODES = ("floored_normalized", "raw")  # see transform_elevation
 # inverse_residual reweighting: w_t = 1 / (WEIGHT_EPS + |r_t|), redone
 # every WEIGHT_EVERY iterations
 WEIGHT_EPS = 1.0
@@ -87,7 +88,7 @@ class TrainConfig(AdamConfig):
         super().__post_init__()
         require_at_least(self, 1, "hidden")
         require_at_least(self, 0, "sigma_tol", strict=True)
-        if self.elevation_mode not in ("floored_normalized", "raw"):
+        if self.elevation_mode not in ELEVATION_MODES:
             raise ValueError(f"unknown elevation mode {self.elevation_mode!r}")
         if self.weight_scheme not in ("uniform", "inverse_residual"):
             raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
@@ -109,10 +110,10 @@ def transform_elevation(elevations: np.ndarray, mode: str = "floored_normalized"
     through untouched (zeros and all).
     """
     h = np.asarray(elevations, dtype=float)
+    if mode not in ELEVATION_MODES:
+        raise ValueError(f"unknown elevation mode {mode!r}")
     if mode == "raw":
         return h.copy()
-    if mode != "floored_normalized":
-        raise ValueError(f"unknown elevation mode {mode!r}")
     scale = max(float(h.mean()), ELEVATION_FLOOR_M)
     return np.maximum(h, ELEVATION_FLOOR_M) / scale
 

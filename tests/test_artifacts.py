@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from elorantd import baselines, lasso, wlr_agrnn
+from elorantd import baselines, lasso, synth, wlr_agrnn
 from elorantd.artifacts import (
     SCHEMA,
     load_model,
@@ -273,6 +273,27 @@ def test_load_rejects_non_artifact(tmp_path, text):
     fragment = "not valid JSON" if text == "not json {" else "unknown artifact schema None"
     with pytest.raises(DataError, match=fragment):
         load_model(path)
+
+
+@pytest.mark.parametrize("load,what", [(load_model, "artifact"),
+                                       (synth.load_scenario_config, "scenario")],
+                         ids=["artifact", "scenario"])
+@pytest.mark.parametrize("data,fault", [
+    (b'{"schema": "\xff"}', ":1: byte 0xff is not UTF-8 text"),
+    (b"not json {", ": not valid JSON (Expecting value: line 1 column 1"),
+    (b"[1, 2, 3]", ": unknown {what} schema None"),
+    (b'{"schema": "elorantd.other/1"}', ": unknown {what} schema 'elorantd.other/1'"),
+    (b"[" + b"1" * 5000 + b"]", ": not valid JSON (Exceeds the limit"),
+    (b"[" * 100000, ": not valid JSON (maximum recursion depth exceeded"),
+], ids=["not_utf8", "not_json", "list", "other_schema", "long_integer", "deep_nesting"])
+def test_both_documents_name_their_file_in_every_read_fault(tmp_path, load, what, data, fault):
+    """A model artifact and a scenario.meta are read by one reader, so
+    each fault is worded alike and starts with the file's path."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}{fault.format(what=what)}")
 
 
 def _payload_leaves(node, path=()):

@@ -801,6 +801,17 @@ def test_correlate_threshold_monotone(tmp_path, small_corpus_dir):
     assert selected["0.9"] <= selected["0.1"]
 
 
+def test_correlate_screens_the_receiver_in_every_location_mode(tmp_path, small_corpus_dir):
+    written = {}
+    for mode in ("receiver_only", "path", "stations"):
+        text = base_ini(small_corpus_dir).replace("receiver_only", mode)
+        out = tmp_path / f"{mode}.csv"
+        assert main(["correlate", "--config", write_ini(tmp_path / f"{mode}.ini", text),
+                     "--out", str(out)]) == 0
+        written[mode] = out.read_bytes()
+    assert written["stations"] == written["path"] == written["receiver_only"]
+
+
 def test_correlate_disjoint_epochs_exit_3(tmp_path, small_corpus_dir, capsys):
     shifted = tmp_path / "shifted"
     shifted.mkdir()
@@ -1030,7 +1041,9 @@ def test_evaluate_identical_artifacts_anova(tmp_path, ini, grnn_artifact):
     out = tmp_path / "eval.csv"
     assert main(["evaluate", "--config", cfg, "--artifacts", str(grnn_artifact),
                  str(twin), "--out", str(out)]) == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
+    data = out.read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    lines = data.decode("utf-8").splitlines()
     marker = [i for i, line in enumerate(lines) if line.startswith("#")]
     assert marker, "expected an ANOVA block for two models over three folds"
     f_stat, p_value = (float(v) for v in lines[marker[0] + 2].split(",")[:2])

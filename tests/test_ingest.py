@@ -688,6 +688,8 @@ TD_OK = f"timestamp,td_ns\n{TD_ROW0}\n"
         ("stations.csv", STATIONS_OK + "\nST01,36.5,127.5\n", 4, "duplicate station id 'ST01'"),
         ("stations.csv", STATIONS_OK + "ST02,north,127\n", 3, "could not convert"),
         ("stations.csv", STATIONS_OK.encode() + b"ST\xff,36,127\n", 3, "byte 0xff is not UTF-8"),
+        ("stations.csv", 'station_id,lat,lon\n"A\nB",36,127\nC,36,north\n', 4,
+         "could not convert"),  # a row starts after a quoted newline
         ("weather.csv", "station_id,time,temperature_c\n", 1, "expected header starting"),
         ("weather.csv", "station_id,timestamp,wind\n", 1, "unknown meteorological factor"),
         ("weather.csv", WEATHER_OK + "ST02,2024-10-01T00:00:00Z\n", 3, "expected 3 fields, got 2"),
