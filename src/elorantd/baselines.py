@@ -25,9 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import ScalarStandardizer, Standardizer
-from .optim import AdamConfig, TrainingTrace, finite_kernel_scale, fit_adam, require_at_least
+from .optim import (
+    AdamConfig,
+    TrainingTrace,
+    finite_kernel_scale,
+    fit_adam,
+    require_at_least,
+    require_cells,
+)
 from .types import FactorSet
 from .wlr_agrnn import agrnn_predict_batch, golden_section, loo_rss, loo_shift, pairwise_sq_dists
 
@@ -86,6 +93,17 @@ def _check_slices(group_slices, n_inputs: int, widths) -> None:
         if not 0 <= lo < hi <= n_inputs or width != hi - lo:
             raise ValueError(
                 f"slice ({lo}, {hi}) of {n_inputs} inputs does not fit w1 width {width}")
+
+
+def _require_mixture_cells(x: np.ndarray, experts: int, hidden: int, remedy: str) -> None:
+    """Refuse, before any weight is drawn, a mixture over the cell bound.  As
+    measured, a fit holds every expert's T x hidden tanh activations, about
+    four more such arrays and the T x experts gate with its gradient, and
+    about seven copies (weight, gradient, two Adam moments, temporaries) of
+    each expert's and the gate's weights."""
+    t_count, n_inputs = x.shape
+    require_cells(ConfigError, remedy, activations_and_gate=(experts + 4, t_count, hidden + 4),
+                  weights_and_Adam_state=(7, experts, hidden + 1, n_inputs + 2))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -190,6 +208,8 @@ def train_bpnn(
 ) -> tuple[BpnnModel, TrainingTrace]:
     """The one-expert mixture over all inputs."""
     x, y = _check_xy(x, y)
+    _require_mixture_cells(x, 1, cfg.hidden, "lower the bpnn hidden width or shorten the "
+                           "train range")
     ((w1, b1, w2, b2),), _, standardizer, target_scale, trace = _fit_tanh_mixture(
         x, y, ((0, x.shape[1]),), cfg.hidden, cfg, "BPNN"
     )
@@ -238,6 +258,10 @@ def train_grnn(
 ) -> tuple[GrnnModel, TrainingTrace]:
     """Store the bank; pick sigma by leave-one-out RSS unless cfg gives it."""
     x, y = _check_xy(x, y)
+    # as measured: the shifted distances and the kernel buffer, two T x T
+    # matrices, with the standardized bank and a temporary, two T x n
+    require_cells(ConfigError, f"grnn trains on {x.shape[0]} epochs: use a shorter train range",
+                  kernels_and_bank=(2, x.shape[0], x.shape[0] + x.shape[1]))
     standardizer = Standardizer.fit(x)
     bank = standardizer.transform(x)
     # one shifted distance matrix and one kernel buffer for every evaluation
@@ -293,6 +317,8 @@ def train_moe(
     x: np.ndarray, y: np.ndarray, cfg: MoeConfig = MoeConfig(), group_slices=None
 ) -> tuple[MoeModel, TrainingTrace]:
     x, y = _check_xy(x, y)
+    _require_mixture_cells(x, cfg.experts, cfg.expert_hidden, "lower the moe expert_hidden "
+                           "width or experts, or shorten the train range")
     if group_slices is None:
         group_slices = default_group_slices(x.shape[1], cfg.experts)
     group_slices = tuple((int(lo), int(hi)) for lo, hi in group_slices)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import AlignedDataset, ElevationGrid, StationRegistry, WeatherSeries, write_csv
-from .optim import MAX_ARRAY_CELLS
+from .optim import require_cells
 from .types import (
     ALL_FACTORS,
     EARTH_RADIUS_KM,
@@ -60,12 +60,8 @@ class GridSpec:
                              "cellsize positive")
         if self.lat_min >= self.lat_max or self.lon_min >= self.lon_max:
             raise ValueError("bounding box is empty")
-        # bound each ratio before nrows and ncols round it to an int
-        rows = (self.lat_max - self.lat_min) / self.cellsize
-        cols = (self.lon_max - self.lon_min) / self.cellsize
-        if max(rows, cols) > MAX_ARRAY_CELLS or self.nrows * self.ncols > MAX_ARRAY_CELLS:
-            raise ValueError(f"a {rows:.4g} x {cols:.4g} cell grid would exceed "
-                             f"{MAX_ARRAY_CELLS} cells")
+        require_cells(ValueError, "use a coarser cellsize or less padding", grid=(
+            self._cells(self.lat_min, self.lat_max), self._cells(self.lon_min, self.lon_max)))
         if not (-90 <= self.lat_min and self.lat_max <= 90 and -180 <= self.lon_min
                 and self.lon_max <= 180):
             raise ValueError(f"grid box {box} leaves the valid coordinates")
@@ -87,13 +83,17 @@ class GridSpec:
             cellsize=cellsize,
         )
 
+    def _cells(self, lo: float, hi: float) -> float:
+        """Raster cells across lo..hi, a float so that an overflowing ratio stays inf."""
+        return max(1.0, float(np.ceil((hi - lo) / self.cellsize - 1e-9)))
+
     @property
     def nrows(self) -> int:
-        return max(1, math.ceil((self.lat_max - self.lat_min) / self.cellsize - 1e-9))
+        return int(self._cells(self.lat_min, self.lat_max))
 
     @property
     def ncols(self) -> int:
-        return max(1, math.ceil((self.lon_max - self.lon_min) / self.cellsize - 1e-9))
+        return int(self._cells(self.lon_min, self.lon_max))
 
     def center_lat(self, row) -> np.ndarray | float:
         return self.lat_max - (np.asarray(row) + 0.5) * self.cellsize
@@ -177,10 +177,8 @@ def assign_observations(
     groups = _stations_by_cell(spec, [loc for sid, loc in registry.entries if sid in reported])
     if not groups:
         raise DataError(f"no station reports {factor} at {epoch.isoformat()}")
-    filled, assigned = spec.nrows * spec.ncols - len(groups), len(groups)
-    if filled * assigned > MAX_ARRAY_CELLS:  # idw_fill's weights; refuse before the raster
-        raise ConfigError(f"IDW weights of {filled} cells from {assigned} assigned cells would "
-                          f"exceed {MAX_ARRAY_CELLS} cells; use a coarser grid_cellsize")
+    require_cells(ConfigError, "use a coarser grid_cellsize",  # idw_fill's, before the raster
+                  IDW_weights=(spec.nrows * spec.ncols - len(groups), len(groups)))
     values = np.full((spec.nrows, spec.ncols), np.nan)
     mask = np.zeros((spec.nrows, spec.ncols), dtype=bool)
     for cell, members in groups.items():

@@ -265,12 +265,15 @@ class ElevationGrid:
 
 
 def read_utf8(path) -> str:
-    """The text of the file at path; a byte that is not UTF-8 is a ParseError at its line."""
+    """The text of the file at path; a byte that is not UTF-8 is a ParseError at
+    its line, counting \r\n, a lone \r and \n each as one line end, as the csv
+    reader does."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+        ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+        raise ParseError(path, ends - data.count(b"\r\n", 0, exc.start) + 1,
                          f"byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
 
 

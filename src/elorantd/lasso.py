@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import PolyTermIndex, Standardizer, poly_expand, term_count
-from .optim import MAX_ARRAY_CELLS, TrainingTrace, require_at_least
+from .optim import TrainingTrace, require_at_least, require_cells
 from .stats import rmse
 from .types import FactorSet
 
@@ -176,16 +176,10 @@ def _train_lanes(
         raise DataError(f"features {x.shape} vs target {y.shape}")
     (epochs, n_inputs), degree = x.shape, cfg.degree
     cols = term_count(n_inputs, degree) + 1
-    # refuse before allocating the T x P design, its P x P Gram matrix or
-    # the T x K residual block of the K lanes
-    if max(epochs * cols, cols * cols, epochs * len(alphas)) > MAX_ARRAY_CELLS:
-        raise ConfigError(
-            f"lasso_mpr on {n_inputs} inputs at degree {degree} needs {cols} design "
-            f"columns x {epochs} epochs, a {cols} x {cols} Gram matrix and a {epochs} x "
-            f"{len(alphas)} residual block, over {MAX_ARRAY_CELLS} cells in one of them; "
-            "lower the degree, use fewer inputs (e.g. location_mode = receiver_only) "
-            "or fewer alphas"
-        )
+    # refuse before building the design; the residual block holds one row per alpha
+    require_cells(ConfigError, "lower the lasso_mpr degree, use fewer inputs (e.g. location_mode"
+                  " = receiver_only) or fewer alphas", design=(epochs, cols),
+                  Gram_matrix=(cols, cols), residual_block=(epochs, len(alphas)))
     if epochs < cols:
         warnings.warn(
             f"only {epochs} training epochs for {cols} coefficients; "

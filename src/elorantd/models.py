@@ -114,7 +114,9 @@ def _train_wlr(cfg, bundle):
 
 def _train_moe(cfg, bundle):
     n_loc = bundle.n_locations
-    experts = cfg.experts if n_loc == 1 else min(cfg.experts, n_loc)
+    if n_loc == 1:  # every expert reads the whole input, train_moe's default
+        return baselines.train_moe(bundle.flat, bundle.td, cfg)
+    experts = min(cfg.experts, n_loc)  # at most one expert per location
     slices = baselines.default_group_slices(bundle.flat.shape[1], experts, n_locations=n_loc)
     return baselines.train_moe(bundle.flat, bundle.td, replace(cfg, experts=experts),
                                group_slices=slices)

@@ -1,4 +1,5 @@
-"""The Adam fit and its options, the training trace, the stop rule and config range checks."""
+"""The Adam fit and its options, the training trace, the stop rule, config
+range checks and the one cell bound on allocations."""
 from __future__ import annotations
 
 import math
@@ -8,9 +9,20 @@ import numpy as np
 
 from .errors import NonFiniteLossError
 
-# float64 cells (2 GiB) in any one array built from settings: a design or Gram
-# matrix, a generated scenario array, a grid raster, its IDW weights, a path tensor
+# float64 cells (2 GiB) in any one array, or set of arrays alive at once, whose
+# size the settings or the data decide; require_cells holds every such bound
 MAX_ARRAY_CELLS = 2 ** 28
+
+
+def require_cells(error: type[Exception], remedy: str, **arrays) -> None:
+    """Raise error for the largest keyword entry over MAX_ARRAY_CELLS: an array, or
+    arrays alive at once (_ reads as a space), its dimensions multiplied as floats
+    (each capped at 2**1000) so that no huge ratio is rounded to an int first."""
+    shapes = {name: [float(min(d, 2.0 ** 1000)) for d in dims] for name, dims in arrays.items()}
+    name = max(shapes, key=lambda key: math.prod(shapes[key]))
+    if math.prod(shapes[name]) > MAX_ARRAY_CELLS:
+        raise error(f"{name.replace('_', ' ')} of {' x '.join(f'{d:.10g}' for d in shapes[name])} "
+                    f"cells would exceed {MAX_ARRAY_CELLS} cells; {remedy}")
 
 
 def require_at_least(cfg, low: float, *names: str, strict: bool = False) -> None:

@@ -36,7 +36,7 @@ from .ingest import (
     parse_td_csv,
     parse_weather_csv,
 )
-from .optim import MAX_ARRAY_CELLS
+from .optim import require_cells
 from .stats import anova_oneway, mae, rmse
 from .synth import ScenarioConfig, load_scenario_config
 from .types import EpochHour, FactorSet, GeoPoint, factor_set
@@ -151,12 +151,9 @@ def build_features(
     spec = grid_around(tx, rx, padding, cellsize)
     hourly = aggregate_hourly(corpus.td_samples, min_samples)
     aligned = align_epochs(corpus.weather, hourly, factors, corpus.registry)
-    cells = len(aligned.epochs) * l * len(factors)
-    if location_mode == "path" and cells > MAX_ARRAY_CELLS:  # refuse before sampling the path
-        raise ConfigError(
-            f"a path tensor of {len(aligned.epochs)} epochs x {l} points x {len(factors)} "
-            f"factors would exceed {MAX_ARRAY_CELLS} cells; use fewer path points (l)"
-        )
+    if location_mode == "path":  # refuse before sampling the path
+        require_cells(ConfigError, "use fewer path points (l)",
+                      path_tensor=(len(aligned.epochs), l, len(factors)))
     points = location_points(location_mode, corpus, l, tx, rx)
     tensor = build_path_tensor(aligned, corpus.registry, spec, points)
     elevations = elevation_profile(corpus.dem, points)

@@ -45,7 +45,7 @@ from .ingest import (
     write_weather_csv,
 )
 from .models import FACTOR, Items, Record, Scalar, Table, Text, as_tuple
-from .optim import MAX_ARRAY_CELLS, require_at_least
+from .optim import require_at_least, require_cells
 from .types import (
     ALL_FACTORS,
     TD_SANITY_BOUND_NS,
@@ -233,15 +233,14 @@ class ScenarioConfig:
         uncovered = [f.column for f in self.factors if f not in self.weather]
         if uncovered:
             raise ValueError(f"weather has no parameters for factors {uncovered}")
-        # refuse before generating anything: the TD log, the weather cube, the
-        # path tensor, the station distances, the DEM raster (once per hill)
         t, s, spec, dem = self.duration_hours, self.station_count, self.grid_spec(), self.dem
-        raster = ((spec.lat_max - spec.lat_min + 2 * dem.padding) / dem.cellsize
-                  * (spec.lon_max - spec.lon_min + 2 * dem.padding) / dem.cellsize)
-        if max(t * self.td_samples_per_hour, t * s * len(ALL_FACTORS), s * s,
-               t * self.l * len(self.factors), raster * max(1, dem.hills)) > MAX_ARRAY_CELLS:
-            raise ValueError(f"the scenario's largest array would exceed {MAX_ARRAY_CELLS} "
-                             "cells; shorten it or use fewer stations, path points or DEM cells")
+        require_cells(
+            ValueError, "shorten the scenario or use fewer stations, path points or DEM cells",
+            TD_log=(t, self.td_samples_per_hour), weather_cube=(t, s, len(ALL_FACTORS)),
+            station_distances=(s, s), path_tensor=(t, self.l, len(self.factors)),
+            DEM_hill_rasters=((spec.lat_max - spec.lat_min + 2 * dem.padding) / dem.cellsize,
+                              (spec.lon_max - spec.lon_min + 2 * dem.padding) / dem.cellsize,
+                              max(1, dem.hills)))
         try:
             EpochHour.from_hours(self.start.hours_since_epoch + self.duration_hours - 1)
         except (OverflowError, OSError, ValueError):

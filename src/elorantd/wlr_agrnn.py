@@ -29,9 +29,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, NonFiniteLossError
+from .errors import ConfigError, DataError, NonFiniteLossError
 from .features import Standardizer
-from .optim import AdamConfig, TrainingTrace, finite_kernel_scale, fit_adam, require_at_least
+from .optim import (
+    AdamConfig,
+    TrainingTrace,
+    finite_kernel_scale,
+    fit_adam,
+    require_at_least,
+    require_cells,
+)
 from .types import FactorSet, GeoPoint
 
 SIGMA_BOUNDS = (0.1, 3.0)
@@ -228,6 +235,8 @@ def select_sigmas(
         raise DataError("need at least 2 bank columns to select sigmas")
     if not tol > 0:
         raise ValueError(f"sigma search tolerance must be > 0, got {tol!r}")
+    require_cells(ConfigError, f"wlr_agrnn trains on {t_count} epochs: use a shorter train range",
+                  shifted_distances_and_kernel=(2, t_count, t_count))
     if w is None:
         w = np.ones(t_count)
     sd = u.std(axis=1, ddof=1)
@@ -285,6 +294,8 @@ def agrnn_predict_batch(
         )
     if np.any(sigmas <= 0):
         raise ValueError("sigmas must be strictly positive")
+    require_cells(ConfigError, f"predict {kind} on a shorter range than {q.shape[1]} epochs",
+                  distance_matrix=(q.shape[1], u.shape[1]))
     # distances that overflow leave no finite kernel weight; those queries
     # take the fallback below, so the overflow itself is not reported
     with np.errstate(over="ignore", invalid="ignore"):
@@ -435,6 +446,14 @@ def train(
         raise DataError(
             f"{np.asarray(elevations).size} elevations for {l_count} locations"
         )
+    # as measured: the leave-one-out stage peaks at about 3.5 T x T matrices
+    # (86.1 MB at T = 1752 in path mode; two are the shifted distances and a
+    # kernel); the expert, its gradient, its two Adam moments and the
+    # update's temporaries are seven hidden x (n + 1) arrays
+    require_cells(ConfigError, f"wlr_agrnn trains on {t_count} epochs: use a shorter train range",
+                  leave_one_out_stage=(3.5, t_count, t_count))
+    require_cells(ConfigError, "lower the wlr_agrnn hidden width",
+                  expert_and_Adam_state=(7, cfg.hidden, n_factors + 1))
     h_tilde = transform_elevation(elevations, cfg.elevation_mode)
     standardizer = Standardizer.fit(x.reshape(t_count * l_count, n_factors))
     z = standardizer.transform(x.reshape(-1, n_factors)).reshape(x.shape)

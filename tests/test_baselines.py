@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from elorantd import wlr_agrnn
+from elorantd import baselines, wlr_agrnn
 from elorantd.baselines import (
     GRNN_SIGMA_RANGE,
     BpnnConfig,
@@ -22,11 +23,13 @@ from elorantd.baselines import (
 )
 from elorantd.errors import DataError, NonFiniteLossError
 from elorantd.features import ScalarStandardizer, Standardizer
+from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.stats import rmse
 from elorantd.synth import ols_oracle
 from elorantd.types import FACTORS_3
 from elorantd.wlr_agrnn import agrnn_predict_batch
 from tests.oracles import kernel_oracle
+from tests.test_wlr_agrnn import fail, refused_with_small_peak
 
 
 # -- BPNN ---------------------------------------------------------------------
@@ -483,3 +486,70 @@ def test_baseline_models_are_deterministic():
     np.testing.assert_array_equal(m1.gate_w, m2.gate_w)
     for e1, e2 in zip(m1.experts, m2.experts):
         np.testing.assert_array_equal(e1[0], e2[0])
+
+
+# -- the cell bound -------------------------------------------------------------
+# Each guard refuses before its first large allocation, so the steps after it
+# are replaced by failures: a missing guard fails the test, not the machine.
+
+
+def test_grnn_over_the_cell_bound_is_refused_before_standardizing(monkeypatch):
+    """Two 12000 x 12000 matrices and the 12000 x 1 bank exceed the bound."""
+    monkeypatch.setattr(baselines.Standardizer, "fit", fail("standardizing"))
+    monkeypatch.setattr(baselines, "pairwise_sq_dists", fail("the distance matrix"))
+    refused_with_small_peak(
+        lambda: train_grnn(np.zeros((12000, 1)), np.zeros(12000)),
+        rf"^kernels and bank of 2 x 12000 x 12001 cells would exceed {MAX_ARRAY_CELLS} cells; "
+        "grnn trains on 12000 epochs: use a shorter train range$")
+
+
+def test_grnn_peak_is_within_its_declared_cells():
+    """The declared 2 T (T + n) cells cover the measured heap peak."""
+    rng = np.random.default_rng(40)
+    t_count, n = 700, 40
+    x, y = rng.normal(size=(t_count, n)), rng.normal(size=t_count)
+    tracemalloc.start()
+    try:
+        train_grnn(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * t_count * t_count * 8 < peak < 2 * t_count * (t_count + n) * 8
+
+
+@pytest.mark.parametrize("shape,train,cfg,match", [
+    ((20, 3), train_bpnn, BpnnConfig(hidden=10 ** 11),
+     r"^activations and gate of 5 x 20 x 1e\+11 cells would exceed .*; lower the bpnn hidden "
+     "width or shorten the train range$"),
+    ((20, 3), train_moe, MoeConfig(expert_hidden=10 ** 11),
+     r"^activations and gate of 8 x 20 x 1e\+11 cells would exceed .*; lower the moe "
+     "expert_hidden width or experts, or shorten the train range$"),
+    ((20, 3), train_moe, MoeConfig(experts=10 ** 12),
+     r"^weights and Adam state of 7 x 1e\+12 x 9 x 5 cells would exceed "),
+    ((4, 100), train_bpnn, BpnnConfig(hidden=10 ** 6),  # 4 epochs, but 10**6 x 100 weights
+     r"^weights and Adam state of 7 x 1 x 1000001 x 102 cells would exceed "),
+])
+def test_mixture_widths_over_the_cell_bound_are_refused_before_any_weight(monkeypatch, shape,
+                                                                          train, cfg, match):
+    monkeypatch.setattr(baselines, "default_group_slices", fail("default_group_slices"))
+    monkeypatch.setattr(baselines, "_fit_tanh_mixture", fail("the fit"))
+    refused_with_small_peak(lambda: train(np.zeros(shape), np.zeros(shape[0]), cfg), match)
+
+
+@pytest.mark.parametrize("experts,t_count,n,hidden", [(1, 300, 3, 500), (4, 50, 40, 500)])
+def test_mixture_peak_is_within_its_declared_cells(experts, t_count, n, hidden):
+    """The two declared sets together cover the measured heap peak of a fit."""
+    rng = np.random.default_rng(41)
+    x, y = rng.normal(size=(t_count, n)), rng.normal(size=t_count)
+    tracemalloc.start()
+    try:
+        if experts == 1:
+            train_bpnn(x, y, BpnnConfig(hidden=hidden, max_iterations=3))
+        else:
+            train_moe(x, y, MoeConfig(experts=experts, expert_hidden=hidden, max_iterations=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    declared = ((experts + 4) * t_count * (hidden + 4)
+                + 7 * experts * (hidden + 1) * (n + 2))
+    assert experts * t_count * hidden * 8 < peak < declared * 8

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -429,21 +431,33 @@ def test_bad_factor_name_exit_2(tmp_path, small_corpus_dir):
     assert main(["ingest", "--config", cfg]) == 2
 
 
-def console(argv, **env_vars) -> subprocess.CompletedProcess:
+# the child's address space in capped runs: an allocation that a missing
+# guard lets through fails at once there instead of filling the machine
+ADDRESS_SPACE_CAP = 2_500_000_000
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+def console(argv, capped=False, **env_vars) -> subprocess.CompletedProcess:
     """Run the CLI as a subprocess, with env_vars set before numpy loads, so
-    a traceback is visible and a hang is bounded."""
-    env = {**os.environ, **env_vars}
+    a traceback is visible and a hang is bounded; capped limits its address
+    space to ADDRESS_SPACE_CAP, with one BLAS thread so that the buffers of
+    many BLAS threads do not fill it."""
+    env = {**os.environ, **({"OPENBLAS_NUM_THREADS": "1"} if capped else {}), **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(elorantd.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
     return subprocess.run(
         [sys.executable, "-m", "elorantd.cli", *argv],
         capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=cap_address_space if capped else None,
     )
 
 
 def assert_exit_2_without_traceback(argv):
-    proc = console(argv)
+    proc = console(argv, capped=True)
     assert proc.returncode == 2, proc.stderr
     assert "config error:" in proc.stderr
     assert "Traceback" not in proc.stderr and ".py:" not in proc.stderr
@@ -472,6 +486,11 @@ RX_ONLY = "location_mode = receiver_only\n"
         ("", RX_ONLY, "name = lasso_mpr\nalpha = -1\n"),
         ("", RX_ONLY, "name = wlr_agrnn\nelevation_mode = bogus\n"),
         ("", RX_ONLY, "name = wlr_agrnn\nsigma_tol = 0\n"),
+        # widths over the cell bound
+        ("", RX_ONLY, "name = bpnn\nhidden = 100000000000\n"),
+        ("", RX_ONLY, "name = wlr_agrnn\nhidden = 100000000000\n"),
+        ("", RX_ONLY, "name = moe\nexpert_hidden = 100000000000\n"),
+        ("", RX_ONLY, "name = moe\nexperts = 1000000000000\n"),
         ("min_samples_per_hour = -5\n", RX_ONLY, "name = grnn\n"),
     ],
 )
@@ -485,6 +504,34 @@ def test_invalid_settings_exit_2_without_traceback(
         f"[split]\ntrain = {TRAIN_RANGE}\n[model]\n{model}",
     )
     assert_exit_2_without_traceback(["train", "--config", cfg, "--out", str(tmp_path / "m.json")])
+
+
+@pytest.fixture(scope="module")
+def long_corpus_dir(tmp_path_factory):
+    """A 13,000-hour corpus kept small: two stations, two path points and
+    one TD sample an hour."""
+    out = tmp_path_factory.mktemp("long_corpus")
+    cfg = dataclasses.replace(synth.default_scenario_config(), duration_hours=13000,
+                              station_count=2, l=2, td_samples_per_hour=1)
+    synth.write_corpus(synth.generate_scenario(cfg), out)
+    return out
+
+
+def test_long_train_range_is_refused_before_its_kernels(tmp_path, long_corpus_dir):
+    """Over 12,000 train epochs put the WLR-AGRNN's leave-one-out stage, about
+    3.5 T x T matrices, over the cell bound: exit 2 under a 2.5 GB address
+    space, where two T x T matrices alone (2.5 GB) would end in a MemoryError."""
+    cfg = write_ini(
+        tmp_path / "long.ini",
+        f"[corpus]\ndir = {long_corpus_dir}\n[features]\nfactors = 3\nlocation_mode = path\n"
+        "l = 2\n[split]\ntrain = 2024-10-01..2026-03-15\n[model]\nname = wlr_agrnn\n",
+    )
+    proc = console(["train", "--config", cfg, "--out", str(tmp_path / "m.json")], capped=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    epochs = int(re.search(r"wlr_agrnn trains on (\d+) epochs", proc.stderr).group(1))
+    assert proc.stderr.startswith("config error: leave one out stage of 3.5 x ")
+    assert epochs >= 12000
 
 
 @pytest.mark.parametrize("factors", [",", "", " , ,"])

@@ -401,10 +401,12 @@ def peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
+BOUND = f"grid of .* cells would exceed {MAX_ARRAY_CELLS} cells; use a coarser cellsize"
+
+
 @pytest.mark.parametrize(
     "padding,cellsize,reason",
-    [(0.05, 1e-320, str(MAX_ARRAY_CELLS)), (0.05, 1e-7, str(MAX_ARRAY_CELLS)),
-     (1e300, 0.01, str(MAX_ARRAY_CELLS)), (1e308, 0.01, str(MAX_ARRAY_CELLS)),
+    [(0.05, 1e-320, BOUND), (0.05, 1e-7, BOUND), (1e300, 0.01, BOUND), (1e308, 0.01, BOUND),
      (0.05, math.inf, "finite"), (math.nan, 0.01, "finite"),
      (60.0, 0.01, "valid coordinates")],
 )
@@ -423,7 +425,8 @@ def test_grid_map_over_the_cell_bound_is_refused_before_allocating(small_scenari
     assert spec.nrows * spec.ncols <= MAX_ARRAY_CELLS < 5 * spec.nrows * spec.ncols
 
     def refuse():
-        with pytest.raises(ConfigError, match=f"IDW weights .* {MAX_ARRAY_CELLS} cells"):
+        with pytest.raises(ConfigError, match=f"IDW weights of .* cells would exceed "
+                                              f"{MAX_ARRAY_CELLS} cells; use a coarser"):
             assign_observations(spec, small_scenario.registry, small_scenario.weather,
                                 small_scenario.epochs[0], MetFactor.TEMPERATURE)
 

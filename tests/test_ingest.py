@@ -690,6 +690,13 @@ TD_OK = f"timestamp,td_ns\n{TD_ROW0}\n"
         ("stations.csv", STATIONS_OK.encode() + b"ST\xff,36,127\n", 3, "byte 0xff is not UTF-8"),
         ("stations.csv", 'station_id,lat,lon\n"A\nB",36,127\nC,36,north\n', 4,
          "could not convert"),  # a row starts after a quoted newline
+        # a lone \r ends a line for the row reader and the UTF-8 check alike
+        ("stations.csv", "station_id,lat,lon\rST01,36,127\rST02,36,north\r", 3,
+         "could not convert"),
+        ("stations.csv", b"station_id,lat,lon\rST01,36,127\rST02,36,\xff\r", 3,
+         "byte 0xff is not UTF-8"),
+        ("stations.csv", b"station_id,lat,lon\r\nST01,36,127\r\nST02,36,\xff\r\n", 3,
+         "byte 0xff is not UTF-8"),
         ("weather.csv", "station_id,time,temperature_c\n", 1, "expected header starting"),
         ("weather.csv", "station_id,timestamp,wind\n", 1, "unknown meteorological factor"),
         ("weather.csv", WEATHER_OK + "ST02,2024-10-01T00:00:00Z\n", 3, "expected 3 fields, got 2"),

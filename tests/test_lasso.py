@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from elorantd import lasso
+from elorantd import lasso, optim
 from elorantd.errors import ConfigError, DataError
 from elorantd.features import PolyTermIndex, Standardizer, poly_expand, term_count
 from elorantd.optim import MAX_ARRAY_CELLS
@@ -302,7 +302,7 @@ def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
     )
     x = np.zeros((10, 11))
     assert 10 * (term_count(11, 7) + 1) <= MAX_ARRAY_CELLS < (term_count(11, 7) + 1) ** 2
-    with pytest.raises(ConfigError, match=r"31824 x 31824 Gram matrix"):
+    with pytest.raises(ConfigError, match=r"Gram matrix of 31824 x 31824 cells would exceed"):
         train(x, np.zeros(10), LassoConfig(degree=7))
 
 
@@ -312,13 +312,13 @@ def test_lasso_gram_size_guard_refuses_before_allocating(monkeypatch):
 def test_alpha_sweep_residual_block_guard_refuses_before_allocating(monkeypatch):
     """30 epochs and 3 design columns fit a 100-cell bound, but the residual
     block of a 4-alpha grid, 30 x 4, does not."""
-    monkeypatch.setattr(lasso, "MAX_ARRAY_CELLS", 100)
+    monkeypatch.setattr(optim, "MAX_ARRAY_CELLS", 100)
     monkeypatch.setattr(
         PolyTermIndex, "build",
         classmethod(lambda cls, *args: pytest.fail("design index was built")),
     )
     x = np.zeros((30, 2))
-    with pytest.raises(ConfigError, match=r"30 x 4 residual block"):
+    with pytest.raises(ConfigError, match=r"residual block of 30 x 4 cells would exceed 100 "):
         sweep(x, np.zeros(30), x, np.zeros(30), LassoConfig(degree=1), "alpha",
               [0.1, 0.2, 0.3, 0.4])
 

@@ -1,11 +1,12 @@
 """The shared Adam fit and its stop rule, against a plain-loop reference."""
 import math
+import re
 
 import numpy as np
 import pytest
 
-from elorantd.errors import NonFiniteLossError
-from elorantd.optim import AdamConfig, fit_adam, loss_converged
+from elorantd.errors import ConfigError, NonFiniteLossError
+from elorantd.optim import MAX_ARRAY_CELLS, AdamConfig, fit_adam, loss_converged, require_cells
 from tests.oracles import adam_oracle
 
 
@@ -76,3 +77,30 @@ def test_loss_converged_needs_patience_changes_each_below_tol_relative_to_the_wi
     # below 1 the changes are absolute: 5e-4 is 5e-4 of max(1, 1e-3)
     assert loss_converged([1e-3, 1.5e-3, 2e-3], tol=1e-3, patience=2)
     assert not loss_converged([1e-3, 1.5e-3, 2e-3], tol=4e-4, patience=2)
+
+
+# -- the cell bound -------------------------------------------------------------
+
+
+def test_require_cells_names_the_largest_entry_over_the_bound():
+    with pytest.raises(ConfigError, match=r"^Gram matrix of 20000 x 20000 cells would exceed "
+                                          rf"{MAX_ARRAY_CELLS} cells; lower the degree$"):
+        require_cells(ConfigError, "lower the degree", design=(300, 20000),
+                      Gram_matrix=(20000, 20000), residual_block=(30000, 4))
+
+
+def test_require_cells_passes_entries_at_the_bound():
+    require_cells(ValueError, "unused", grid=(2 ** 14, 2 ** 14), kernels=(4, 2 ** 13, 2 ** 13),
+                  empty=(0, 10 ** 400))
+
+
+@pytest.mark.parametrize("dims,shown", [
+    ((3.5, 9000, 9000), "3.5 x 9000 x 9000"),
+    ((1e300, 1e300), "1e+300 x 1e+300"),  # the product overflows to inf
+    ((math.inf, 1.0), "1.071508607e+301 x 1"),  # counted as 2**1000
+    ((10 ** 400, 1), "1.071508607e+301 x 1"),  # an int too large for a float
+    ((np.int64(2 ** 20), 2 ** 9), "1048576 x 512"),
+])
+def test_require_cells_multiplies_as_floats(dims, shown):
+    with pytest.raises(ValueError, match=f"^stage of {re.escape(shown)} cells would exceed"):
+        require_cells(ValueError, "remedy", stage=dims)

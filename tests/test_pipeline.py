@@ -355,7 +355,8 @@ def test_path_tensor_over_the_cell_bound_is_refused_before_sampling(corpus, smal
     cfg = small_scenario.config
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=f"480 epochs x 1000000 points .* {MAX_ARRAY_CELLS}"):
+        with pytest.raises(ConfigError, match=f"path tensor of 480 x 1000000 x 3 cells would "
+                                              f"exceed {MAX_ARRAY_CELLS} cells; use fewer path"):
             build_features(corpus, cfg.factors, "path", cfg.tx, cfg.rx, l=10 ** 6, min_samples=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -392,7 +393,8 @@ def test_lasso_design_size_guard_refuses_before_allocating(monkeypatch):
         tensor=np.zeros((t, l, len(FACTORS_7))),
         td=np.zeros(t),
     )
-    with pytest.raises(ConfigError, match=r"1386 inputs at degree 3 needs 445673614"):
+    with pytest.raises(ConfigError, match=r"^Gram matrix of 445673614 x 445673614 cells would "
+                                          "exceed .*; lower the lasso_mpr degree"):
         train_model("lasso_mpr", bundle)
 
 

@@ -306,7 +306,7 @@ def test_scenario_config_range_checks():
 def test_scenario_over_the_cell_bound_is_refused_before_generating(fields):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=str(MAX_ARRAY_CELLS)):
+        with pytest.raises(ValueError, match=f" cells would exceed {MAX_ARRAY_CELLS} cells; "):
             tiny_config(**fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

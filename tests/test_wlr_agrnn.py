@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from elorantd import wlr_agrnn
-from elorantd.errors import DataError, NonFiniteLossError
+from elorantd.errors import ConfigError, DataError, NonFiniteLossError
+from elorantd.optim import MAX_ARRAY_CELLS
 from elorantd.stats import rmse
 from elorantd.wlr_agrnn import (
     SIGMA_BOUNDS,
@@ -770,3 +771,80 @@ def test_training_holds_at_most_two_square_buffers():
         tracemalloc.stop()
     assert trace.iterations == 3
     assert peak < 2.5 * t_count * t_count * 8
+
+
+# -- the cell bound -------------------------------------------------------------
+# Each guard refuses before its first large allocation, so the steps after it
+# are replaced by failures: a missing guard fails the test, not the machine.
+
+
+def fail(what):
+    def call(*args, **kwargs):
+        pytest.fail(f"{what} ran")
+    return call
+
+
+def refused_with_small_peak(call, match) -> None:
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_train_over_the_cell_bound_is_refused_before_standardizing(monkeypatch):
+    """3.5 x 9000^2 cells exceed the bound; the tensor itself is 72 kB."""
+    monkeypatch.setattr(wlr_agrnn.Standardizer, "fit", fail("standardizing"))
+    monkeypatch.setattr(wlr_agrnn, "pairwise_sq_dists", fail("the distance matrix"))
+    x = np.zeros((9000, 1, 1))
+    refused_with_small_peak(
+        lambda: train(x, np.zeros(9000), np.ones(1)),
+        rf"^leave one out stage of 3.5 x 9000 x 9000 cells would exceed {MAX_ARRAY_CELLS} "
+        "cells; wlr_agrnn trains on 9000 epochs: use a shorter train range$")
+
+
+def test_hidden_width_over_the_cell_bound_is_refused_before_drawing_weights(monkeypatch):
+    monkeypatch.setattr(wlr_agrnn.Standardizer, "fit", fail("standardizing"))
+    monkeypatch.setattr(wlr_agrnn.WlrParams, "init", fail("drawing weights"))
+    refused_with_small_peak(
+        lambda: train(np.zeros((20, 2, 3)), np.zeros(20), np.ones(2),
+                      TrainConfig(hidden=10 ** 11)),
+        r"^expert and Adam state of 7 x 1e\+11 x 4 cells would exceed .*; "
+        "lower the wlr_agrnn hidden width$")
+
+
+def test_select_sigmas_over_the_cell_bound_is_refused_before_its_matrices(monkeypatch):
+    """The shifted matrix and the kernel, 2 x 12000^2 cells."""
+    monkeypatch.setattr(wlr_agrnn, "pairwise_sq_dists", fail("the distance matrix"))
+    refused_with_small_peak(
+        lambda: select_sigmas(np.zeros((1, 12000)), np.zeros(12000)),
+        r"^shifted distances and kernel of 2 x 12000 x 12000 cells would exceed .*"
+        "wlr_agrnn trains on 12000 epochs")
+
+
+@pytest.mark.parametrize("kind", ["wlr_agrnn", "grnn"])
+def test_prediction_over_the_cell_bound_is_refused_before_its_distances(monkeypatch, kind):
+    """20000 queries against a 20000-column bank."""
+    monkeypatch.setattr(wlr_agrnn, "pairwise_sq_dists", fail("the distance matrix"))
+    refused_with_small_peak(
+        lambda: agrnn_predict_batch(np.zeros((1, 20000)), np.zeros((1, 20000)),
+                                    np.zeros(20000), np.ones(1), kind),
+        rf"^distance matrix of 20000 x 20000 cells would exceed .*; predict {kind} on a "
+        "shorter range than 20000 epochs$")
+
+
+def test_wide_expert_peak_is_within_its_declared_cells():
+    """Seven hidden x (n + 1) arrays cover the heap peak of a wide expert's fit."""
+    rng = np.random.default_rng(33)
+    x, y = rng.normal(size=(30, 2, 3)), rng.normal(size=30)
+    hidden = 50000
+    tracemalloc.start()
+    try:
+        train(x, y, np.full(2, 100.0), TrainConfig(max_iterations=3, hidden=hidden))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * hidden * 3 * 8 < peak < 7 * hidden * (3 + 1) * 8
