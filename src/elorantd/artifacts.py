@@ -1,14 +1,18 @@
 """Serialized model artifacts: one JSON schema family, per-kind payloads.
 
 Artifacts are self-describing (schema + kind + axis metadata) and
-deterministic: keys are sorted and floats round-trip exactly through
-JSON's shortest-repr formatting, so identical training runs produce
-byte-identical files.  Loading checks every field ``models.KINDS`` declares.
+deterministic: keys are sorted, scalars round-trip exactly through JSON's
+shortest-repr formatting, and each array is written as its shape and the
+base64 of its little-endian float64 bytes, so identical training runs
+produce byte-identical files and a reloaded array equals the saved one bit
+for bit.  Loading checks every field ``models.KINDS`` declares, and still
+reads the arrays of an ``elorantd.model/1`` artifact, which are JSON lists.
 write_document and read_document frame every JSON document the program
 saves, artifacts and scenario.meta alike.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -20,7 +24,8 @@ from .ingest import read_utf8
 from .models import FACTOR, KINDS, Array, Items, ModelKind, Record, Scalar, Table, Text
 from .types import factor_set, parse_location_mode
 
-SCHEMA = "elorantd.model/1"
+SCHEMA = "elorantd.model/2"  # arrays as {"shape", "b64"}
+READ_SCHEMAS = ("elorantd.model/1", SCHEMA)  # /1: arrays as nested JSON lists
 # the fields every kind shares; its payload is declared in models.KINDS
 HEADER = Record(dict, {
     "factors": Items("factors", FACTOR),
@@ -40,7 +45,9 @@ def encode(spec, value):
     if isinstance(spec, Items):
         return [encode(spec.item, v) for v in value]
     if isinstance(spec, Array):
-        return np.asarray(value).tolist()
+        value = np.asarray(value, dtype="<f8")
+        return {"shape": list(value.shape),
+                "b64": base64.b64encode(value.tobytes()).decode("ascii")}
     if isinstance(spec, Text):
         return spec.format(value)
     if isinstance(spec, Table):
@@ -57,6 +64,30 @@ def _bind(dims: dict, axis: str, size: int, where: str) -> None:
 _TINY = np.finfo(float).tiny
 _SCALAR_NAMES = {float: "finite number", int: "64-bit integer", str: "string",
                  bool: "boolean (true or false)", dict: "JSON object"}
+
+
+def _unpack(raw: dict, ndim: int, where: str) -> np.ndarray:
+    """The array of a {"shape", "b64"} value: a writable, C-contiguous float64
+    copy; a ValueError naming where if the shape, the base64 text or its
+    byte count is malformed."""
+    shape = raw.get("shape")
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{where}: shape is not a list of {ndim} non-negative integers")
+    text = raw.get("b64")
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: b64 is not a string")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"{where}: b64 is not base64 ({exc})") from None
+    size = 8 * math.prod(shape)  # Python ints: no shape overflows
+    if len(data) != size:
+        raise ValueError(f"{where}: {len(data)} bytes where shape {shape} needs {size}")
+    try:
+        return np.frombuffer(data, dtype="<f8").astype(float).reshape(shape)
+    except ValueError as exc:  # no entries, but an axis longer than numpy allows
+        raise ValueError(f"{where}: shape {shape}: {exc}") from None
 
 
 def decode(spec, raw, dims: dict, where: str):
@@ -88,7 +119,10 @@ def decode(spec, raw, dims: dict, where: str):
             decode(spec.item, v, {}, f"{where}[{i}]") for i, v in enumerate(raw)
         )
     if isinstance(spec, Array):
-        value = np.asarray(raw, dtype=float)
+        if isinstance(raw, dict):
+            value = _unpack(raw, len(spec.axes), where)
+        else:  # an elorantd.model/1 list
+            value = np.asarray(raw, dtype=float)
         if value.ndim != len(spec.axes):
             raise ValueError(f"{where}: shape {value.shape} does not have axes {spec.axes}")
         for axis, size in zip(spec.axes, value.shape):
@@ -145,16 +179,16 @@ def write_document(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def read_document(path, schema: str, what: str) -> dict:
-    """The JSON object at path whose "schema" is schema; a DataError naming the
-    file if it is not UTF-8 JSON, not an object, or of another schema (what
-    names the document in that fault)."""
+def read_document(path, schemas: tuple[str, ...], what: str) -> dict:
+    """The JSON object at path whose "schema" is one of schemas; a DataError
+    naming the file if it is not UTF-8 JSON, not an object, or of another
+    schema (what names the document in that fault)."""
     try:
         doc = json.loads(read_utf8(path))
     except (ValueError, RecursionError) as exc:  # also an overlong integer, or deep nesting
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     found = doc.get("schema") if isinstance(doc, dict) else None
-    if found != schema:
+    if found not in schemas:
         raise DataError(f"{path}: unknown {what} schema {found!r}")
     return doc
 
@@ -164,7 +198,7 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    doc = read_document(path, SCHEMA, "artifact")
+    doc = read_document(path, READ_SCHEMAS, "artifact")
     for key in ("kind", "payload"):  # the header's fields are HEADER's
         if key not in doc:
             raise DataError(f"{path}: artifact missing field {key!r}")

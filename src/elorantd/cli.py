@@ -248,7 +248,8 @@ def load_settings(config_path: str | None) -> RunSettings:
     # no DEFAULT section: its keys would reach every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(read_utf8(path), source=str(path))
+        text = read_utf8(path)  # configparser ends a line at \n alone; read_utf8 also at \r
+        parser.read_string(text.replace("\r\n", "\n").replace("\r", "\n"), source=str(path))
     except (DataError, OSError, configparser.Error) as exc:  # each names the file
         raise ConfigError(str(exc)) from None
     raw = {section: dict(parser[section]) for section in parser.sections()}

@@ -515,7 +515,7 @@ def write_corpus(scenario: SyntheticScenario, outdir) -> dict[str, Path]:
 def load_scenario_config(path) -> ScenarioConfig:
     """Decode a scenario.meta; a DataError naming the file (and the bad value's path)
     if it is not UTF-8 JSON of this schema or holds a malformed or out-of-range value."""
-    raw = read_document(path, SCENARIO_SCHEMA, "scenario")
+    raw = read_document(path, (SCENARIO_SCHEMA,), "scenario")
     try:
         return decode(SCENARIO_LAYOUT, raw, {}, "scenario")
     except ValueError as exc:

@@ -1,4 +1,8 @@
-"""Shared fixtures: one small synthetic scenario reused across test modules."""
+"""Shared fixtures: one small synthetic scenario reused across test modules,
+and the helpers that edit an array of a saved artifact."""
+import base64
+import struct
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -40,3 +44,25 @@ def small_corpus_dir(tmp_path_factory, small_scenario):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+# -- an artifact array as saved: {"shape": [...], "b64": <little-endian float64 bytes>}
+
+def is_encoded_array(node) -> bool:
+    return isinstance(node, dict) and set(node) == {"shape", "b64"}
+
+
+def array_bytes(node) -> bytearray:
+    return bytearray(base64.b64decode(node["b64"]))
+
+
+def with_bytes(node: dict, data: bytes) -> dict:
+    """node with its bytes replaced by data (its shape as it was)."""
+    return {**node, "b64": base64.b64encode(data).decode("ascii")}
+
+
+def with_entry(node: dict, index: int, value: float) -> dict:
+    """node with flat entry index set to value."""
+    data = array_bytes(node)
+    struct.pack_into("<d", data, 8 * index, value)
+    return with_bytes(node, data)

@@ -1,19 +1,32 @@
 import dataclasses
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elorantd import baselines, lasso, synth, wlr_agrnn
+from elorantd import baselines, lasso, pipeline, synth, wlr_agrnn
 from elorantd.artifacts import (
     SCHEMA,
+    decode,
+    encode,
     load_model,
     model_document,
     model_kind,
     save_model,
 )
 from elorantd.errors import DataError
+from elorantd.features import Standardizer
+from elorantd.models import Array
 from elorantd.types import FACTORS_3, GeoPoint
+from tests.conftest import (
+    array_bytes,
+    is_encoded_array,
+    small_scenario_config,
+    with_bytes,
+    with_entry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +225,18 @@ def test_load_rejects_missing_header_field(kind, every_model, tmp_path, key):
         load_model(path)
 
 
+def set_field(payload: dict, field: tuple, value) -> None:
+    """Set the payload field at path field to value; the last step of a path
+    into an encoded array is the index of one of its entries."""
+    parent, node = None, payload
+    for key in field[:-1]:
+        parent, node = node, node[key]
+    if is_encoded_array(node):
+        parent[field[-2]] = with_entry(node, field[-1], value)
+    else:
+        node[field[-1]] = value
+
+
 @pytest.mark.parametrize("kind, field", [
     ("grnn", ("standardizer", "sd", 0)), ("lasso_mpr", ("standardizer", "sd", 0)),
     ("bpnn", ("target_scale", "sd")), ("moe", ("target_scale", "sd")),
@@ -222,10 +247,7 @@ def test_load_rejects_non_positive_sd(kind, field, value, every_model, tmp_path)
     path = tmp_path / "sd.json"
     save_model(every_model[kind], path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    node = doc["payload"]
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
+    set_field(doc["payload"], field, value)
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match=f"malformed {kind} payload .*sd"):
         load_model(path)
@@ -241,10 +263,7 @@ def test_load_rejects_subnormal_grnn_scale(field, value, every_model, tmp_path):
     path = tmp_path / "grnn.json"
     save_model(every_model["grnn"], path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    node = doc["payload"]
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
+    set_field(doc["payload"], field, value)
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError,
                        match="malformed grnn payload .*(subnormal|positive normal|kernel scale)"):
@@ -255,7 +274,7 @@ def test_load_rejects_a_wlr_bandwidth_with_no_finite_kernel_scale(every_model, t
     path = tmp_path / "wlr.json"
     save_model(every_model["wlr_agrnn"], path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["payload"]["sigmas"][0] = 1e-300
+    set_field(doc["payload"], ("sigmas", 0), 1e-300)
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="malformed wlr_agrnn payload .*kernel scale"):
         load_model(path)
@@ -297,8 +316,13 @@ def test_both_documents_name_their_file_in_every_read_fault(tmp_path, load, what
 
 
 def _payload_leaves(node, path=()):
-    """(action, path) for every JSON list and every float under node."""
-    if isinstance(node, dict):
+    """(action, path) for every JSON list, every encoded array, every float
+    and every entry of an encoded array (path ending in its index) under node."""
+    if is_encoded_array(node):
+        yield "truncate", path
+        for i in range(len(array_bytes(node)) // 8):
+            yield "nan", path + (i,)
+    elif isinstance(node, dict):
         for key, value in node.items():
             yield from _payload_leaves(value, path + (key,))
     elif isinstance(node, list):
@@ -311,8 +335,9 @@ def _payload_leaves(node, path=()):
 
 @pytest.mark.parametrize("kind", KIND_NAMES)
 def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
-    """Every array cut short by one entry and every float set to NaN is
-    refused at load time, before a predict call could trip over it."""
+    """Every array cut short by one entry (a list, or an encoded array's
+    bytes) and every float, array entries included, set to NaN is refused
+    at load time, before a predict call could trip over it."""
     path = tmp_path / "m.json"
     save_model(every_model[kind], path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -321,17 +346,52 @@ def test_load_rejects_truncated_arrays_and_nan(kind, every_model, tmp_path):
     assert any(action == "truncate" for action, _ in leaves)
     for action, where in leaves:
         broken = json.loads(json.dumps(doc))
-        node = broken["payload"]
-        for key in where[:-1]:
-            node = node[key]
-        if action == "truncate":
-            node[where[-1]] = node[where[-1]][:-1]
+        if action == "nan":
+            set_field(broken["payload"], where, float("nan"))
         else:
-            node[where[-1]] = float("nan")
+            node = broken["payload"]
+            for key in where[:-1]:
+                node = node[key]
+            old = node[where[-1]]
+            node[where[-1]] = (with_bytes(old, array_bytes(old)[:-8])
+                               if is_encoded_array(old) else old[:-1])
         path.write_text(json.dumps(broken), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed {kind} payload"):
             load_model(path)
             pytest.fail(f"{action} at {where} loaded")
+
+
+def test_encoded_array_decodes_to_a_writable_contiguous_float64_copy():
+    spec = Array(("a", "b"))
+    value = np.arange(6.0).reshape(2, 3).T  # a transposed view, as a trained bank is
+    raw = json.loads(json.dumps(encode(spec, value)))
+    assert raw["shape"] == [3, 2]
+    out = decode(spec, raw, {}, "x")
+    assert out.dtype == np.dtype(float) and out.flags.c_contiguous and out.flags.writeable
+    assert out.tobytes() == np.ascontiguousarray(value).tobytes()
+
+
+@pytest.mark.parametrize("raw, fault", [
+    ({"b64": ""}, "shape is not a list of 2 non-negative integers"),
+    ({"shape": [2], "b64": ""}, "shape is not a list of 2"),
+    ({"shape": [2, -1], "b64": ""}, "shape is not a list"),
+    ({"shape": [2, 1.0], "b64": ""}, "shape is not a list"),
+    ({"shape": [2, True], "b64": ""}, "shape is not a list"),
+    ({"shape": [0, 0]}, "b64 is not a string"),
+    ({"shape": [0, 0], "b64": ["AAAA"]}, "b64 is not a string"),
+    ({"shape": [1, 1], "b64": "AAAAAAAAAA A="}, "b64 is not base64"),
+    ({"shape": [1, 1], "b64": "AAAAAAAAAAé="}, "b64 is not base64"),
+    ({"shape": [1, 1], "b64": "AAAAAAAAAAA"}, "b64 is not base64"),
+    ({"shape": [1, 2], "b64": "AAAAAAAAAAA="}, "8 bytes where shape \\[1, 2\\] needs 16"),
+    ({"shape": [2 ** 40, 2 ** 40], "b64": "AAAAAAAAAAA="}, "8 bytes where .* needs 9671406556917033397649408$"),
+    ({"shape": [0, 2 ** 70], "b64": ""}, "shape \\[0, 1180591620717411303424\\]: "),
+], ids=["no_shape", "too_few_axes", "negative", "float", "bool", "no_b64", "b64_list",
+        "space", "not_ascii", "padding", "byte_count", "huge", "no_entries_huge_axis"])
+def test_encoded_array_faults_name_the_field(raw, fault):
+    """Checked in order: the shape, the base64 text, its byte count (in Python
+    integers, so no shape overflows), then numpy's own limit on an axis."""
+    with pytest.raises(ValueError, match=f"^payload.bank: {fault}"):
+        decode(Array(("T", "n")), raw, {}, "payload.bank")
 
 
 def test_load_rejects_moe_slice_that_misses_its_expert(every_model, tmp_path):
@@ -358,3 +418,56 @@ def test_wlr_reload_predicts_bit_for_bit_on_a_path_bank(tmp_path):
     save_model(model, path)
     queries = rng.normal(size=(60, l_count, 3)) * [2.0, 5.0, 1.0] + [10.0, 50.0, 0.0]
     assert np.array_equal(load_model(path).predict_batch(queries), model.predict_batch(queries))
+
+
+# artifacts saved by the elorantd.model/1 writer (arrays as JSON lists): one
+# of each kind, trained as tests/test_contract_fuzz.py trains its artifacts
+V1_ARTIFACTS = Path(__file__).parent / "data" / "model_v1"
+
+
+@pytest.fixture(scope="module")
+def v1_bundle(tmp_path_factory):
+    """Path features (l = 8, three factors) of the corpus the /1 artifacts
+    were trained on: the small scenario shortened to four days."""
+    out = tmp_path_factory.mktemp("v1_corpus")
+    cfg = dataclasses.replace(small_scenario_config(), duration_hours=96)
+    synth.write_corpus(synth.generate_scenario(cfg), out)
+    corpus = pipeline.load_corpus(out)
+    tx, rx = corpus.tx_rx()
+    return pipeline.build_features(corpus, FACTORS_3, "path", tx, rx, l=8,
+                                   min_samples=cfg.td_samples_per_hour)
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_version_1_artifact_loads_and_resaves_as_version_2(kind, v1_bundle, tmp_path):
+    """A /1 artifact loads; saved again it is /2, every array reloads bit for
+    bit, and the two forms predict bit for bit."""
+    source = V1_ARTIFACTS / f"{kind}.json"
+    assert json.loads(source.read_text(encoding="utf-8"))["schema"] == "elorantd.model/1"
+    old = load_model(source)
+    path = tmp_path / "v2.json"
+    save_model(old, path)
+    assert json.loads(path.read_text(encoding="utf-8"))["schema"] == SCHEMA == "elorantd.model/2"
+    new = load_model(path)
+    assert model_document(new) == model_document(old)  # each array as its bytes
+    predicted = [pipeline.predict_model(model, v1_bundle) for model in (old, new)]
+    assert predicted[0].tobytes() == predicted[1].tobytes()
+
+
+def test_save_heap_peak_is_a_few_times_the_bank(tmp_path):
+    """An 8 MB GRNN bank saves with a Python heap peak of at most 5x its
+    bytes: the document holds its base64 text once, and writing it adds
+    about two copies more.  Its elements as a JSON list took 18x."""
+    rng = np.random.default_rng(4)
+    bank = rng.normal(size=(1000, 1000))
+    model = baselines.GrnnModel(bank=bank, y=rng.normal(size=1000), sigma=1.0,
+                                standardizer=Standardizer(np.zeros(1000), np.ones(1000)),
+                                factors=FACTORS_3)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "grnn.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / bank.nbytes
+    assert ratio <= 5, ratio

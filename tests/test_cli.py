@@ -423,6 +423,27 @@ def test_missing_config_file_exit_2(tmp_path):
     assert main(["ingest", "--config", str(tmp_path / "none.ini")]) == 2
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["CR", "CRLF"])
+def test_config_lines_end_at_cr_and_crlf_as_at_lf(tmp_path, small_corpus_dir, capsys, newline):
+    """An INI file's lines end where read_utf8 ends them: its fault names the
+    line its LF twin names, and a good file reads as its LF twin."""
+    def write(name, text, end):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        return str(path)
+
+    errors = []
+    for end in ("\n", newline):
+        config = write("repeated.ini", "[features]\nfactors = 7\n[features]\n", end)
+        assert main(["ingest", "--config", config]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "[line  3]: section 'features' already exists" in errors[0]
+    text = base_ini(small_corpus_dir, "[model]\nname = grnn\n")
+    assert (cli.load_settings(write("twin.ini", text, newline))
+            == cli.load_settings(write("lf.ini", text, "\n")) != cli.RunSettings())
+
+
 def test_bad_factor_name_exit_2(tmp_path, small_corpus_dir):
     cfg = write_ini(
         tmp_path / "bad.ini",

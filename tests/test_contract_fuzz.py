@@ -24,7 +24,7 @@ import pytest
 import elorantd
 from elorantd import ingest, synth
 from elorantd.cli import main
-from tests.conftest import small_scenario_config
+from tests.conftest import array_bytes, is_encoded_array, small_scenario_config, with_entry
 
 SEED = 20241001
 FILES = ("stations.csv", "weather.csv", "td.csv", "dem.asc")
@@ -207,12 +207,16 @@ def test_corpus_mutation_console_exit_without_traceback(tmp_path, fuzz_corpus, f
 # document, header and payload, is set to two of the values below, taken
 # in turn from a shuffled cycle, so each kind meets every value; every
 # list is also cut short and grown by one entry.  A list's entries count
-# as one field, and each case changes one entry at random.  Whole-file
-# cases cut the file short, replace it with text that is not JSON, or put
-# a non-UTF-8 byte in it.  Every case runs through predict and evaluate
-# and must end in exit 0, 3 or 5 with no traceback; a file that is not a
-# JSON document in exit 3, and so does each of EXIT_3_FIELDS.  An exit 0
-# writes only finite numbers: an artifact whose predictions overflow exits 3.
+# as one field, and each case changes one entry at random.  An array is
+# saved as {"shape": [...], "b64": <its little-endian float64 bytes>}, so
+# its shape and b64 are fields too, and each of ARRAY_CHANGES is made
+# inside one array at random; an entry of an array declared positive is
+# also set to a subnormal.  Whole-file cases cut the file short, replace it
+# with text that is not JSON, or put a non-UTF-8 byte in it.  Every case
+# runs through predict and evaluate and must end in exit 0, 3 or 5 with no
+# traceback; a file that is not a JSON document in exit 3, and so does each
+# array case and each of EXIT_3_FIELDS.  An exit 0 writes only finite
+# numbers: an artifact whose predictions overflow exits 3.
 
 ARTIFACT_KINDS = {"lasso_mpr": "degree = 1\n", "wlr_agrnn": "max_iterations = 3\n",
                   "bpnn": "max_iterations = 3\n", "grnn": "", "moe": "max_iterations = 3\n"}
@@ -222,8 +226,41 @@ VALUES_PER_FIELD = 2
 CUTS = 3  # truncations per kind
 ARTIFACT_EXITS = (0, 3, 5)
 # (kind, field, value) that loads, yet sends every query to the
-# nearest-column fallback: one bank target for every epoch
+# nearest-column fallback: one bank target for every epoch; the field's
+# last step is the index of an entry of an encoded array
 EXIT_3_FIELDS = (("grnn", ("payload", "standardizer", "sd", 0), 1e-300),)
+
+
+def _entry(value):
+    """A change that sets a random entry of an encoded array to value."""
+    return lambda node, rng: with_entry(node, rng.randrange(len(array_bytes(node)) // 8), value)
+
+
+def _b64_char(node, rng):  # "-" is URL-safe base64, outside the standard alphabet
+    i = rng.randrange(len(node["b64"]))
+    return {**node, "b64": node["b64"][:i] + "-" + node["b64"][i + 1:]}
+
+
+def _b64_cut(node, rng):
+    return {**node, "b64": node["b64"][:rng.randrange(len(node["b64"]))]}
+
+
+def _shape_first(change):
+    return lambda node, rng: {**node, "shape": [change(node["shape"][0]), *node["shape"][1:]]}
+
+
+# label -> change(encoded array, rng); each is made in one random array per kind
+ARRAY_CHANGES = {
+    "b64 character = '-'": _b64_char,
+    "b64 cut short": _b64_cut,
+    "shape[0] + 1": _shape_first(lambda n: n + 1),  # disagrees with the byte count
+    "shape[0] = 2**61": _shape_first(lambda n: 2 ** 61),  # 8 x its product passes 2**63
+    "entry = nan": _entry(math.nan),
+    "entry = inf": _entry(math.inf),
+}
+SUBNORMAL = 1e-320  # set in every array declared positive
+POSITIVE_ARRAYS = ("sigmas", "sd")  # the last key of each such array's path
+ARRAY_LABELS = (*ARRAY_CHANGES, f"entry = {SUBNORMAL!r}")
 
 
 def field_label(kind: str, path: tuple, value) -> str:
@@ -305,13 +342,30 @@ def artifact_mutations(saved: dict, seed: int = SEED) -> list[tuple[str, bytes]]
         for _ in range(CUTS):
             cut = rng.randrange(len(data))
             cases.append((f"{kind}: cut at byte {cut}", data[:cut]))
-        cases.append((f"{kind}: not JSON", b"schema: elorantd.model/1\n"))
+        cases.append((f"{kind}: not JSON", b"schema: elorantd.model/2\n"))
         at = rng.randrange(len(data))
         cases.append((f"{kind}: non-UTF-8 byte at {at}", data[:at] + NON_UTF8 + data[at:]))
+    for kind, data in saved.items():  # drawn after the cases above, so these move none of theirs
+        doc = json.loads(data)
+        arrays = _arrays_of(doc)
+        for label, change in ARRAY_CHANGES.items():
+            path = arrays[rng.randrange(len(arrays))]
+            cases.append((f"{kind}: {'.'.join(path)} {label}",
+                          _mutated(doc, path, rng, lambda node, c=change: c(node, rng))))
+        for path in arrays:
+            if path[-1] in POSITIVE_ARRAYS:
+                cases.append((f"{kind}: {'.'.join(path)} {ARRAY_LABELS[-1]}",
+                              _mutated(doc, path, rng, lambda node: _entry(SUBNORMAL)(node, rng))))
     for kind, path, value in EXIT_3_FIELDS:
         cases.append((field_label(kind, path, value),
-                      _mutated(json.loads(saved[kind]), path, rng, lambda _, new=value: new)))
+                      _mutated(json.loads(saved[kind]), path[:-1], rng,
+                               lambda node, i=path[-1], new=value: with_entry(node, i, new))))
     return cases
+
+
+def _arrays_of(doc) -> list[tuple]:
+    """The paths of a document's encoded arrays ("*": a random list entry)."""
+    return [path for path, node in _fields_of(doc) if is_encoded_array(node)]
 
 
 def non_finite_cells(path: Path) -> list[str]:
@@ -342,14 +396,20 @@ def test_artifact_mutations_are_seeded_and_cover_every_kind(saved_artifacts):
         labels = [label for label, _ in cases if label.startswith(f"{kind}: ")]
         fields = list(_fields_of(json.loads(data)))
         lists = sum(isinstance(value, list) for _, value in fields)
+        positive = sum(path[-1] in POSITIVE_ARRAYS for path in _arrays_of(json.loads(data)))
+        assert positive >= 1  # every kind has its standardizer.sd
         assert len(labels) == (len(fields) * VALUES_PER_FIELD + lists * len(LENGTH_CHANGES)
-                               + CUTS + 2 + sum(k == kind for k, _, _ in EXIT_3_FIELDS))
+                               + CUTS + 2 + len(ARRAY_CHANGES) + positive
+                               + sum(k == kind for k, _, _ in EXIT_3_FIELDS))
+        for part in ARRAY_LABELS:
+            assert any(label.endswith(f" {part}") for label in labels), (kind, part)
         for path, _ in fields:
             assert any(label.startswith(f"{kind}: {'.'.join(path) or 'document'} ")
                        for label in labels)
         for value in ARTIFACT_VALUES:
             assert any(label.endswith(f" = {value!r}") for label in labels)
-    assert any(label.endswith(".* one entry shorter") for label, _ in cases)  # a matrix row
+    assert any(label.endswith(".* one entry shorter") for label, _ in cases)  # a point or slice
+    assert any("payload.sigmas " in label for label, _ in cases)  # a wlr_agrnn bandwidth
     for label, data in cases:  # no case is a no-op
         kind = label.partition(":")[0]
         try:
@@ -388,7 +448,8 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
             if code == 0:
                 assert not non_finite_cells(out), (label, command, non_finite_cells(out))
             if ("cut at" in label or "not JSON" in label or "non-UTF-8" in label
-                    or label in exit_3_fields):
+                    or label in exit_3_fields
+                    or any(label.endswith(f" {part}") for part in ARRAY_LABELS)):
                 assert code == 3, (label, command, err)
             if "non-UTF-8" in label:  # reported at the byte's line
                 line = data.count(b"\n", 0, int(label.rpartition(" ")[2])) + 1
@@ -397,9 +458,9 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
     assert all(codes.values()), codes  # each documented exit is reached
 
 
-# two whole-file cases and a field case as console subprocesses
+# two whole-file cases, a field case and an array case as console subprocesses
 ARTIFACT_CONSOLE_CASES = ("wlr_agrnn: non-UTF-8 byte", "moe: cut at",
-                          "lasso_mpr: payload.beta.* =")
+                          "lasso_mpr: payload.beta.b64 =", "shape[0] = 2**61")
 
 
 @pytest.mark.parametrize("part", ARTIFACT_CONSOLE_CASES)
@@ -407,8 +468,7 @@ def test_artifact_mutation_console_exit_without_traceback(
     tmp_path, fuzz_corpus, saved_artifacts, part
 ):
     source, _ = fuzz_corpus
-    label, data = next(case for case in artifact_mutations(saved_artifacts)
-                       if case[0].startswith(part))
+    label, data = next(case for case in artifact_mutations(saved_artifacts) if part in case[0])
     artifact = tmp_path / "m.json"
     artifact.write_bytes(data)
     env = dict(os.environ)
