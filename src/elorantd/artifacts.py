@@ -90,6 +90,21 @@ def _unpack(raw: dict, ndim: int, where: str) -> np.ndarray:
         raise ValueError(f"{where}: shape {shape}: {exc}") from None
 
 
+def _from_list(raw, where: str) -> np.ndarray:
+    """The array of an elorantd.model/1 nested list of JSON numbers; a
+    ValueError naming where if it is ragged or holds anything else,
+    an integer too large for a float included."""
+    try:
+        value = np.asarray(raw)
+        if value.dtype.kind == "O" and all(type(v) in (int, float) for v in value.flat):
+            value = value.astype(float)  # an integer past 64 bits
+        if value.dtype.kind not in "iuf":
+            raise TypeError("an entry is not a number")
+        return value.astype(float, copy=False)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: not an array of numbers ({exc})") from None
+
+
 def decode(spec, raw, dims: dict, where: str):
     """JSON value -> value; checks types, finiteness and axes (dims: sizes
     seen) and raises ValueError naming the path (where) of a bad value.
@@ -121,8 +136,8 @@ def decode(spec, raw, dims: dict, where: str):
     if isinstance(spec, Array):
         if isinstance(raw, dict):
             value = _unpack(raw, len(spec.axes), where)
-        else:  # an elorantd.model/1 list
-            value = np.asarray(raw, dtype=float)
+        else:
+            value = _from_list(raw, where)
         if value.ndim != len(spec.axes):
             raise ValueError(f"{where}: shape {value.shape} does not have axes {spec.axes}")
         for axis, size in zip(spec.axes, value.shape):

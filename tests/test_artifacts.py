@@ -394,6 +394,23 @@ def test_encoded_array_faults_name_the_field(raw, fault):
         decode(Array(("T", "n")), raw, {}, "payload.bank")
 
 
+@pytest.mark.parametrize("raw", [
+    [[1.0, 2.0], [3.0]], [[1.0, "warp"]], [[1.0, "1.5"]], [[1.0, 10 ** 400]],
+    [[True, False]], [[1.0, None]], [[1.0, {}]], "warp", None,
+], ids=["ragged", "string", "numeric_string", "int_past_float", "booleans",
+        "null", "object", "text", "none"])
+def test_list_array_faults_name_the_field(raw):
+    """An elorantd.model/1 array is a nested list of JSON numbers, and
+    nothing else: each fault is a ValueError naming the field."""
+    with pytest.raises(ValueError, match="^payload.bank: not an array of numbers"):
+        decode(Array(("T", "n")), raw, {}, "payload.bank")
+
+
+def test_list_array_reads_an_integer_past_64_bits():
+    out = decode(Array(("T", "n")), [[2 ** 64, 1]], {}, "payload.bank")
+    assert out.dtype == np.dtype(float) and out.tolist() == [[2.0 ** 64, 1.0]]
+
+
 def test_load_rejects_moe_slice_that_misses_its_expert(every_model, tmp_path):
     path = tmp_path / "moe.json"
     save_model(every_model["moe"], path)

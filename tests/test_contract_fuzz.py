@@ -8,6 +8,7 @@ traceback, and a DEM elevation of +-1e308 m, outside the plausible range,
 or a non-UTF-8 byte in exit 3.  (scenario.meta has its own mutation test
 in test_cli.py, the INI file its own too.)
 """
+import copy
 import csv
 import dataclasses
 import itertools
@@ -23,6 +24,7 @@ import pytest
 
 import elorantd
 from elorantd import ingest, synth
+from elorantd.artifacts import load_model, model_document
 from elorantd.cli import main
 from tests.conftest import array_bytes, is_encoded_array, small_scenario_config, with_entry
 
@@ -211,12 +213,16 @@ def test_corpus_mutation_console_exit_without_traceback(tmp_path, fuzz_corpus, f
 # saved as {"shape": [...], "b64": <its little-endian float64 bytes>}, so
 # its shape and b64 are fields too, and each of ARRAY_CHANGES is made
 # inside one array at random; an entry of an array declared positive is
-# also set to a subnormal.  Whole-file cases cut the file short, replace it
-# with text that is not JSON, or put a non-UTF-8 byte in it.  Every case
-# runs through predict and evaluate and must end in exit 0, 3 or 5 with no
-# traceback; a file that is not a JSON document in exit 3, and so does each
-# array case and each of EXIT_3_FIELDS.  An exit 0 writes only finite
-# numbers: an artifact whose predictions overflow exits 3.
+# also set to a subnormal, and an entry of every array to +-1e308.
+# Whole-file cases cut the file short, replace it with text that is not
+# JSON, or put a non-UTF-8 byte in it.  The committed elorantd.model/1
+# artifacts, whose arrays are nested JSON lists, get a ragged row, a string
+# entry and an integer too large for a float.  Every case runs through
+# predict and evaluate and must end in exit 0, 3 or 5 with no traceback; a
+# file that is not a JSON document in exit 3, and so does each array case
+# but the +-1e308 ones, each /1 case and each of EXIT_3_FIELDS.  An exit 0
+# writes only finite numbers: an artifact whose predictions overflow exits 3,
+# and so does evaluate when their errors do; +-1e308 reaches one in each kind.
 
 ARTIFACT_KINDS = {"lasso_mpr": "degree = 1\n", "wlr_agrnn": "max_iterations = 3\n",
                   "bpnn": "max_iterations = 3\n", "grnn": "", "moe": "max_iterations = 3\n"}
@@ -260,7 +266,10 @@ ARRAY_CHANGES = {
 }
 SUBNORMAL = 1e-320  # set in every array declared positive
 POSITIVE_ARRAYS = ("sigmas", "sd")  # the last key of each such array's path
-ARRAY_LABELS = (*ARRAY_CHANGES, f"entry = {SUBNORMAL!r}")
+ARRAY_LABELS = (*ARRAY_CHANGES, f"entry = {SUBNORMAL!r}")  # each must exit 3
+# set in every array: such an artifact loads, and its predictions may overflow
+HUGE = (1e308, -1e308)
+HUGE_LABELS = tuple(f"entry = {value!r}" for value in HUGE)
 
 
 def field_label(kind: str, path: tuple, value) -> str:
@@ -356,6 +365,10 @@ def artifact_mutations(saved: dict, seed: int = SEED) -> list[tuple[str, bytes]]
             if path[-1] in POSITIVE_ARRAYS:
                 cases.append((f"{kind}: {'.'.join(path)} {ARRAY_LABELS[-1]}",
                               _mutated(doc, path, rng, lambda node: _entry(SUBNORMAL)(node, rng))))
+        for path in arrays:
+            for value, label in zip(HUGE, HUGE_LABELS):
+                cases.append((f"{kind}: {'.'.join(path)} {label}",
+                              _mutated(doc, path, rng, lambda node, v=value: _entry(v)(node, rng))))
     for kind, path, value in EXIT_3_FIELDS:
         cases.append((field_label(kind, path, value),
                       _mutated(json.loads(saved[kind]), path[:-1], rng,
@@ -366,6 +379,61 @@ def artifact_mutations(saved: dict, seed: int = SEED) -> list[tuple[str, bytes]]
 def _arrays_of(doc) -> list[tuple]:
     """The paths of a document's encoded arrays ("*": a random list entry)."""
     return [path for path, node in _fields_of(doc) if is_encoded_array(node)]
+
+
+# elorantd.model/1 artifacts of each kind, trained on the fuzz corpus as
+# saved_artifacts trains its own; their arrays are nested JSON lists
+V1_ARTIFACTS = Path(__file__).parent / "data" / "model_v1"
+
+
+def _list_entry(value):
+    """A change that sets a random entry of a nested list to value."""
+    def change(node, rng):
+        node = copy.deepcopy(node)
+        row = node
+        while isinstance(row[0], list):
+            row = row[rng.randrange(len(row))]
+        row[rng.randrange(len(row))] = value
+        return node
+    return change
+
+
+def _ragged(node, rng):
+    i = rng.randrange(len(node))
+    return node[:i] + [node[i][:-1]] + node[i + 1:]
+
+
+# label -> change(nested list, rng), each made in one random array per kind;
+# the ragged row only in an array of two or more axes
+V1_CHANGES = {"ragged row": _ragged, "entry = 'warp'": _list_entry("warp"),
+              "entry = '1.5'": _list_entry("1.5"),  # a number, but as a string
+              "entry = 10**400": _list_entry(10 ** 400)}  # past float, under JSON's limit
+
+
+def v1_mutations(seed: int = SEED) -> list[tuple[str, bytes]]:
+    """(label, mutated /1 artifact bytes), in a fixed order for a fixed seed;
+    each label starts with "<kind> /1: "."""
+    rng = random.Random(seed)
+    cases = []
+    for kind in ARTIFACT_KINDS:
+        source = V1_ARTIFACTS / f"{kind}.json"
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        arrays = _list_arrays(source)
+        for label, change in V1_CHANGES.items():
+            paths = [p for p, axes in arrays if axes >= 2 or label != "ragged row"]
+            if paths:
+                path = paths[rng.randrange(len(paths))]
+                cases.append((f"{kind} /1: {'.'.join(path)} {label}",
+                              _mutated(doc, path, rng, lambda node, c=change: c(node, rng))))
+    return cases
+
+
+def _list_arrays(source: Path) -> list[tuple[tuple, int]]:
+    """(path, axes) of each array of the /1 artifact at source: the paths of
+    the encoded arrays of the /2 document its model saves as."""
+    doc = model_document(load_model(source))
+    return [(path, len(node["shape"])) for path, node in _fields_of(doc)
+            if is_encoded_array(node)]
 
 
 def non_finite_cells(path: Path) -> list[str]:
@@ -396,11 +464,16 @@ def test_artifact_mutations_are_seeded_and_cover_every_kind(saved_artifacts):
         labels = [label for label, _ in cases if label.startswith(f"{kind}: ")]
         fields = list(_fields_of(json.loads(data)))
         lists = sum(isinstance(value, list) for _, value in fields)
-        positive = sum(path[-1] in POSITIVE_ARRAYS for path in _arrays_of(json.loads(data)))
+        arrays = _arrays_of(json.loads(data))
+        positive = sum(path[-1] in POSITIVE_ARRAYS for path in arrays)
         assert positive >= 1  # every kind has its standardizer.sd
         assert len(labels) == (len(fields) * VALUES_PER_FIELD + lists * len(LENGTH_CHANGES)
                                + CUTS + 2 + len(ARRAY_CHANGES) + positive
+                               + len(HUGE) * len(arrays)
                                + sum(k == kind for k, _, _ in EXIT_3_FIELDS))
+        for path in arrays:
+            for part in HUGE_LABELS:
+                assert f"{kind}: {'.'.join(path)} {part}" in labels, (kind, path, part)
         for part in ARRAY_LABELS:
             assert any(label.endswith(f" {part}") for label in labels), (kind, part)
         for path, _ in fields:
@@ -418,6 +491,23 @@ def test_artifact_mutations_are_seeded_and_cover_every_kind(saved_artifacts):
             pass
 
 
+def test_version_1_mutations_are_seeded_and_cover_every_kind():
+    cases = v1_mutations()
+    assert cases == v1_mutations()
+    for kind in ARTIFACT_KINDS:
+        labels = [label for label, _ in cases if label.startswith(f"{kind} /1: ")]
+        wanted = [part for part in V1_CHANGES if part != "ragged row" or kind != "lasso_mpr"]
+        assert len(labels) == len(wanted), (kind, labels)  # lasso_mpr has no 2-axis array
+        for part in wanted:
+            assert any(label.endswith(f" {part}") for label in labels), (kind, part)
+    source = {kind: json.loads((V1_ARTIFACTS / f"{kind}.json").read_text(encoding="utf-8"))
+              for kind in ARTIFACT_KINDS}
+    for label, data in cases:  # each is /1 and changes one array of its file
+        doc = json.loads(data)
+        assert doc["schema"] == "elorantd.model/1"
+        assert doc != source[label.partition(" ")[0]], label
+
+
 @pytest.mark.filterwarnings("default")
 def test_every_artifact_mutation_ends_in_a_documented_exit(
     tmp_path, fuzz_corpus, saved_artifacts, capsys
@@ -429,13 +519,17 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
     config = artifact_ini(tmp_path / "run.ini", source)
     artifact, out = tmp_path / "m.json", tmp_path / "out.csv"
     argvs = artifact_commands(config, artifact, out)
-    for kind, data in saved_artifacts.items():  # each unmutated artifact works
+    unmutated = [*saved_artifacts.items(),
+                 *((f"{kind} /1", (V1_ARTIFACTS / f"{kind}.json").read_bytes())
+                   for kind in ARTIFACT_KINDS)]
+    for kind, data in unmutated:  # each unmutated artifact works
         artifact.write_bytes(data)
         for command, argv in argvs.items():
             assert main(argv) == 0, (kind, command, capsys.readouterr().err)
     codes = dict.fromkeys(ARTIFACT_EXITS, 0)
     exit_3_fields = {field_label(*case) for case in EXIT_3_FIELDS}
-    for label, data in artifact_mutations(saved_artifacts):
+    overflowed = set()  # the kinds a +-1e308 entry drove to an overflow exit
+    for label, data in [*artifact_mutations(saved_artifacts), *v1_mutations()]:
         artifact.write_bytes(data)
         for command, argv in argvs.items():
             out.unlink(missing_ok=True)
@@ -448,14 +542,18 @@ def test_every_artifact_mutation_ends_in_a_documented_exit(
             if code == 0:
                 assert not non_finite_cells(out), (label, command, non_finite_cells(out))
             if ("cut at" in label or "not JSON" in label or "non-UTF-8" in label
-                    or label in exit_3_fields
+                    or label in exit_3_fields or " /1: " in label
                     or any(label.endswith(f" {part}") for part in ARRAY_LABELS)):
                 assert code == 3, (label, command, err)
+            if (any(label.endswith(f" {part}") for part in HUGE_LABELS)
+                    and ("artifact predicts" in err or "errors overflow" in err)):
+                overflowed.add(label.partition(":")[0])
             if "non-UTF-8" in label:  # reported at the byte's line
                 line = data.count(b"\n", 0, int(label.rpartition(" ")[2])) + 1
                 assert f"m.json:{line}: byte 0xff is not UTF-8 text" in err, (label, err)
             codes[code] += 1
     assert all(codes.values()), codes  # each documented exit is reached
+    assert overflowed == set(ARTIFACT_KINDS), overflowed  # the overflow exit, in every kind
 
 
 # two whole-file cases, a field case and an array case as console subprocesses
